@@ -37,11 +37,7 @@ for name, store in stores.items():
 print("\nneighbors(1) enumerates newest-first; the bare hash table refuses:")
 for name, store in stores.items():
     try:
-        if name == "oracle":
-            seq = store.neighbors_newest_first(1)
-        else:
-            seq = store.neighbors(1)
-        print(f"  {name:<9} {seq}")
+        print(f"  {name:<9} {store.neighbors(1)}")
     except UnsupportedOperationError as exc:
         print(f"  {name:<9} unsupported ({exc})")
 

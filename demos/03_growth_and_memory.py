@@ -41,7 +41,7 @@ mlf = cfg.max_load_factor
 bound = 2 * store.edge_count * mlf.denominator // mlf.numerator
 print(f"\nmemory check: capacity {store.capacity} <= 2*E/max_load = {bound}:",
       store.capacity <= bound)
-print("total ints allocated (heads + 3 slot arrays + weights):", store.memory_ints())
+print("total ints allocated (heads + 2 slot arrays + weights):", store.memory_ints())
 
 print("\none more manual doubling changes nothing observable:")
 sample = [(rng.next_below(500), rng.next_below(500)) for _ in range(5000)]

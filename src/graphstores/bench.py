@@ -265,10 +265,7 @@ def _execute(ops, stores, wall=None):
                     continue  # no per-vertex enumeration on the bare table
                 if timing:
                     t0 = perf_counter_ns()
-                if name == "oracle":
-                    ans = store.neighbors_newest_first(x)
-                else:
-                    ans = store.neighbors(x)
+                ans = store.neighbors(x)
                 if timing:
                     wall[name, "enumerate"] += perf_counter_ns() - t0
                 answers.append((name, ans))

@@ -135,10 +135,7 @@ def cmd_query(args) -> int:
         if q[0] == "C":
             results.append("1" if store.contains(q[1], q[2]) else "0")
         else:
-            if isinstance(store, OracleGraph):
-                seq = store.neighbors_newest_first(q[1])
-            else:
-                seq = store.neighbors(q[1])  # EdgeHash raises UnsupportedOperationError
+            seq = store.neighbors(q[1])  # EdgeHash raises UnsupportedOperationError
             results.append(" ".join(str(v) for v in seq))
 
     _write_output(format_results(results), args.out)

@@ -189,6 +189,12 @@ class EdgeStore(abc.ABC):
 
     __slots__ = ()
 
+    def _check_pair(self, x: int, y: int) -> None:
+        """Raise VertexRangeError unless both ids lie in [0, n); stores keep n in ``_n``."""
+        n = self._n
+        if x < 0 or x >= n or y < 0 or y >= n:
+            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
+
     @abc.abstractmethod
     def add_edge(self, x: int, y: int) -> bool:
         """Insert (x, y); returns True if the edge is new, False on duplicate."""

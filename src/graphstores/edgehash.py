@@ -1,21 +1,26 @@
 """Open-addressing edge table with linear probing; add and membership only.
 
-Entries are packed edge codes in a flat slot array plus a parallel
-occupancy array (codes cannot double as their own empty marker because
-pack(0, 0) == 0 is a legal edge). There is no removal, which keeps probe
-chains intact forever: an entry is always reachable from its home slot
-without crossing an empty slot.
+Entries are packed edge codes in one flat slot array. Packed codes are
+never negative, so an empty slot holds the out-of-band NONE (-1); no
+separate occupancy array is needed, even though pack(0, 0) == 0 is a legal
+edge. There is no removal, which keeps probe chains intact forever: an
+entry is always reachable from its home slot without crossing an empty
+slot.
+
+This is also the probe core of :class:`~graphstores.hashlist.HashList`,
+which extends ``_allocate``, ``_seat`` and ``_rebuild`` to thread its
+adjacency chains through the same slots.
 """
 
 from __future__ import annotations
 
 from .core import (
+    NONE,
     CapacityError,
     ConfigError,
     EdgeStore,
     StoreConfig,
     UnsupportedOperationError,
-    VertexRangeError,
     compat_hash,
     mixer_hash,
     pack_edge,
@@ -44,7 +49,6 @@ class EdgeHash(EdgeStore):
         "_cap",
         "_mask",
         "_data",
-        "_used",
         "_count",
         "_mixer",
         "_growth_enabled",
@@ -54,73 +58,71 @@ class EdgeHash(EdgeStore):
     def __init__(self, config: StoreConfig) -> None:
         self.config = config
         self._n = config.vertex_count
-        cap = config.initial_capacity
-        self._cap = cap
-        self._mask = cap - 1
-        self._data = [0] * cap
-        self._used = bytearray(cap)
         self._count = 0
         self._mixer = config.hash_mode == "mixer"
         self._growth_enabled = config.growth_enabled
-        self._growth_limit = config.growth_limit(cap)
         self.rebuilds = 0
         self.counters = OpCounters()
+        self._allocate(config.initial_capacity)
 
-    def _check_pair(self, x: int, y: int) -> None:
-        n = self._n
-        if x < 0 or x >= n or y < 0 or y >= n:
-            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
+    def _allocate(self, cap: int) -> None:
+        """Install an empty table of ``cap`` slots."""
+        self._cap = cap
+        self._mask = cap - 1
+        self._data = [NONE] * cap
+        self._growth_limit = self.config.growth_limit(cap)
 
-    def _home_slot(self, x: int, y: int, code: int) -> int:
-        if self._mixer:
-            return mixer_hash(code, self._cap)
-        return compat_hash(x, y, self._cap)
+    def _probe(self, x: int, y: int, code: int, channel) -> int:
+        """Slot holding ``code``, else the empty slot where it belongs, else NONE.
+
+        NONE means the table is full without ``code``; that outcome records
+        nothing. Every other outcome records its probe count on ``channel``
+        unless ``channel`` is None.
+        """
+        cap = self._cap
+        slot = mixer_hash(code, cap) if self._mixer else compat_hash(x, y, cap)
+        data = self._data
+        mask = self._mask
+        probes = 1
+        held = data[slot]
+        while held != code and held != NONE:
+            if probes == cap:
+                return NONE
+            slot = (slot + 1) & mask
+            held = data[slot]
+            probes += 1
+        if channel is not None:
+            channel.record_probes(probes)
+        return slot
+
+    def _seat(self, slot: int, code: int, x: int) -> None:
+        """Store a new edge of source ``x`` in the empty ``slot`` found for it."""
+        self._data[slot] = code
+        self._count += 1
 
     def add_edge(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
         if self._growth_enabled and self._count + 1 > self._growth_limit:
             self._rebuild(self._cap * 2)
         code = pack_edge(x, y)
-        data = self._data
-        used = self._used
-        mask = self._mask
-        slot = self._home_slot(x, y, code)
-        probes = 0
-        for _ in range(self._cap):
-            probes += 1
-            if not used[slot]:
-                used[slot] = 1
-                data[slot] = code
-                self._count += 1
-                self.counters.add.record_probes(probes)
-                return True
-            if data[slot] == code:
-                self.counters.add.record_probes(probes)
-                return False
-            slot = (slot + 1) & mask
-        # Only reachable with growth disabled, every slot occupied, and the
-        # edge absent; the bounded loop is what keeps probing from hanging.
-        raise CapacityError(f"table full at capacity {self._cap} with growth disabled")
+        slot = self._probe(x, y, code, self.counters.add)
+        if slot == NONE:
+            # Only reachable with growth disabled, every slot occupied, and
+            # the edge absent; the bounded probe is what keeps it from hanging.
+            raise CapacityError(f"table full at capacity {self._cap} with growth disabled")
+        if self._data[slot] == code:
+            return False
+        self._seat(slot, code, x)
+        return True
 
     def contains(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
         code = pack_edge(x, y)
-        data = self._data
-        used = self._used
-        mask = self._mask
-        slot = self._home_slot(x, y, code)
-        probes = 0
-        for _ in range(self._cap):
-            probes += 1
-            if not used[slot]:
-                self.counters.contains.record_probes(probes)
-                return False
-            if data[slot] == code:
-                self.counters.contains.record_probes(probes)
-                return True
-            slot = (slot + 1) & mask
-        self.counters.contains.record_probes(probes)
-        return False
+        slot = self._probe(x, y, code, self.counters.contains)
+        if slot == NONE:
+            self.counters.contains.record_probes(self._cap)
+            return False
+        return self._data[slot] == code
 
     def neighbors(self, x: int) -> list[int]:
         raise UnsupportedOperationError(
@@ -128,36 +130,40 @@ class EdgeHash(EdgeStore):
         )
 
     def grow(self) -> None:
-        """Double capacity and re-seat every code; membership answers are unchanged."""
+        """Double capacity and re-seat every code; observable answers are unchanged."""
         if not self._growth_enabled:
             raise ConfigError("growth is disabled for this store")
         self._rebuild(self._cap * 2)
 
     def _rebuild(self, new_cap: int) -> None:
+        self._reseat(new_cap, [s for s, code in enumerate(self._data) if code != NONE])
+
+    def _reseat(self, new_cap: int, order: list[int]) -> list[int]:
+        """Move the codes at old slots ``order``, in that order, into a fresh table.
+
+        Linear probing places codes in an order-dependent way, so ``order``
+        fixes the rebuilt layout. Returns each code's new slot, aligned with
+        ``order``. The probe is inline: a rebuild re-seats every edge.
+        """
         old_data = self._data
-        old_used = self._used
-        self._cap = new_cap
-        self._mask = new_cap - 1
-        self._data = [0] * new_cap
-        self._used = bytearray(new_cap)
-        self._growth_limit = self.config.growth_limit(new_cap)
-        mask = self._mask
+        self._allocate(new_cap)
         data = self._data
-        used = self._used
-        for s, occupied in enumerate(old_used):
-            if not occupied:
-                continue
+        mask = self._mask
+        mixer = self._mixer
+        slots = []
+        for s in order:
             code = old_data[s]
-            if self._mixer:
+            if mixer:
                 slot = mixer_hash(code, new_cap)
             else:
                 hx, hy = unpack_edge(code)
                 slot = compat_hash(hx, hy, new_cap)
-            while used[slot]:
+            while data[slot] != NONE:
                 slot = (slot + 1) & mask
-            used[slot] = 1
             data[slot] = code
+            slots.append(slot)
         self.rebuilds += 1
+        return slots
 
     @property
     def edge_count(self) -> int:
@@ -180,5 +186,5 @@ class EdgeHash(EdgeStore):
         return self._cap
 
     def memory_ints(self) -> int:
-        """Slot cells across data + used: 2 * capacity."""
-        return 2 * self._cap
+        """Slot cells in the data array: capacity."""
+        return self._cap

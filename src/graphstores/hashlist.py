@@ -1,7 +1,8 @@
 """Fused store: every occupied hash slot is also an adjacency-list node.
 
-Insertion picks the slot by probing exactly as the edge hash does, then
-threads the slot onto the source vertex's chain (``next[slot] = heads[x];
+Insertion picks the slot by probing exactly as the edge hash does (it is
+the edge hash, see :class:`~graphstores.edgehash.EdgeHash`), then threads
+the slot onto the source vertex's chain (``next[slot] = heads[x];
 heads[x] = slot``). Membership inherits the hash table's degree-independent
 cost; enumeration walks the chain and touches exactly deg(x) slots. Chains
 use the out-of-band NONE sentinel because slot 0 is a legitimate hash slot.
@@ -9,125 +10,37 @@ use the out-of-band NONE sentinel because slot 0 is a legitimate hash slot.
 
 from __future__ import annotations
 
-from .core import (
-    NONE,
-    CapacityError,
-    ConfigError,
-    EdgeStore,
-    StoreConfig,
-    U32_MASK,
-    VertexRangeError,
-    compat_hash,
-    mixer_hash,
-    pack_edge,
-    unpack_edge,
-)
-from .counters import OpCounters
+from .core import NONE, ConfigError, U32_MASK, VertexRangeError, pack_edge
+from .edgehash import EdgeHash
 
 
-class HashList(EdgeStore):
+class HashList(EdgeHash):
     """Edge hash whose slots double as linked-list nodes, one list per source.
 
-    Growth rebuilds preserve observable enumeration order: each chain is
-    collected, reversed back into insertion order, and re-added, so the
-    rebuilt chains enumerate exactly as before. An optional weight array
-    (``StoreConfig.weighted``) rides along with the slots.
+    Growth rebuilds preserve observable enumeration order: vertex by vertex,
+    each chain is re-seated oldest-first, so the rebuilt chains enumerate
+    exactly as before. An optional weight array (``StoreConfig.weighted``)
+    rides along with the slots and survives rebuilds too.
 
     Single-writer: mutation needs exclusive access; once mutation stops,
     any number of threads may read concurrently. No internal locking.
     """
 
-    __slots__ = (
-        "config",
-        "counters",
-        "rebuilds",
-        "_n",
-        "_cap",
-        "_mask",
-        "_heads",
-        "_data",
-        "_used",
-        "_next",
-        "_weights",
-        "_count",
-        "_mixer",
-        "_growth_enabled",
-        "_growth_limit",
-    )
+    __slots__ = ("_heads", "_next", "_weights")
 
-    def __init__(self, config: StoreConfig) -> None:
-        self.config = config
-        self._n = config.vertex_count
-        cap = config.initial_capacity
-        self._cap = cap
-        self._mask = cap - 1
-        self._heads = [NONE] * config.vertex_count
-        self._data = [0] * cap
-        self._used = bytearray(cap)
+    def _allocate(self, cap: int) -> None:
+        super()._allocate(cap)
+        self._heads = [NONE] * self._n
         self._next = [NONE] * cap
-        self._weights: list | None = [None] * cap if config.weighted else None
-        self._count = 0
-        self._mixer = config.hash_mode == "mixer"
-        self._growth_enabled = config.growth_enabled
-        self._growth_limit = config.growth_limit(cap)
-        self.rebuilds = 0
-        self.counters = OpCounters()
+        self._weights: list | None = [None] * cap if self.config.weighted else None
 
-    def _check_pair(self, x: int, y: int) -> None:
-        n = self._n
-        if x < 0 or x >= n or y < 0 or y >= n:
-            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
-
-    def _home_slot(self, x: int, y: int, code: int) -> int:
-        if self._mixer:
-            return mixer_hash(code, self._cap)
-        return compat_hash(x, y, self._cap)
-
-    def add_edge(self, x: int, y: int) -> bool:
-        self._check_pair(x, y)
-        if self._growth_enabled and self._count + 1 > self._growth_limit:
-            self._rebuild(self._cap * 2)
-        code = pack_edge(x, y)
-        data = self._data
-        used = self._used
-        mask = self._mask
-        slot = self._home_slot(x, y, code)
-        probes = 0
-        for _ in range(self._cap):
-            probes += 1
-            if not used[slot]:
-                used[slot] = 1
-                data[slot] = code
-                self._next[slot] = self._heads[x]
-                self._heads[x] = slot
-                self._count += 1
-                self.counters.add.record_probes(probes)
-                return True
-            if data[slot] == code:
-                self.counters.add.record_probes(probes)
-                return False
-            slot = (slot + 1) & mask
-        raise CapacityError(f"table full at capacity {self._cap} with growth disabled")
-
-    def contains(self, x: int, y: int) -> bool:
-        self._check_pair(x, y)
-        code = pack_edge(x, y)
-        data = self._data
-        used = self._used
-        mask = self._mask
-        slot = self._home_slot(x, y, code)
-        probes = 0
-        for _ in range(self._cap):
-            probes += 1
-            if not used[slot]:
-                self.counters.contains.record_probes(probes)
-                return False
-            if data[slot] == code:
-                self.counters.contains.record_probes(probes)
-                return True
-            slot = (slot + 1) & mask
-        self.counters.contains.record_probes(probes)
-        return False
+    def _seat(self, slot: int, code: int, x: int) -> None:
+        # EdgeHash._seat's two lines are repeated, not called: every add
+        # pays for this method, and a nested call measurably slows it.
+        self._data[slot] = code
+        self._count += 1
+        self._next[slot] = self._heads[x]
+        self._heads[x] = slot
 
     def neighbors(self, x: int) -> list[int]:
         if x < 0 or x >= self._n:
@@ -142,27 +55,18 @@ class HashList(EdgeStore):
         self.counters.enumerate.record_traversals(len(out))
         return out
 
-    def _find_slot(self, x: int, y: int) -> int:
-        """Uncounted probe used by the weight accessors; NONE when absent."""
-        code = pack_edge(x, y)
-        data = self._data
-        used = self._used
-        mask = self._mask
-        slot = self._home_slot(x, y, code)
-        for _ in range(self._cap):
-            if not used[slot]:
-                return NONE
-            if data[slot] == code:
-                return slot
-            slot = (slot + 1) & mask
-        return NONE
-
-    def set_weight(self, x: int, y: int, weight: float) -> bool:
-        """Attach a weight to an existing edge; False if the edge is absent."""
+    def _weight_slot(self, x: int, y: int) -> int:
+        """Slot of (x, y) by an uncounted probe; NONE when the edge is absent."""
         if self._weights is None:
             raise ConfigError("weights are not enabled (StoreConfig.weighted)")
         self._check_pair(x, y)
-        slot = self._find_slot(x, y)
+        code = pack_edge(x, y)
+        slot = self._probe(x, y, code, None)
+        return slot if slot != NONE and self._data[slot] == code else NONE
+
+    def set_weight(self, x: int, y: int, weight: float) -> bool:
+        """Attach a weight to an existing edge; False if the edge is absent."""
+        slot = self._weight_slot(x, y)
         if slot == NONE:
             return False
         self._weights[slot] = weight
@@ -170,87 +74,40 @@ class HashList(EdgeStore):
 
     def get_weight(self, x: int, y: int) -> float | None:
         """Stored weight of (x, y); None when the edge is absent or unweighted."""
-        if self._weights is None:
-            raise ConfigError("weights are not enabled (StoreConfig.weighted)")
-        self._check_pair(x, y)
-        slot = self._find_slot(x, y)
-        if slot == NONE:
-            return None
-        return self._weights[slot]
-
-    def grow(self) -> None:
-        """Double capacity; contains answers, enumeration order, and weights survive."""
-        if not self._growth_enabled:
-            raise ConfigError("growth is disabled for this store")
-        self._rebuild(self._cap * 2)
+        slot = self._weight_slot(x, y)
+        return None if slot == NONE else self._weights[slot]
 
     def _rebuild(self, new_cap: int) -> None:
-        old_data = self._data
-        old_next = self._next
         old_heads = self._heads
+        old_next = self._next
         old_weights = self._weights
-        self._cap = new_cap
-        self._mask = new_cap - 1
-        self._data = [0] * new_cap
-        self._used = bytearray(new_cap)
-        self._next = [NONE] * new_cap
-        self._heads = [NONE] * self._n
-        if old_weights is not None:
-            self._weights = [None] * new_cap
-        mask = self._mask
-        data = self._data
-        used = self._used
-        nxt = self._next
-        heads = self._heads
+        # Chains enumerate newest-first; re-seat each oldest-first so that
+        # threading the new slots reads back in the same order.
+        order = []
         for x in range(self._n):
             chain = []
             i = old_heads[x]
             while i != NONE:
                 chain.append(i)
                 i = old_next[i]
-            # Chains enumerate newest-first; re-add oldest-first so the
-            # rebuilt chain reads back in the same order.
-            for s in reversed(chain):
-                code = old_data[s]
-                if self._mixer:
-                    slot = mixer_hash(code, new_cap)
-                else:
-                    hx, hy = unpack_edge(code)
-                    slot = compat_hash(hx, hy, new_cap)
-                while used[slot]:
-                    slot = (slot + 1) & mask
-                used[slot] = 1
-                data[slot] = code
-                nxt[slot] = heads[x]
-                heads[x] = slot
-                if old_weights is not None:
-                    self._weights[slot] = old_weights[s]
-        self._growth_limit = self.config.growth_limit(new_cap)
-        self.rebuilds += 1
-
-    @property
-    def edge_count(self) -> int:
-        return self._count
-
-    @property
-    def vertex_count(self) -> int:
-        return self._n
-
-    @property
-    def capacity(self) -> int:
-        return self._cap
-
-    @property
-    def load_factor(self) -> float:
-        return self._count / self._cap
-
-    @property
-    def slots_allocated(self) -> int:
-        return self._cap
+            chain.reverse()
+            order += chain
+        slots = self._reseat(new_cap, order)
+        data = self._data
+        heads = self._heads
+        nxt = self._next
+        for slot in slots:
+            x = data[slot] >> 32
+            nxt[slot] = heads[x]
+            heads[x] = slot
+        if old_weights is not None:
+            weights = self._weights
+            for s, slot in zip(order, slots):
+                weights[slot] = old_weights[s]
 
     def memory_ints(self) -> int:
-        """heads + data/used/next slot arrays, plus weights when enabled."""
-        total = self._n + 3 * self._cap
+        """heads + data/next slot arrays, plus weights when enabled: n + 2*capacity (+ capacity)."""
+        total = self._n + 2 * self._cap
         if self._weights is not None:
             total += self._cap
         return total

@@ -2,8 +2,8 @@
 
 ``heads[x]`` holds the index of the newest cell in x's list, ``next``
 chains cells together, ``data`` holds the target vertex. Index 0 is the
-end-of-chain sentinel, so cell 0 is never handed out; a single ``used``
-counter is the allocator (next free cell is ``used + 1``). Insertion
+end-of-chain sentinel, so cell 0 is never handed out; the edge count
+doubles as the allocator (next free cell is ``count + 1``). Insertion
 prepends, so enumeration yields targets newest first.
 """
 
@@ -24,7 +24,7 @@ class MultiList(EdgeStore):
     any number of threads may read concurrently.
     """
 
-    __slots__ = ("_n", "_m", "_heads", "_next", "_data", "_used", "counters")
+    __slots__ = ("_n", "_m", "_heads", "_next", "_data", "_count", "counters")
 
     def __init__(self, vertex_count: int, edge_capacity: int) -> None:
         if vertex_count < 1:
@@ -36,13 +36,8 @@ class MultiList(EdgeStore):
         self._heads = [0] * vertex_count
         self._next = [0] * (edge_capacity + 1)
         self._data = [0] * (edge_capacity + 1)
-        self._used = 0
+        self._count = 0
         self.counters = OpCounters()
-
-    def _check_pair(self, x: int, y: int) -> None:
-        n = self._n
-        if x < 0 or x >= n or y < 0 or y >= n:
-            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
 
     def add_edge(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
@@ -56,10 +51,10 @@ class MultiList(EdgeStore):
                 self.counters.add.record_traversals(steps)
                 return False
             i = nxt[i]
-        if self._used >= self._m:
+        if self._count >= self._m:
             raise CapacityError(f"all {self._m} cells are in use")
-        self._used += 1
-        cell = self._used
+        self._count += 1
+        cell = self._count
         data[cell] = y
         nxt[cell] = self._heads[x]
         self._heads[x] = cell
@@ -96,7 +91,7 @@ class MultiList(EdgeStore):
 
     @property
     def edge_count(self) -> int:
-        return self._used
+        return self._count
 
     @property
     def vertex_count(self) -> int:

@@ -31,11 +31,6 @@ class OracleGraph(EdgeStore):
         self._count = 0
         self.counters = OpCounters()
 
-    def _check_pair(self, x: int, y: int) -> None:
-        n = self._n
-        if x < 0 or x >= n or y < 0 or y >= n:
-            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
-
     def add_edge(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
         self.counters.add.record_traversals(1)
@@ -52,15 +47,7 @@ class OracleGraph(EdgeStore):
         return bool(self._matrix[x, y])
 
     def neighbors(self, x: int) -> list[int]:
-        """Targets in insertion order (the logs' native order)."""
-        if x < 0 or x >= self._n:
-            raise VertexRangeError(f"vertex {x} outside range [0, {self._n})")
-        log = self._logs[x]
-        self.counters.enumerate.record_traversals(len(log))
-        return list(log)
-
-    def neighbors_newest_first(self, x: int) -> list[int]:
-        """Reversed log; comparable to the head-insertion stores' order."""
+        """Reversed log: newest first, like the head-insertion stores."""
         if x < 0 or x >= self._n:
             raise VertexRangeError(f"vertex {x} outside range [0, {self._n})")
         log = self._logs[x]

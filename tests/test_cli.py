@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from graphstores import HashList
 from graphstores.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -230,13 +235,41 @@ class TestSelftest:
         assert "minimized stream" in out
 
 
+def console_script_target(name: str) -> str:
+    """The ``module:function`` that ``[project.scripts]`` in pyproject.toml binds to ``name``.
+
+    A line-based read rather than tomllib, which only exists from Python 3.11.
+    """
+    section = None
+    for line in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            key, _, value = line.partition("=")
+            if key.strip().strip("\"'") == name:
+                return value.strip().strip("\"'")
+    raise AssertionError(f"no [project.scripts] entry named {name!r}")
+
+
 class TestEntryPoint:
-    def test_console_script(self, tmp_path):
-        result = subprocess.run(
-            ["graphstores", "bench", "--n", "50", "--m", "300", "--structures", "hashlist"],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0
+    def test_console_script(self):
+        args = ["bench", "--n", "50", "--m", "300", "--structures", "hashlist"]
+        exe = shutil.which("graphstores")
+        if exe:
+            command, env = [exe], None
+        else:
+            # Not installed: run the entry point as pip's generated wrapper does.
+            module, _, func = console_script_target("graphstores").partition(":")
+            wrapper = (f"import sys; from {module} import {func}; "
+                       f"sys.argv[0] = 'graphstores'; sys.exit({func}())")
+            command = [sys.executable, "-c", wrapper]
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+            )
+        result = subprocess.run(command + args, capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("structure,operation,")
 
     def test_module_invocation(self):

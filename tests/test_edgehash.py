@@ -8,6 +8,7 @@ from graphstores import (
     CapacityError,
     ConfigError,
     EdgeHash,
+    NONE,
     StoreConfig,
     UnsupportedOperationError,
     VertexRangeError,
@@ -62,7 +63,7 @@ class TestAddContains:
         assert compat_hash(6, 333333, 16) == 0
         assert t.add_edge(5, 333333) is True
         assert t.add_edge(6, 333333) is True
-        assert t._used[0] and t._used[1]
+        assert t._data[0] != NONE and t._data[1] != NONE
         assert t._data[0] == pack_edge(5, 333333)
         assert t._data[1] == pack_edge(6, 333333)
         assert t.contains(5, 333333) and t.contains(6, 333333)
@@ -163,9 +164,13 @@ class TestGrowth:
         # duplicates still answer instead of hanging or raising
         assert t.add_edge(3, 0) is False
         assert t.contains(3, 0) is True
+        t.counters.reset()
         assert t.contains(99, 99) is False  # bounded full scan, then miss
+        assert (t.counters.contains.ops, t.counters.contains.total) == (1, 16)
         with pytest.raises(CapacityError):
             t.add_edge(17, 0)
+        assert t.counters.add.ops == 0  # a refused add records nothing
+        assert t.edge_count == 16
 
 
 class TestInvariants:
@@ -187,7 +192,7 @@ class TestInvariants:
         for x, y in pairs:
             slot = mixer_hash(pack_edge(x, y), cap)
             for _ in range(cap):
-                assert t._used[slot], "probe chain crossed an empty slot"
+                assert t._data[slot] != NONE, "probe chain crossed an empty slot"
                 if t._data[slot] == pack_edge(x, y):
                     break
                 slot = (slot + 1) & (cap - 1)
@@ -196,7 +201,7 @@ class TestInvariants:
 
     def test_no_code_stored_twice(self):
         t, _ = self._filled()
-        stored = [t._data[s] for s in range(t.capacity) if t._used[s]]
+        stored = [t._data[s] for s in range(t.capacity) if t._data[s] != NONE]
         assert len(stored) == len(set(stored)) == t.edge_count
 
     def test_monotone_membership(self):
@@ -228,4 +233,4 @@ class TestInvariants:
     def test_memory_accounting(self):
         t = make(expected=100)
         assert t.slots_allocated == 256
-        assert t.memory_ints() == 512
+        assert t.memory_ints() == 256

@@ -107,7 +107,7 @@ class TestAgainstOracle:
         assert g.edge_count == oracle.edge_count
         for x in range(n):
             seq = g.neighbors(x)
-            assert seq == oracle.neighbors_newest_first(x)
+            assert seq == oracle.neighbors(x)
             assert seq == naive.newest_first(x)
             assert len(seq) == len(set(seq))  # set semantics: no duplicates
 

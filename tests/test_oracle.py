@@ -6,6 +6,8 @@ import pytest
 
 from graphstores import ConfigError, OracleGraph, VertexRangeError
 
+from _reference import EdgeSetOracle
+
 
 class TestBasics:
     def test_add_sets_cell(self):
@@ -59,9 +61,15 @@ class TestConsistency:
             assert set(log) == {y for y in range(o.vertex_count) if o.contains(x, y)}
 
     def test_newest_first_is_reversed_log(self):
-        o = self._random()
-        for x in range(o.vertex_count):
-            assert o.neighbors_newest_first(x) == o.neighbors(x)[::-1]
+        rnd = random.Random(17)
+        n = 60
+        o = OracleGraph(n)
+        naive = EdgeSetOracle(n)
+        for _ in range(4000):
+            x, y = rnd.randrange(n), rnd.randrange(n)
+            assert o.add_edge(x, y) == naive.add(x, y)
+        for x in range(n):
+            assert o.neighbors(x) == naive.newest_first(x)
 
     def test_quadratic_footprint(self):
         o = OracleGraph(128)
