@@ -6,6 +6,8 @@ to different slots after a rebuild. These literals were captured from a
 known-good build; a refactor of the hash stores must reproduce them
 exactly. The per-edge contains probe counts pin every edge's distance
 from its home slot, which is the slot layout as far as any caller can see.
+The CLI pins fix the result bytes of ``graphstores query`` for every
+structure, hash mode and direction on one awkward edge-list file.
 """
 
 from __future__ import annotations
@@ -124,3 +126,61 @@ GOLDEN = {
 @pytest.mark.parametrize("hash_mode", ["mixer", "paper_compat"])
 def test_grown_store_pinned(cls, hash_mode):
     assert _grown(cls, hash_mode) == GOLDEN[cls.__name__, hash_mode]
+
+
+# The query file asks N for every vertex, then C for every ordered pair;
+# edgehash gets the C lines alone, since it cannot enumerate.
+CLI_GRAPH = """\
+# pinned graph: duplicate lines, comments, self-loops, re-weighted lines
+8 24
+0 1 0.5
+0 2
+# a comment between edge lines
+1 1 2.0
+3 4 1.5
+0 1 0.75
+3 5
+5 5
+2 7 3.25
+7 2
+0 1
+6 0 1e3
+6 0 -4
+2 7
+4 3 0.125
+4 3
+1 6
+6 1 2.5
+
+7 7 9
+5 0
+0 5 0.0
+3 4
+"""
+CLI_N = [f"N {v}" for v in range(8)]
+CLI_C = [f"C {x} {y}" for x in range(8) for y in range(8)]
+
+CLI_GOLDEN = {
+    False: (["5 2 1", "6 1", "7", "5 4", "3", "0 5", "1 0", "7 2"],
+            "0110010001000010000000010000110000010000100001001100000000100001"),
+    True: (["5 6 2 1", "6 1 0", "7 0", "5 4", "3", "0 5 3", "1 0", "7 2"],
+           "0110011011000010100000010000110000010000100101001100000000100001"),
+}
+
+
+@pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+@pytest.mark.parametrize("hash_mode", ["mixer", "paper_compat"])
+@pytest.mark.parametrize("structure", ["hashlist", "multilist", "oracle", "edgehash"])
+def test_cli_query_bytes_pinned(tmp_path, structure, hash_mode, undirected):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(CLI_GRAPH)
+    queries = tmp_path / "queries.txt"
+    asked = CLI_C if structure == "edgehash" else CLI_N + CLI_C
+    queries.write_text("\n".join(asked) + "\n")
+    out = tmp_path / "out.txt"
+    argv = ["query", str(graph), str(queries), "--structure", structure,
+            "--hash-mode", hash_mode, "--out", str(out)]
+    assert cli_main(argv + ["--undirected"] if undirected else argv) == 0
+    nbrs, bits = CLI_GOLDEN[undirected]
+    lines = list(bits) if structure == "edgehash" else nbrs + list(bits)
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
