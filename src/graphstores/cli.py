@@ -115,30 +115,49 @@ def _build_query_store(structure: str, graph: GraphFile, hash_mode: str, undirec
     return HashList(cfg) if structure == "hashlist" else EdgeHash(cfg)
 
 
+def _load_query_store(store, graph: GraphFile, undirected: bool) -> None:
+    """Add every edge line in file order with one ``add_edges`` call.
+
+    ``--undirected`` interleaves (x, y), (y, x) per line. A weighted
+    HashList takes each line's weight in the same call, so the last
+    weighted line for an edge wins and a line without a weight keeps it.
+    """
+    # Comprehensions rather than zip(*edges), which makes one GC-tracked
+    # iterator per line and so sets off hundreds of collections.
+    xs = [x for x, _, _ in graph.edges]
+    ys = [y for _, y, _ in graph.edges]
+    ws = [w for _, _, w in graph.edges]
+    if undirected:
+        xs, ys = [v for p in zip(xs, ys) for v in p], [v for p in zip(ys, xs) for v in p]
+        ws = [w for w in ws for _ in (0, 1)]
+    if isinstance(store, HashList) and store.config.weighted:
+        store.add_edges(xs, ys, ws)
+    else:
+        store.add_edges(xs, ys)
+
+
+def _answer_queries(store, queries: list[tuple]) -> list[str]:
+    """Result lines in query order: one ``contains_many`` for the C queries, then N one by one."""
+    cs = [q for q in queries if q[0] == "C"]
+    hits = iter(store.contains_many([q[1] for q in cs], [q[2] for q in cs]))
+    # EdgeHash.neighbors raises UnsupportedOperationError
+    return [("1" if next(hits) else "0") if q[0] == "C" else " ".join(map(str, store.neighbors(q[1])))
+            for q in queries]
+
+
 def cmd_query(args) -> int:
+    """Build the chosen store from the edge list, answer the queries, write the results.
+
+    The result bytes are those of adding and asking one edge at a time.
+    Because all C queries are asked before any N query, a file with
+    several bad queries may report a different one of them first; the
+    exit code is the same.
+    """
     graph = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
     queries = parse_queries(Path(args.queries).read_text(encoding="utf-8"))
     store = _build_query_store(args.structure, graph, args.hash_mode, args.undirected)
-
-    weighted = isinstance(store, HashList) and store.config.weighted
-    for x, y, w in graph.edges:
-        store.add_edge(x, y)
-        if weighted and w is not None:
-            store.set_weight(x, y, w)
-        if args.undirected:
-            store.add_edge(y, x)
-            if weighted and w is not None:
-                store.set_weight(y, x, w)
-
-    results = []
-    for q in queries:
-        if q[0] == "C":
-            results.append("1" if store.contains(q[1], q[2]) else "0")
-        else:
-            seq = store.neighbors(q[1])  # EdgeHash raises UnsupportedOperationError
-            results.append(" ".join(str(v) for v in seq))
-
-    _write_output(format_results(results), args.out)
+    _load_query_store(store, graph, args.undirected)
+    _write_output(format_results(_answer_queries(store, queries)), args.out)
     return EXIT_OK
 
 

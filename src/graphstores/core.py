@@ -101,18 +101,26 @@ def mixer_hash(code: int, capacity: int) -> int:
     return z & (capacity - 1)
 
 
+def mixer_finalize_array(codes: np.ndarray) -> np.ndarray:
+    """The finalizer of :func:`mixer_hash` over an array of codes, before the mask.
+
+    The result does not depend on capacity: ``mixer_hash(c, cap)`` is
+    ``finalized & (cap - 1)`` for every power-of-two ``cap``.
+    """
+    z = np.asarray(codes, dtype=np.uint64)
+    s33 = np.uint64(33)
+    z = (z ^ (z >> s33)) * np.uint64(_MIX_MULT_1)
+    z = (z ^ (z >> s33)) * np.uint64(_MIX_MULT_2)
+    return z ^ (z >> s33)
+
+
 def mixer_hash_array(codes: np.ndarray, capacity: int) -> np.ndarray:
     """Vectorized :func:`mixer_hash` over an array of codes.
 
     Bit-identical to the scalar version; handy for bulk distribution
     checks where a Python loop over millions of codes would crawl.
     """
-    z = np.asarray(codes, dtype=np.uint64)
-    s33 = np.uint64(33)
-    z = (z ^ (z >> s33)) * np.uint64(_MIX_MULT_1)
-    z = (z ^ (z >> s33)) * np.uint64(_MIX_MULT_2)
-    z = z ^ (z >> s33)
-    return (z & np.uint64(capacity - 1)).astype(np.int64)
+    return (mixer_finalize_array(codes) & np.uint64(capacity - 1)).astype(np.int64)
 
 
 def ceil_pow2(value: int) -> int:
@@ -180,6 +188,13 @@ class StoreConfig:
         return thr.numerator * capacity // thr.denominator
 
 
+def check_lengths(xs, *others) -> None:
+    """Raise ValueError unless every bulk argument is as long as ``xs``."""
+    for seq in others:
+        if len(seq) != len(xs):
+            raise ValueError(f"bulk arguments differ in length: {len(xs)} and {len(seq)}")
+
+
 class EdgeStore(abc.ABC):
     """Contract shared by every store: a *set* of directed edges.
 
@@ -202,6 +217,20 @@ class EdgeStore(abc.ABC):
     @abc.abstractmethod
     def contains(self, x: int, y: int) -> bool:
         """True iff (x, y) was ever added."""
+
+    def add_edges(self, xs, ys) -> list[bool]:
+        """``add_edge(xs[i], ys[i])`` for each i in order; its answers, one per pair.
+
+        ``xs`` and ``ys`` are sequences of equal length. An error at pair k
+        leaves pairs 0..k-1 added and counted, as the loop of calls would.
+        """
+        check_lengths(xs, ys)
+        return [self.add_edge(x, y) for x, y in zip(xs, ys)]
+
+    def contains_many(self, xs, ys) -> list[bool]:
+        """``contains(xs[i], ys[i])`` for each i in order; same contract as add_edges."""
+        check_lengths(xs, ys)
+        return [self.contains(x, y) for x, y in zip(xs, ys)]
 
     @abc.abstractmethod
     def neighbors(self, x: int) -> list[int]:

@@ -28,6 +28,13 @@ class Channel:
         if count > self.max_probes:
             self.max_probes = count
 
+    def record_probe_batch(self, ops: int, probes: int, peak: int) -> None:
+        """Record ``ops`` operations at once: ``probes`` in all, the longest ``peak``."""
+        self.ops += ops
+        self.probes += probes
+        if peak > self.max_probes:
+            self.max_probes = peak
+
     def record_traversals(self, count: int) -> None:
         self.ops += 1
         self.traversals += count

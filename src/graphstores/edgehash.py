@@ -10,23 +10,66 @@ slot.
 This is also the probe core of :class:`~graphstores.hashlist.HashList`,
 which extends ``_allocate``, ``_seat`` and ``_rebuild`` to thread its
 adjacency chains through the same slots.
+
+``add_edges`` and ``contains_many`` take whole batches. One vectorized
+front end, :func:`_bulk_codes`, serves both methods and both classes: a
+numpy range check, the packed codes, and the mixer's finalizer without
+its capacity mask. Then one Python loop per method walks the batch in
+order, masks each finalized hash with the current capacity, and probes,
+seats and threads exactly as the scalar calls would, so answers, slot
+layout, chain order, weights, rebuilds and counters all come out the same.
+Counters are recorded once per batch. A rebuild mid-batch changes only
+the mask, because the finalized hash does not depend on capacity;
+``paper_compat`` homes do, so that mode calls ``compat_hash`` per op.
+Input numpy cannot hold exactly (floats, ids beyond 64 bits) goes through
+the scalar calls instead.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
+import numpy as np
+
 from .core import (
     NONE,
+    U32_MASK,
     CapacityError,
     ConfigError,
     EdgeStore,
     StoreConfig,
     UnsupportedOperationError,
+    check_lengths,
     compat_hash,
+    mixer_finalize_array,
     mixer_hash,
     pack_edge,
     unpack_edge,
 )
 from .counters import OpCounters
+
+
+def _bulk_codes(xs, ys, n: int):
+    """The vectorized front end of the bulk methods.
+
+    Returns ``(codes, finalized, k)``: k is the number of leading pairs
+    with both ids in [0, n), and the two lists hold, for those pairs, the
+    packed codes and their capacity-independent mixer hashes. Returns
+    None when numpy cannot hold the ids exactly as integers; the caller
+    then runs the scalar calls, which raise what they always raise.
+    """
+    check_lengths(xs, ys)
+    try:
+        ax = np.asarray(xs)
+        ay = np.asarray(ys)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    if ax.ndim != 1 or ay.ndim != 1 or ax.dtype.kind not in "iu" or ay.dtype.kind not in "iu":
+        return None
+    bad = (ax < 0) | (ax >= n) | (ay < 0) | (ay >= n)
+    k = int(bad.argmax()) if bad.any() else len(bad)
+    codes = (ax[:k].astype(np.uint64) << np.uint64(32)) | ay[:k].astype(np.uint64)
+    return codes.tolist(), mixer_finalize_array(codes).tolist(), k
 
 
 class EdgeHash(EdgeStore):
@@ -123,6 +166,103 @@ class EdgeHash(EdgeStore):
             self.counters.contains.record_probes(self._cap)
             return False
         return self._data[slot] == code
+
+    def add_edges(self, xs, ys) -> list[bool]:
+        return self._add_batch(xs, ys, None)
+
+    def _tables(self):
+        """The arrays a bulk add writes: data, then HashList's heads, next and weights."""
+        return self._data, None, None, None
+
+    def _add_batch(self, xs, ys, weights) -> list[bool]:
+        """``add_edge`` per pair, and ``set_weight`` where ``weights`` holds a weight."""
+        front = _bulk_codes(xs, ys, self._n)
+        ws = repeat(None) if weights is None else weights
+        if front is None:
+            out = []
+            for x, y, w in zip(xs, ys, ws):
+                out.append(self.add_edge(x, y))
+                if w is not None:
+                    self.set_weight(x, y, w)
+            return out
+        codes, finalized, k = front
+        data, heads, nxt, wts = self._tables()
+        cap = self._cap
+        mask = self._mask
+        limit = self._growth_limit
+        growth = self._growth_enabled
+        mixer = self._mixer
+        count = self._count
+        total = peak = 0
+        out = []
+        append = out.append
+        try:
+            for code, fin, w in zip(codes, finalized, ws):
+                if count >= limit and growth:
+                    self._rebuild(cap * 2)
+                    data, heads, nxt, wts = self._tables()
+                    cap = self._cap
+                    mask = self._mask
+                    limit = self._growth_limit
+                slot = fin & mask if mixer else compat_hash(code >> 32, code & U32_MASK, cap)
+                held = data[slot]
+                probes = 1
+                while held != code and held != NONE:
+                    if probes == cap:
+                        raise CapacityError(f"table full at capacity {cap} with growth disabled")
+                    slot = (slot + 1) & mask
+                    held = data[slot]
+                    probes += 1
+                total += probes
+                if probes > peak:
+                    peak = probes
+                if held == NONE:
+                    data[slot] = code
+                    count += 1
+                    if heads is not None:
+                        x = code >> 32
+                        nxt[slot] = heads[x]
+                        heads[x] = slot
+                    append(True)
+                else:
+                    append(False)
+                if w is not None:
+                    wts[slot] = w
+        finally:
+            self._count = count
+            self.counters.add.record_probe_batch(len(out), total, peak)
+        if k < len(xs):
+            self._check_pair(xs[k], ys[k])
+        return out
+
+    def contains_many(self, xs, ys) -> list[bool]:
+        front = _bulk_codes(xs, ys, self._n)
+        if front is None:
+            return super().contains_many(xs, ys)
+        codes, finalized, k = front
+        data = self._data
+        cap = self._cap
+        mask = self._mask
+        mixer = self._mixer
+        total = peak = 0
+        out = []
+        append = out.append
+        for code, fin in zip(codes, finalized):
+            slot = fin & mask if mixer else compat_hash(code >> 32, code & U32_MASK, cap)
+            held = data[slot]
+            probes = 1
+            while held != code and held != NONE and probes != cap:
+                slot = (slot + 1) & mask
+                held = data[slot]
+                probes += 1
+            total += probes
+            if probes > peak:
+                peak = probes
+            append(held == code)
+        self.counters.contains.record_probe_batch(len(out), total, peak)
+        if k < len(xs):
+            self._check_pair(xs[k], ys[k])
+        return out
 
     def neighbors(self, x: int) -> list[int]:
         raise UnsupportedOperationError(

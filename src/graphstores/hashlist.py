@@ -6,11 +6,17 @@ the slot onto the source vertex's chain (``next[slot] = heads[x];
 heads[x] = slot``). Membership inherits the hash table's degree-independent
 cost; enumeration walks the chain and touches exactly deg(x) slots. Chains
 use the out-of-band NONE sentinel because slot 0 is a legitimate hash slot.
+
+The bulk ``add_edges`` and ``contains_many`` come from the edge hash's
+vectorized front end and batch loops; the add loop threads each new slot
+onto its chain as ``add_edge`` does, and takes an optional weight per pair,
+so a weighted batch probes each edge once rather than once more for
+``set_weight``.
 """
 
 from __future__ import annotations
 
-from .core import NONE, ConfigError, U32_MASK, VertexRangeError, pack_edge
+from .core import NONE, ConfigError, U32_MASK, VertexRangeError, check_lengths, pack_edge
 from .edgehash import EdgeHash
 
 
@@ -41,6 +47,22 @@ class HashList(EdgeHash):
         self._count += 1
         self._next[slot] = self._heads[x]
         self._heads[x] = slot
+
+    def _tables(self):
+        return self._data, self._heads, self._next, self._weights
+
+    def add_edges(self, xs, ys, weights=None) -> list[bool]:
+        """``add_edge`` per pair in order; then, where ``weights[i]`` is not None,
+        ``set_weight`` with it, so the last weight given for an edge wins.
+
+        Weights need a weighted store: passing them to any other raises
+        ConfigError before any pair is added.
+        """
+        if weights is not None:
+            if self._weights is None:
+                raise ConfigError("weights are not enabled (StoreConfig.weighted)")
+            check_lengths(xs, weights)
+        return self._add_batch(xs, ys, weights)
 
     def neighbors(self, x: int) -> list[int]:
         if x < 0 or x >= self._n:

@@ -1,0 +1,257 @@
+"""Bulk methods against the scalar calls they stand for.
+
+Every test runs twin stores: one fed through ``add_edges`` /
+``contains_many``, one through a loop of ``add_edge`` (+ ``set_weight``) /
+``contains`` over the same ids as Python ints. The twins must agree on
+answers, raised errors and every piece of state a caller or the counters
+can see: slot contents, chains, weights, rebuilds, capacity and each
+channel's (ops, total, peak).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphstores import (
+    CapacityError,
+    ConfigError,
+    EdgeHash,
+    HashList,
+    MultiList,
+    OracleGraph,
+    StoreConfig,
+    VertexRangeError,
+)
+
+STORES = [
+    pytest.param(EdgeHash, False, id="edgehash"),
+    pytest.param(HashList, False, id="hashlist"),
+    pytest.param(HashList, True, id="hashlist-weighted"),
+]
+MODES = ["mixer", "paper_compat"]
+
+
+def state(store) -> dict:
+    """Everything the twins must agree on after each batch."""
+    c = store.counters
+    got = {"channels": [(ch.ops, ch.total, ch.peak) for ch in (c.add, c.contains, c.enumerate)],
+           "edge_count": store.edge_count}
+    for name in ("_data", "_heads", "_next", "_weights", "rebuilds", "capacity"):
+        got[name] = getattr(store, name, None)
+    return got
+
+
+def scalar_adds(store, xs, ys, ws=None):
+    out = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        out.append(store.add_edge(x, y))
+        if ws is not None and ws[i] is not None:
+            store.set_weight(x, y, ws[i])
+    return out
+
+
+def run_scalar(fn, *args):
+    """(answers, None) or (None, (error class, message)) from a scalar loop."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # the twin must raise the same class and message
+        return None, (type(exc), str(exc))
+
+
+def shaped(ids: list[int], form: str):
+    """The same ids as a plain list, an int64 array or a uint64 array."""
+    if form == "list":
+        return list(ids)
+    return np.array(ids, dtype=np.int64 if form == "int64" else np.uint64)
+
+
+batch = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 11), st.integers(0, 11),
+              st.one_of(st.none(), st.integers(-5, 5))),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), batches=st.lists(batch, max_size=6),
+       form=st.sampled_from(["list", "int64", "uint64"]))
+def test_bulk_matches_scalar(cls, weighted, hash_mode, n, batches, form):
+    """Stores grow from expected_edges=1, so rebuilds fall inside batches."""
+    cfg = StoreConfig(vertex_count=n, expected_edges=1, hash_mode=hash_mode, weighted=weighted)
+    bulk, scalar = cls(cfg), cls(cfg)
+    for ops in batches:
+        is_add = bool(ops) and ops[0][0]
+        xs = [x % n for _, x, _, _ in ops]
+        ys = [n - 1 if y >= n else y for _, _, y, _ in ops]  # ids at n - 1 on purpose
+        ws = [w for _, _, _, w in ops] if weighted else None
+        if is_add:
+            want = scalar_adds(scalar, xs, ys, ws)
+            args = (shaped(xs, form), shaped(ys, form))
+            got = bulk.add_edges(*args, ws) if weighted else bulk.add_edges(*args)
+        else:
+            want = [scalar.contains(x, y) for x, y in zip(xs, ys)]
+            got = bulk.contains_many(shaped(xs, form), shaped(ys, form))
+        assert got == want
+        assert state(bulk) == state(scalar)
+    if cls is HashList:
+        assert [bulk.neighbors(v) for v in range(n)] == [scalar.neighbors(v) for v in range(n)]
+
+
+def test_mid_batch_rebuilds_in_one_call():
+    """One 3000-edge batch from 16 slots crosses every growth step inside the call."""
+    rng = np.random.default_rng(5)
+    xs, ys = rng.integers(0, 64, 3000), rng.integers(0, 64, 3000)
+    ws = rng.integers(0, 100, 3000).tolist()
+    for hash_mode in MODES:
+        cfg = StoreConfig(vertex_count=64, expected_edges=1, hash_mode=hash_mode, weighted=True)
+        bulk, scalar = HashList(cfg), HashList(cfg)
+        assert bulk.add_edges(xs, ys, ws) == scalar_adds(scalar, xs.tolist(), ys.tolist(), ws)
+        assert bulk.rebuilds >= 6
+        assert state(bulk) == state(scalar)
+        qx, qy = rng.integers(0, 64, 2000), rng.integers(0, 64, 2000)
+        assert bulk.contains_many(qx, qy) == [scalar.contains(x, y) for x, y in zip(qx.tolist(), qy.tolist())]
+        assert state(bulk) == state(scalar)
+
+
+def test_all_ones_code_at_32_bit_vertex_count():
+    """With 2**32 vertices, (2**32-1, 2**32-1) packs to 2**64-1 and is a legal edge."""
+    top = (1 << 32) - 1
+    xs, ys = [top, 0, top, top, 5], [top, top, 0, top, 6]
+    for hash_mode in MODES:
+        cfg = StoreConfig(vertex_count=1 << 32, expected_edges=1, hash_mode=hash_mode)
+        for form in ("list", "uint64", "int64"):
+            bulk, scalar = EdgeHash(cfg), EdgeHash(cfg)
+            assert bulk.add_edges(shaped(xs, form), shaped(ys, form)) == scalar_adds(scalar, xs, ys)
+            assert (1 << 64) - 1 in bulk._data
+            qx, qy = [top, top, 0, 1], [top, 1, top, top]
+            got = bulk.contains_many(shaped(qx, form), shaped(qy, form))
+            assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)] == [True, False, True, False]
+            assert state(bulk) == state(scalar)
+
+
+@pytest.mark.parametrize("make", [lambda: MultiList(10, 30), lambda: OracleGraph(10)],
+                         ids=["multilist", "oracle"])
+def test_edge_store_defaults(make):
+    bulk, scalar = make(), make()
+    xs, ys = [1, 2, 1, 9, 0, 1], [2, 1, 2, 9, 0, 3]
+    assert bulk.add_edges(np.array(xs), ys) == scalar_adds(scalar, xs, ys) == [True] * 2 + [False] + [True] * 3
+    qx, qy = [1, 2, 3, 9], [2, 2, 1, 9]
+    assert bulk.contains_many(qx, np.array(qy)) == [scalar.contains(x, y) for x, y in zip(qx, qy)]
+    c, d = bulk.counters, scalar.counters
+    for a, b in ((c.add, d.add), (c.contains, d.contains)):
+        assert (a.ops, a.total, a.peak) == (b.ops, b.total, b.peak)
+    assert [bulk.neighbors(v) for v in range(10)] == [scalar.neighbors(v) for v in range(10)]
+    with pytest.raises(VertexRangeError):
+        bulk.add_edges([1, 10], [2, 3])
+    assert bulk.edge_count == scalar.edge_count
+
+
+# --- errors: the same class and message, with the same ops applied before it ---
+
+BAD = [
+    pytest.param([0, 1, -1, 2], [1, 2, 3, 3], "list", id="negative-source"),
+    pytest.param([0, 1, 2, 3], [1, 2, 8, 3], "int64", id="target-at-n"),
+    pytest.param([0, 1, 2, 3], [1, 2, 3, 1 << 40], "uint64", id="target-beyond-32-bits"),
+    pytest.param([0, 1 << 70, 2, 3], [1, 2, 3, 3], "list", id="source-2**70"),
+    pytest.param([0, 1, 2, 99999999999999999999999], [1, 2, 3, 0], "list", id="25-digit-source"),
+    pytest.param([-1], [0], "list", id="only-op"),
+]
+
+
+@pytest.mark.parametrize("xs,ys,form", BAD)
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_bad_id_parity(cls, weighted, hash_mode, xs, ys, form):
+    cfg = StoreConfig(vertex_count=8, expected_edges=1, hash_mode=hash_mode, weighted=weighted)
+    bulk, scalar = cls(cfg), cls(cfg)
+    scalar_adds(scalar, [0, 5], [0, 5])
+    bulk.add_edges([0, 5], [0, 5])
+    ax, ay = (xs, ys) if form == "list" else (shaped(xs, form), shaped(ys, form))
+
+    _, want = run_scalar(scalar_adds, scalar, xs, ys)
+    with pytest.raises(VertexRangeError) as info:
+        bulk.add_edges(ax, ay)
+    assert (info.type, str(info.value)) == want
+    assert state(bulk) == state(scalar)
+
+    _, want = run_scalar(lambda: [scalar.contains(x, y) for x, y in zip(xs, ys)])
+    with pytest.raises(VertexRangeError) as info:
+        bulk.contains_many(ax, ay)
+    assert (info.type, str(info.value)) == want
+    assert state(bulk) == state(scalar)
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_full_table_parity(cls, weighted, hash_mode):
+    """Growth off: the 17th distinct edge finds no slot at op k = 17 + duplicates."""
+    cfg = StoreConfig(vertex_count=40, expected_edges=8, growth_enabled=False,
+                      hash_mode=hash_mode, weighted=weighted)
+    bulk, scalar = cls(cfg), cls(cfg)
+    assert bulk.capacity == 16
+    xs = [i % 20 for i in range(30)]
+    ys = [(3 * i) % 20 for i in range(30)]
+    xs[5], ys[5] = xs[2], ys[2]  # a duplicate before the table fills
+    ws = list(range(30)) if weighted else None
+
+    _, want = run_scalar(scalar_adds, scalar, xs, ys, ws)
+    assert want[0] is CapacityError
+    with pytest.raises(CapacityError) as info:
+        bulk.add_edges(xs, ys, ws) if weighted else bulk.add_edges(np.array(xs), np.array(ys))
+    assert (info.type, str(info.value)) == want
+    assert bulk.counters.add.ops == 17  # the refused op records nothing
+    assert state(bulk) == state(scalar)
+
+    qx, qy = [0, 39, 1, 38], [0, 39, 3, 0]  # hits and full-table misses
+    assert bulk.contains_many(qx, qy) == [scalar.contains(x, y) for x, y in zip(qx, qy)]
+    assert bulk.counters.contains.peak == 16
+    assert state(bulk) == state(scalar)
+
+
+@pytest.mark.parametrize("cls", [EdgeHash, HashList])
+def test_no_overflow_error(cls):
+    g = cls(StoreConfig(vertex_count=10, expected_edges=4))
+    for xs, ys in (([1 << 70], [1]), ([1], [-1]), (np.array([-1]), np.array([2]))):
+        with pytest.raises(VertexRangeError):
+            g.add_edges(xs, ys)
+        with pytest.raises(VertexRangeError):
+            g.contains_many(xs, ys)
+    assert g.edge_count == 0
+
+
+@pytest.mark.parametrize("cls", [EdgeHash, HashList])
+def test_float_ids_behave_like_the_scalar_loop(cls):
+    cfg = StoreConfig(vertex_count=10, expected_edges=4)
+    bulk, scalar = cls(cfg), cls(cfg)
+    xs, ys = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    _, want = run_scalar(scalar_adds, scalar, xs, ys)
+    assert want is not None
+    with pytest.raises(want[0]) as info:
+        bulk.add_edges(xs, ys)
+    assert str(info.value) == want[1]
+    _, want = run_scalar(lambda: [scalar.contains(x, y) for x, y in zip(xs, ys)])
+    with pytest.raises(want[0]) as info:
+        bulk.contains_many(xs, ys)
+    assert str(info.value) == want[1]
+    assert state(bulk) == state(scalar)
+
+
+def test_empty_and_mismatched_batches():
+    g = HashList(StoreConfig(vertex_count=4, expected_edges=4, weighted=True))
+    assert g.add_edges([], []) == [] and g.contains_many(np.array([], dtype=np.int64), []) == []
+    assert g.counters.add.ops == 0
+    with pytest.raises(ValueError):
+        g.add_edges([1, 2], [1])
+    with pytest.raises(ValueError):
+        g.add_edges([1, 2], [1, 2], [0.5])
+    with pytest.raises(ValueError):
+        g.contains_many([1], [])
+    unweighted = HashList(StoreConfig(vertex_count=4, expected_edges=4))
+    with pytest.raises(ConfigError):
+        unweighted.add_edges([1], [2], [0.5])
+    assert unweighted.edge_count == 0 and g.edge_count == 0

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from graphstores import HashList
-from graphstores.cli import main
+from graphstores import HashList, StoreConfig, parse_edge_list
+from graphstores.cli import _build_query_store, _load_query_store, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -145,6 +145,23 @@ class TestQueryErrors:
         assert code == 3
         assert "enumerate" in err
 
+    def test_query_id_beyond_64_bits_exit_3(self, tmp_path, capsys, small_graph):
+        q = tmp_path / "q.txt"
+        q.write_text("C 0 1\nC 0 99999999999999999999999\n")
+        for structure in ("hashlist", "edgehash", "multilist", "oracle"):
+            code, out, err = run_cli(capsys, "query", str(small_graph), str(q),
+                                     "--structure", structure)
+            assert code == 3
+            assert out == "" and "Traceback" not in err
+            assert "outside vertex range" in err
+
+    def test_neighbors_on_edgehash_among_contains_exit_3(self, tmp_path, capsys, small_graph):
+        q = tmp_path / "q.txt"
+        q.write_text("C 0 1\nN 0\nC 1 2\n")
+        code, out, err = run_cli(capsys, "query", str(small_graph), str(q), "--structure", "edgehash")
+        assert code == 3
+        assert out == "" and "enumerate" in err
+
     def test_unknown_flag_exit_1(self, tmp_path, capsys, small_graph):
         code, _, _ = run_cli(capsys, "query", str(small_graph), str(small_graph), "--frobnicate")
         assert code == 1
@@ -154,6 +171,56 @@ class TestQueryErrors:
             capsys, "query", str(small_graph), str(small_graph), "--structure", "csr"
         )
         assert code == 1
+
+
+class TestQueryLoad:
+    """The CLI's bulk load against add_edge + set_weight, line by line."""
+
+    TEXT = "\n".join(
+        ["6 40", "0 1 0.5", "0 1", "1 2 2.0", "# comment", "0 1 0.75", "0 1", "2 2 3",
+         "3 4", "4 3 1.5", "3 4 -2", "3 4", "5 0 1e3", "0 5", "1 2", "2 1 4.25", ""]
+    )
+
+    @staticmethod
+    def reference(graph, undirected):
+        store = HashList(StoreConfig(vertex_count=graph.n, expected_edges=1, weighted=True))
+        for x, y, w in graph.edges:
+            for a, b in ((x, y), (y, x)) if undirected else ((x, y),):
+                store.add_edge(a, b)
+                if w is not None:
+                    store.set_weight(a, b, w)
+        return store
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_weights_match_line_by_line(self, undirected):
+        graph = parse_edge_list(self.TEXT)
+        store = _build_query_store("hashlist", graph, "mixer", undirected)
+        assert store.config.weighted
+        _load_query_store(store, graph, undirected)
+        ref = self.reference(graph, undirected)
+        pairs = [(x, y) for x in range(graph.n) for y in range(graph.n)]
+        assert [store.get_weight(x, y) for x, y in pairs] == [ref.get_weight(x, y) for x, y in pairs]
+        assert store.get_weight(0, 1) == 0.75  # the last weighted line wins
+        assert store.get_weight(3, 4) == -2.0  # a line without a weight keeps it
+        assert store.get_weight(0, 5) == (1e3 if undirected else None)
+        assert store.counters.add.ops == len(graph.edges) * (2 if undirected else 1)
+
+    def test_random_file_matches_line_by_line(self):
+        import random
+
+        rnd = random.Random(7)
+        lines = ["50 600"]
+        for _ in range(600):
+            x, y = rnd.randrange(50), rnd.randrange(50)
+            lines.append(f"{x} {y} {rnd.randrange(1000) / 8}" if rnd.random() < 0.7 else f"{x} {y}")
+        graph = parse_edge_list("\n".join(lines) + "\n")
+        for undirected in (False, True):
+            store = _build_query_store("hashlist", graph, "paper_compat", undirected)
+            _load_query_store(store, graph, undirected)
+            ref = self.reference(graph, undirected)
+            pairs = [(x, y) for x in range(50) for y in range(50)]
+            assert [store.get_weight(x, y) for x, y in pairs] == [ref.get_weight(x, y) for x, y in pairs]
+            assert [store.neighbors(v) for v in range(50)] == [ref.neighbors(v) for v in range(50)]
 
 
 class TestBench:
