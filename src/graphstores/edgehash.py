@@ -8,8 +8,8 @@ entry is always reachable from its home slot without crossing an empty
 slot.
 
 This is also the probe core of :class:`~graphstores.hashlist.HashList`,
-which extends ``_allocate``, ``_seat`` and ``_rebuild`` to thread its
-adjacency chains through the same slots.
+which extends ``_allocate``, ``_seat``, ``_rebuild`` and ``_tables`` to
+thread its adjacency chains through the same slots.
 
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a
