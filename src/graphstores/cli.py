@@ -27,7 +27,14 @@ from .core import (
     VertexRangeError,
 )
 from .edgehash import EdgeHash
-from .formats import GraphFile, ParseError, format_results, parse_edge_list, parse_queries
+from .formats import (
+    GraphFile,
+    ParseError,
+    QueryFile,
+    format_results,
+    parse_edge_list,
+    parse_query_file,
+)
 from .hashlist import HashList
 from .multilist import MultiList
 from .oracle import ORACLE_MAX_VERTICES, OracleGraph
@@ -97,7 +104,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _build_query_store(structure: str, graph: GraphFile, hash_mode: str, undirected: bool):
-    capacity = graph.m * 2 if undirected else graph.m
+    # Sized from the lines parsed, not the header's m, which only bounds them.
+    capacity = len(graph.xs) * (2 if undirected else 1)
     if structure == "multilist":
         return MultiList(graph.n, capacity)
     if structure == "oracle":
@@ -122,11 +130,7 @@ def _load_query_store(store, graph: GraphFile, undirected: bool) -> None:
     HashList takes each line's weight in the same call, so the last
     weighted line for an edge wins and a line without a weight keeps it.
     """
-    # Comprehensions rather than zip(*edges), which makes one GC-tracked
-    # iterator per line and so sets off hundreds of collections.
-    xs = [x for x, _, _ in graph.edges]
-    ys = [y for _, y, _ in graph.edges]
-    ws = [w for _, _, w in graph.edges]
+    xs, ys, ws = graph.xs, graph.ys, graph.ws
     if undirected:
         xs, ys = [v for p in zip(xs, ys) for v in p], [v for p in zip(ys, xs) for v in p]
         ws = [w for w in ws for _ in (0, 1)]
@@ -136,25 +140,36 @@ def _load_query_store(store, graph: GraphFile, undirected: bool) -> None:
         store.add_edges(xs, ys)
 
 
-def _answer_queries(store, queries: list[tuple]) -> list[str]:
+def _answer_queries(store, queries: QueryFile) -> list[str]:
     """Result lines in query order: one ``contains_many`` for the C queries, then N one by one."""
-    cs = [q for q in queries if q[0] == "C"]
-    hits = iter(store.contains_many([q[1] for q in cs], [q[2] for q in cs]))
+    hits = iter(store.contains_many(queries.cxs, queries.cys))
+    nvs = iter(queries.nvs)
     # EdgeHash.neighbors raises UnsupportedOperationError
-    return [("1" if next(hits) else "0") if q[0] == "C" else " ".join(map(str, store.neighbors(q[1])))
-            for q in queries]
+    return [("1" if next(hits) else "0") if c else " ".join(map(str, store.neighbors(next(nvs))))
+            for c in queries.is_c]
+
+
+def _read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are a ParseError on their line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def cmd_query(args) -> int:
     """Build the chosen store from the edge list, answer the queries, write the results.
 
-    The result bytes are those of adding and asking one edge at a time.
-    Because all C queries are asked before any N query, a file with
-    several bad queries may report a different one of them first; the
-    exit code is the same.
+    Both files are parsed into columns (see ``formats``), which go straight
+    to ``add_edges`` and ``contains_many``. The store is sized from the
+    edge lines parsed, not from the header's ``m``. The result bytes are
+    those of adding and asking one edge at a time. Because all C queries
+    are asked before any N query, a file with several bad queries may
+    report a different one of them first; the exit code is the same.
     """
-    graph = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
-    queries = parse_queries(Path(args.queries).read_text(encoding="utf-8"))
+    graph = parse_edge_list(_read_text(args.graph))
+    queries = parse_query_file(_read_text(args.queries))
     store = _build_query_store(args.structure, graph, args.hash_mode, args.undirected)
     _load_query_store(store, graph, args.undirected)
     _write_output(format_results(_answer_queries(store, queries)), args.out)

@@ -5,11 +5,29 @@ with an optional third token holding a weight; ``#`` lines and blank lines
 are ignored. Query files: ``C x y`` asks membership, ``N x`` asks for the
 neighbor list. Result files carry exactly one line per query: ``1``/``0``
 for C, a space-separated target list (store enumeration order) for N.
+
+Both parsers first try a bulk kernel that reads the whole file in a few
+numpy passes over its ASCII bytes: token bounds, line ids from a running
+count of newlines, each line's shape, every id of up to 19 digits as a
+``uint64`` sum of digit times power of ten, and every weight of up to 15
+digits and at most one ``.`` as mantissa / 10**k, which is exactly
+``float(token)`` because both operands are exact doubles (Clinger's fast
+path). The kernel never raises: it declines any file it cannot settle
+exactly, such as one holding a byte other than digits, space, newline,
+``.``, ``C`` or ``N`` (so ``#`` comments, tabs, carriage returns, signs,
+``_``, exponents and non-ASCII text), a longer token, a bad line shape,
+an out-of-range id or more edge lines than ``m``. The per-line parser then
+reads the whole text. It is the reference the kernel is tested against,
+and the only code that reports errors, so error classes, messages and
+line numbers do not depend on the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .core import GraphStoreError, VertexRangeError
 
@@ -24,14 +42,159 @@ class ParseError(GraphStoreError):
 
 @dataclass(frozen=True)
 class GraphFile:
+    """A parsed edge list as columns, one entry per edge line in file order.
+
+    ``ws[i]`` is None for a line without a weight.
+    """
+
     n: int
     m: int
-    edges: list[tuple[int, int, float | None]]
+    xs: list[int]
+    ys: list[int]
+    ws: list[float | None]
+    has_weights: bool
 
     @property
-    def has_weights(self) -> bool:
-        return any(w is not None for _, _, w in self.edges)
+    def edges(self) -> list[tuple[int, int, float | None]]:
+        return list(zip(self.xs, self.ys, self.ws))
 
+
+@dataclass(frozen=True)
+class QueryFile:
+    """Parsed queries as columns: ``is_c`` per query in file order, the C
+    queries' ids in ``cxs``/``cys`` and the N queries' vertices in ``nvs``."""
+
+    is_c: list[bool]
+    cxs: list[int]
+    cys: list[int]
+    nvs: list[int]
+
+
+# ---------------------------------------------------------------- bulk kernel
+
+_MAX_ID_DIGITS = 19  # 10**19 - 1 < 2**64
+_MAX_WEIGHT_DIGITS = 15  # mantissa < 2**53, and 10**k is exact for k <= 15
+_MAX_BYTES = 2**31 - 1  # running counts fit in int32
+_POW10 = 10 ** np.arange(_MAX_ID_DIGITS, dtype=np.uint64)
+_POW10_FLOAT = _POW10[: _MAX_WEIGHT_DIGITS + 1].astype(np.float64)
+# _DIGIT_VALUE[p * 256 + byte]: the byte's digit times 10**p, 0 for a non-digit byte
+_DIGIT_VALUE = np.zeros((_MAX_ID_DIGITS, 256), dtype=np.uint64)
+_DIGIT_VALUE[:, ord("0"): ord("9") + 1] = _POW10[:, None] * np.arange(10, dtype=np.uint64)
+_DIGIT_VALUE = _DIGIT_VALUE.ravel()
+
+
+def _byte_set(chars: bytes) -> np.ndarray:
+    table = np.zeros(256, dtype=bool)
+    table[np.frombuffer(chars, np.uint8)] = True
+    return table
+
+
+_EDGE_BYTES = _byte_set(b"0123456789 \n.")
+_QUERY_BYTES = _byte_set(b"0123456789 \nCN")
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """Token layout of a file. Per line that holds tokens: its ``first``
+    token and ``width``. Per token: ``lead`` byte, ``length``, ``digits``,
+    ``value`` (the integer its digits spell, other bytes skipped) and
+    ``scale`` (digits after its last ``.``)."""
+
+    first: np.ndarray
+    width: np.ndarray
+    lead: np.ndarray
+    length: np.ndarray
+    digits: np.ndarray
+    value: np.ndarray
+    scale: np.ndarray
+
+
+def _scan(text: str, allowed: np.ndarray) -> _Scan | None:
+    """Whole-buffer token scan, or None on a byte outside ``allowed``, a
+    token over 19 bytes or a text of 2 GiB or more."""
+    if not text.isascii() or len(text) > _MAX_BYTES:
+        return None
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    if not allowed.take(buf).all():
+        return None
+    in_token = buf > ord(" ")  # the allowed separators are space and newline
+    bounds = np.flatnonzero(np.diff(in_token.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
+    starts = bounds[0::2]
+    length = bounds[1::2] - starts
+    if len(starts) and length.max() > _MAX_ID_DIGITS:
+        return None
+    line = np.cumsum(buf == ord("\n"), dtype=np.int32)[starts]
+    first = np.flatnonzero(np.diff(line, prepend=-1))
+    width = np.diff(first, append=len(starts))
+
+    chars = buf[in_token]
+    is_digit = chars - ord("0") < 10  # uint8 wraps below '0'
+    seen = np.cumsum(is_digit, dtype=np.int32)
+    begin = np.cumsum(length) - length
+    last_seen = seen[begin + length - 1]
+    after = np.repeat(last_seen, length) - seen
+    value = np.add.reduceat(_DIGIT_VALUE.take(after * 256 + chars), begin) if len(begin) else begin
+    digits = last_seen - seen[begin] + is_digit[begin]
+    dots = np.flatnonzero(chars == ord("."))
+    scale = np.zeros(len(starts), dtype=np.int64)
+    scale[np.searchsorted(begin, dots, side="right") - 1] = after[dots]
+    return _Scan(first, width, buf[starts], length, digits, value, scale)
+
+
+def _bulk_edge_list(text: str) -> GraphFile | None:
+    s = _scan(text, _EDGE_BYTES)
+    if s is None or len(s.first) == 0 or s.width[0] != 2:
+        return None
+    whole = s.digits == s.length  # the token is a plain decimal integer
+    if not (whole[0] and whole[1]):
+        return None
+    n, m = int(s.value[0]), int(s.value[1])
+    first, width = s.first[1:], s.width[1:]
+    if n < 1 or len(first) > m or not ((width == 2) | (width == 3)).all():
+        return None
+    if not (whole[first].all() and whole[first + 1].all()):
+        return None
+    xs, ys = s.value[first], s.value[first + 1]
+    if len(first) and max(xs.max(), ys.max()) >= n:
+        return None
+
+    weighted = width == 3
+    w = first[weighted] + 2
+    digits = s.digits[w]
+    if not ((digits >= 1) & (digits <= _MAX_WEIGHT_DIGITS) & (s.length[w] - digits <= 1)).all():
+        return None
+    weights = s.value[w].astype(np.float64) / _POW10_FLOAT[s.scale[w]]
+
+    if weighted.all():
+        ws = weights.tolist()
+    elif not weighted.any():
+        ws = [None] * len(first)
+    else:
+        column = np.full(len(first), None, dtype=object)
+        column[weighted] = weights
+        ws = column.tolist()
+    return GraphFile(n=n, m=m, xs=xs.tolist(), ys=ys.tolist(), ws=ws, has_weights=bool(len(w)))
+
+
+def _bulk_queries(text: str) -> QueryFile | None:
+    s = _scan(text, _QUERY_BYTES)
+    if s is None:
+        return None
+    first, width = s.first, s.width
+    head = s.lead[first]
+    is_c = head == ord("C")
+    shape = (s.length[first] == 1) & np.where(is_c, width == 3, (head == ord("N")) & (width == 2))
+    whole = s.digits == s.length
+    if not (shape.all() and whole[first + 1].all() and whole[first[is_c] + 2].all()):
+        return None
+    c = first[is_c]
+    return QueryFile(
+        is_c=is_c.tolist(), cxs=s.value[c + 1].tolist(), cys=s.value[c + 2].tolist(),
+        nvs=s.value[first[~is_c] + 1].tolist(),
+    )
+
+
+# ---------------------------------------------------- per-line reference parser
 
 def _significant_lines(text: str):
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -48,8 +211,7 @@ def _int_token(token: str, number: int, what: str) -> int:
         raise ParseError(number, f"{what} must be a decimal integer, got {token!r}") from None
 
 
-def parse_edge_list(text: str) -> GraphFile:
-    """Parse an edge-list file; raises ParseError / VertexRangeError."""
+def _edge_list_lines(text: str) -> GraphFile:
     lines = _significant_lines(text)
     try:
         number, header = next(lines)
@@ -65,12 +227,14 @@ def parse_edge_list(text: str) -> GraphFile:
     if m < 0:
         raise ParseError(number, f"edge count must be nonnegative, got {m}")
 
-    edges: list[tuple[int, int, float | None]] = []
+    xs: list[int] = []
+    ys: list[int] = []
+    ws: list[float | None] = []
     for number, line in lines:
         tokens = line.split()
         if len(tokens) not in (2, 3):
             raise ParseError(number, f"edge line must be 'x y [weight]', got {line!r}")
-        if len(edges) >= m:
+        if len(xs) >= m:
             raise ParseError(number, f"more than {m} edge lines")
         x = _int_token(tokens[0], number, "source vertex")
         y = _int_token(tokens[1], number, "target vertex")
@@ -82,25 +246,46 @@ def parse_edge_list(text: str) -> GraphFile:
                 weight = float(tokens[2])
             except ValueError:
                 raise ParseError(number, f"weight must be a number, got {tokens[2]!r}") from None
-        edges.append((x, y, weight))
-    return GraphFile(n=n, m=m, edges=edges)
+        xs.append(x)
+        ys.append(y)
+        ws.append(weight)
+    return GraphFile(n=n, m=m, xs=xs, ys=ys, ws=ws, has_weights=any(w is not None for w in ws))
+
+
+def _queries_lines(text: str) -> QueryFile:
+    q = QueryFile(is_c=[], cxs=[], cys=[], nvs=[])
+    for number, line in _significant_lines(text):
+        tokens = line.split()
+        if tokens[0] == "C" and len(tokens) == 3:
+            q.cxs.append(_int_token(tokens[1], number, "source vertex"))
+            q.cys.append(_int_token(tokens[2], number, "target vertex"))
+        elif tokens[0] == "N" and len(tokens) == 2:
+            q.nvs.append(_int_token(tokens[1], number, "vertex"))
+        else:
+            raise ParseError(number, f"query must be 'C x y' or 'N x', got {line!r}")
+        q.is_c.append(tokens[0] == "C")
+    return q
+
+
+# ------------------------------------------------------------------ public API
+
+def parse_edge_list(text: str) -> GraphFile:
+    """Parse an edge-list file; raises ParseError / VertexRangeError."""
+    graph = _bulk_edge_list(text)
+    return graph if graph is not None else _edge_list_lines(text)
+
+
+def parse_query_file(text: str) -> QueryFile:
+    """Parse a query file into columns; raises ParseError."""
+    queries = _bulk_queries(text)
+    return queries if queries is not None else _queries_lines(text)
 
 
 def parse_queries(text: str) -> list[tuple]:
     """Parse a query file into ("C", x, y) / ("N", x) tuples."""
-    queries: list[tuple] = []
-    for number, line in _significant_lines(text):
-        tokens = line.split()
-        if tokens[0] == "C" and len(tokens) == 3:
-            queries.append(
-                ("C", _int_token(tokens[1], number, "source vertex"),
-                 _int_token(tokens[2], number, "target vertex"))
-            )
-        elif tokens[0] == "N" and len(tokens) == 2:
-            queries.append(("N", _int_token(tokens[1], number, "vertex")))
-        else:
-            raise ParseError(number, f"query must be 'C x y' or 'N x', got {line!r}")
-    return queries
+    q = parse_query_file(text)
+    cs, ns = zip(repeat("C"), q.cxs, q.cys), zip(repeat("N"), q.nvs)
+    return [next(cs) if c else next(ns) for c in q.is_c]
 
 
 def format_results(lines: list[str]) -> str:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from graphstores import HashList, StoreConfig, parse_edge_list
+from graphstores import HashList, MultiList, StoreConfig, parse_edge_list
 from graphstores.cli import _build_query_store, _load_query_store, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,6 +162,19 @@ class TestQueryErrors:
         assert code == 3
         assert out == "" and "enumerate" in err
 
+    @pytest.mark.parametrize("bad,line", [("graph", 3), ("queries", 2)])
+    def test_invalid_utf8_exit_2(self, tmp_path, capsys, bad, line):
+        files = {"graph": b"3 2\n0 1\n", "queries": b"C 0 1\n"}
+        files[bad] += b"1 \xff\n"
+        paths = []
+        for name, data in files.items():
+            paths.append(tmp_path / f"{name}.txt")
+            paths[-1].write_bytes(data)
+        code, out, err = run_cli(capsys, "query", *map(str, paths))
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"parse error: line {line}: ") and f"{bad}.txt is not UTF-8" in err
+
     def test_unknown_flag_exit_1(self, tmp_path, capsys, small_graph):
         code, _, _ = run_cli(capsys, "query", str(small_graph), str(small_graph), "--frobnicate")
         assert code == 1
@@ -171,6 +184,44 @@ class TestQueryErrors:
             capsys, "query", str(small_graph), str(small_graph), "--structure", "csr"
         )
         assert code == 1
+
+
+class TestQuerySizing:
+    """The store is sized from the edge lines parsed; the header's m only bounds them."""
+
+    HUGE_M = "3 1000000000000\n0 1\n1 2\n"
+
+    @pytest.fixture
+    def guarded(self, monkeypatch):
+        """Refuse any store asked for more than 16 edges, before it allocates."""
+        import graphstores.cli as cli
+
+        def config(**kwargs):
+            assert kwargs["expected_edges"] <= 16, kwargs
+            return StoreConfig(**kwargs)
+
+        def multilist(n, capacity):
+            assert capacity <= 16, capacity
+            return MultiList(n, capacity)
+
+        monkeypatch.setattr(cli, "StoreConfig", config)
+        monkeypatch.setattr(cli, "MultiList", multilist)
+
+    @pytest.mark.parametrize("structure", ["hashlist", "edgehash", "multilist", "oracle"])
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_huge_header_m_builds_a_small_store(self, guarded, structure, undirected):
+        graph = parse_edge_list(self.HUGE_M)
+        store = _build_query_store(structure, graph, "mixer", undirected)
+        _load_query_store(store, graph, undirected)
+        if structure in ("hashlist", "edgehash"):
+            assert store.capacity <= 16
+        assert store.contains(0, 1) and store.contains(1, 0) == undirected
+
+    def test_huge_header_m_through_the_cli(self, guarded, tmp_path, capsys):
+        g, q = tmp_path / "g.txt", tmp_path / "q.txt"
+        g.write_text(self.HUGE_M)
+        q.write_text("C 0 1\nN 1\n")
+        assert run_cli(capsys, "query", str(g), str(q)) == (0, "1\n2\n", "")
 
 
 class TestQueryLoad:

@@ -10,13 +10,15 @@ the same exception class with the same message and line number.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphstores import GraphStoreError, parse_edge_list, parse_queries
+from graphstores import GraphStoreError, formats, parse_edge_list, parse_queries
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -187,3 +189,24 @@ def test_edge_list_cases(text):
 def test_query_cases(text):
     assert_same_queries(text)
 
+
+def test_kernel_accepts_benchmark_files(monkeypatch):
+    """The files perfbench writes (one format for every workload) take the bulk path."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    bench_inputs = importlib.import_module("bench_inputs")
+    inp = bench_inputs.make_inputs(bench_inputs.WORKLOADS["selftest"], 5)
+    graph = formats._bulk_edge_list(inp.graph_text)
+    queries = formats._bulk_queries(inp.query_text)
+    assert graph is not None and queries is not None
+    assert graph == formats._edge_list_lines(inp.graph_text)
+    assert queries == formats._queries_lines(inp.query_text)
+    assert graph.has_weights and queries.cxs and queries.nvs
+
+
+@pytest.mark.parametrize("text,kernel", [
+    ("3 2\n0 1 2.5\n1 2\n", formats._bulk_edge_list),
+    ("C 0 1\nN 2\n", formats._bulk_queries),
+])
+def test_comment_line_sends_text_to_the_per_line_parser(text, kernel):
+    assert kernel(text) is not None
+    assert kernel(text + "\n#\n") is None
