@@ -9,6 +9,7 @@ from quotient arithmetic, and power-of-two rounding by doubling.
 from __future__ import annotations
 
 import struct
+from fractions import Fraction
 
 
 def pack_by_arithmetic(x: int, y: int) -> int:
@@ -63,3 +64,112 @@ class EdgeSetOracle:
 
     def newest_first(self, x: int) -> list[int]:
         return self.order.get(x, [])[::-1]
+
+
+def reference_mixer_hash(code: int, size: int) -> int:
+    """The 64-bit avalanche finalizer with shifts as floor division and masks as remainders."""
+    z = code % 2**64
+    for mult in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        z = ((z ^ (z // 2**33)) * mult) % 2**64
+    z ^= z // 2**33
+    return z % size
+
+
+class LinearProbeModel:
+    """The hash stores' specified behavior, slot by slot and counter by counter.
+
+    One list of slots (None when empty) probed linearly from the home slot
+    of the reference hash. Before each in-range add, a growing table whose
+    edge count has reached floor(threshold * capacity) doubles and re-seats
+    every edge: ``chained`` tables (HashList) vertex by vertex, each vertex's
+    edges oldest-first; the others (EdgeHash) in old slot order. Each op
+    returns ``(answer, cost)`` or ``(error name, message)``; ``counters``
+    holds ``[ops, cost, peak]`` per operation class.
+    """
+
+    def __init__(self, n: int, capacity: int, *, mode: str, chained: bool,
+                 growth: bool = True, threshold=Fraction(7, 10)) -> None:
+        self.n = n
+        self.cap = capacity
+        self.slots: list[int | None] = [None] * capacity
+        self.mode = mode
+        self.chained = chained
+        self.growth = growth
+        self.threshold = Fraction(threshold)
+        self.targets: dict[int, list[int]] = {}
+        self.count = 0
+        self.rebuilds = 0
+        self.counters = {"add": [0, 0, 0], "contains": [0, 0, 0], "enumerate": [0, 0, 0]}
+
+    def _home(self, code: int, size: int) -> int:
+        if self.mode == "mixer":
+            return reference_mixer_hash(code, size)
+        return reference_compat_hash(*unpack_by_arithmetic(code), size)
+
+    def _record(self, name: str, cost: int) -> None:
+        ops_cost_peak = self.counters[name]
+        ops_cost_peak[0] += 1
+        ops_cost_peak[1] += cost
+        ops_cost_peak[2] = max(ops_cost_peak[2], cost)
+
+    def _out_of_range(self, x: int, y: int):
+        if 0 <= x < self.n and 0 <= y < self.n:
+            return None
+        return ("VertexRangeError", f"edge ({x}, {y}) outside vertex range [0, {self.n})")
+
+    def _find(self, code: int) -> tuple[int | None, int]:
+        """(slot holding ``code`` or the empty slot it belongs in, probes); slot None when full."""
+        slot = self._home(code, self.cap)
+        for probes in range(1, self.cap + 1):
+            if self.slots[slot] is None or self.slots[slot] == code:
+                return slot, probes
+            slot = (slot + 1) % self.cap
+        return None, self.cap
+
+    def _grow(self) -> None:
+        if self.chained:
+            codes = [pack_by_arithmetic(x, y) for x in sorted(self.targets) for y in self.targets[x]]
+        else:
+            codes = [code for code in self.slots if code is not None]
+        self.cap *= 2
+        self.slots = [None] * self.cap
+        for code in codes:
+            slot = self._home(code, self.cap)
+            while self.slots[slot] is not None:
+                slot = (slot + 1) % self.cap
+            self.slots[slot] = code
+        self.rebuilds += 1
+
+    def add(self, x: int, y: int):
+        error = self._out_of_range(x, y)
+        if error:
+            return error
+        if self.growth and self.count >= int(self.threshold * self.cap):
+            self._grow()
+        code = pack_by_arithmetic(x, y)
+        slot, probes = self._find(code)
+        if slot is None:
+            return ("CapacityError", f"table full at capacity {self.cap} with growth disabled")
+        self._record("add", probes)
+        if self.slots[slot] == code:
+            return (False, probes)
+        self.slots[slot] = code
+        self.count += 1
+        self.targets.setdefault(x, []).append(y)
+        return (True, probes)
+
+    def has(self, x: int, y: int):
+        error = self._out_of_range(x, y)
+        if error:
+            return error
+        code = pack_by_arithmetic(x, y)
+        slot, probes = self._find(code)
+        self._record("contains", probes)
+        return (slot is not None and self.slots[slot] == code, probes)
+
+    def newest_first(self, x: int):
+        if not 0 <= x < self.n:
+            return ("VertexRangeError", f"vertex {x} outside range [0, {self.n})")
+        out = self.targets.get(x, [])[::-1]
+        self._record("enumerate", len(out))
+        return (out, len(out))
