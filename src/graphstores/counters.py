@@ -5,6 +5,10 @@ node *traversals*. Each operation class (add / contains / enumerate) gets
 its own channel so reports can separate insertion cost from query cost.
 A successful insert counts the cell or slot it writes, so the cheapest
 possible add costs 1 in either unit.
+
+The stores' scalar calls update a channel's fields inline rather than
+calling ``record_probes`` / ``record_traversals``, to save a Python call
+per operation; the ``record_*`` methods stay the public way to record.
 """
 
 from __future__ import annotations

@@ -7,9 +7,18 @@ edge. There is no removal, which keeps probe chains intact forever: an
 entry is always reachable from its home slot without crossing an empty
 slot.
 
-This is also the probe core of :class:`~graphstores.hashlist.HashList`,
-which extends ``_allocate``, ``_seat``, ``_rebuild`` and ``_tables`` to
-thread its adjacency chains through the same slots.
+``add_edge`` and ``contains`` are each one flat body: range check, growth
+check, packing, the mixer finalizer, the bounded probe, the counter fields
+and, on add, the seat all run in one frame, because in CPython a nested
+call costs more than the work of most of these steps. ``pack_edge``,
+``mixer_hash`` and ``Channel.record_probes`` spell out the same steps as
+standalone functions. This is also the probe core of
+:class:`~graphstores.hashlist.HashList`, which inherits both bodies: they
+thread a new slot onto its source's chain whenever ``_heads`` is set, and
+it is None on an EdgeHash. HashList extends ``_allocate`` and ``_rebuild``;
+``_probe`` is the uncounted lookup its weights use. A rebuild computes
+every new mixer home in one :func:`~graphstores.core.mixer_finalize_array`
+call, then re-seats the codes in order.
 
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a
@@ -32,18 +41,21 @@ from itertools import repeat
 import numpy as np
 
 from .core import (
+    _MIX_MULT_1,
+    _MIX_MULT_2,
     NONE,
     U32_MASK,
+    U64_MASK,
     CapacityError,
     ConfigError,
     EdgeStore,
     StoreConfig,
     UnsupportedOperationError,
+    VertexRangeError,
     check_lengths,
     compat_hash,
     mixer_finalize_array,
     mixer_hash,
-    pack_edge,
     unpack_edge,
 )
 from .counters import OpCounters
@@ -98,6 +110,10 @@ class EdgeHash(EdgeStore):
         "_growth_limit",
     )
 
+    # HashList's chain arrays; its slots shadow these, so on an EdgeHash the
+    # scalar and bulk adds see None and skip the threading.
+    _heads = _next = _weights = None
+
     def __init__(self, config: StoreConfig) -> None:
         self.config = config
         self._n = config.vertex_count
@@ -115,12 +131,9 @@ class EdgeHash(EdgeStore):
         self._data = [NONE] * cap
         self._growth_limit = self.config.growth_limit(cap)
 
-    def _probe(self, x: int, y: int, code: int, channel) -> int:
-        """Slot holding ``code``, else the empty slot where it belongs, else NONE.
-
-        NONE means the table is full without ``code``; that outcome records
-        nothing. Every other outcome records its probe count on ``channel``
-        unless ``channel`` is None.
+    def _probe(self, x: int, y: int, code: int) -> int:
+        """Slot holding ``code``, else the empty slot where it belongs, else NONE
+        when the table is full without it. Records nothing.
         """
         cap = self._cap
         slot = mixer_hash(code, cap) if self._mixer else compat_hash(x, y, cap)
@@ -134,45 +147,81 @@ class EdgeHash(EdgeStore):
             slot = (slot + 1) & mask
             held = data[slot]
             probes += 1
-        if channel is not None:
-            channel.record_probes(probes)
         return slot
 
-    def _seat(self, slot: int, code: int, x: int) -> None:
-        """Store a new edge of source ``x`` in the empty ``slot`` found for it."""
-        self._data[slot] = code
-        self._count += 1
-
     def add_edge(self, x: int, y: int) -> bool:
-        self._check_pair(x, y)
-        if self._growth_enabled and self._count + 1 > self._growth_limit:
+        n = self._n
+        if x < 0 or x >= n or y < 0 or y >= n:
+            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
+        if self._count >= self._growth_limit and self._growth_enabled:
             self._rebuild(self._cap * 2)
-        code = pack_edge(x, y)
-        slot = self._probe(x, y, code, self.counters.add)
-        if slot == NONE:
-            # Only reachable with growth disabled, every slot occupied, and
-            # the edge absent; the bounded probe is what keeps it from hanging.
-            raise CapacityError(f"table full at capacity {self._cap} with growth disabled")
-        if self._data[slot] == code:
+        code = (x << 32) | y
+        cap = self._cap
+        mask = self._mask
+        if self._mixer:
+            z = code & U64_MASK
+            z = ((z ^ (z >> 33)) * _MIX_MULT_1) & U64_MASK
+            z = ((z ^ (z >> 33)) * _MIX_MULT_2) & U64_MASK
+            slot = (z ^ (z >> 33)) & mask
+        else:
+            slot = compat_hash(x, y, cap)
+        data = self._data
+        probes = 1
+        held = data[slot]
+        while held != code and held != NONE:
+            if probes == cap:
+                # Only reachable with growth disabled, every slot occupied, and
+                # the edge absent; the bounded probe is what keeps it from hanging.
+                raise CapacityError(f"table full at capacity {cap} with growth disabled")
+            slot = (slot + 1) & mask
+            held = data[slot]
+            probes += 1
+        channel = self.counters.add
+        channel.ops += 1
+        channel.probes += probes
+        if probes > channel.max_probes:
+            channel.max_probes = probes
+        if held == code:
             return False
-        self._seat(slot, code, x)
+        data[slot] = code
+        self._count += 1
+        heads = self._heads
+        if heads is not None:
+            self._next[slot] = heads[x]
+            heads[x] = slot
         return True
 
     def contains(self, x: int, y: int) -> bool:
-        self._check_pair(x, y)
-        code = pack_edge(x, y)
-        slot = self._probe(x, y, code, self.counters.contains)
-        if slot == NONE:
-            self.counters.contains.record_probes(self._cap)
-            return False
-        return self._data[slot] == code
+        n = self._n
+        if x < 0 or x >= n or y < 0 or y >= n:
+            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
+        code = (x << 32) | y
+        cap = self._cap
+        mask = self._mask
+        if self._mixer:
+            z = code & U64_MASK
+            z = ((z ^ (z >> 33)) * _MIX_MULT_1) & U64_MASK
+            z = ((z ^ (z >> 33)) * _MIX_MULT_2) & U64_MASK
+            slot = (z ^ (z >> 33)) & mask
+        else:
+            slot = compat_hash(x, y, cap)
+        data = self._data
+        probes = 1
+        held = data[slot]
+        # A miss in a full table stops after cap probes and records cap.
+        while held != code and held != NONE and probes != cap:
+            slot = (slot + 1) & mask
+            held = data[slot]
+            probes += 1
+        channel = self.counters.contains
+        channel.ops += 1
+        channel.probes += probes
+        if probes > channel.max_probes:
+            channel.max_probes = probes
+        return held == code
 
     def add_edges(self, xs, ys) -> list[bool]:
         return self._add_batch(xs, ys, None)
-
-    def _tables(self):
-        """The arrays a bulk add writes: data, then HashList's heads, next and weights."""
-        return self._data, None, None, None
 
     def _add_batch(self, xs, ys, weights) -> list[bool]:
         """``add_edge`` per pair, and ``set_weight`` where ``weights`` holds a weight."""
@@ -186,7 +235,7 @@ class EdgeHash(EdgeStore):
                     self.set_weight(x, y, w)
             return out
         codes, finalized, k = front
-        data, heads, nxt, wts = self._tables()
+        data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
         cap = self._cap
         mask = self._mask
         limit = self._growth_limit
@@ -200,7 +249,7 @@ class EdgeHash(EdgeStore):
             for code, fin, w in zip(codes, finalized, ws):
                 if count >= limit and growth:
                     self._rebuild(cap * 2)
-                    data, heads, nxt, wts = self._tables()
+                    data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
                     cap = self._cap
                     mask = self._mask
                     limit = self._growth_limit
@@ -283,21 +332,20 @@ class EdgeHash(EdgeStore):
 
         Linear probing places codes in an order-dependent way, so ``order``
         fixes the rebuilt layout. Returns each code's new slot, aligned with
-        ``order``. The probe is inline: a rebuild re-seats every edge.
+        ``order``. Mixer homes come from one array finalizer call over all
+        the codes; the probe is inline, since a rebuild re-seats every edge.
         """
         old_data = self._data
+        codes = [old_data[s] for s in order]
         self._allocate(new_cap)
         data = self._data
         mask = self._mask
-        mixer = self._mixer
+        if self._mixer:
+            homes = (mixer_finalize_array(codes) & np.uint64(mask)).tolist()
+        else:
+            homes = [compat_hash(*unpack_edge(code), new_cap) for code in codes]
         slots = []
-        for s in order:
-            code = old_data[s]
-            if mixer:
-                slot = mixer_hash(code, new_cap)
-            else:
-                hx, hy = unpack_edge(code)
-                slot = compat_hash(hx, hy, new_cap)
+        for code, slot in zip(codes, homes):
             while data[slot] != NONE:
                 slot = (slot + 1) & mask
             data[slot] = code

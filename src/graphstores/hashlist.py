@@ -1,11 +1,15 @@
 """Fused store: every occupied hash slot is also an adjacency-list node.
 
 Insertion picks the slot by probing exactly as the edge hash does (it is
-the edge hash, see :class:`~graphstores.edgehash.EdgeHash`), then threads
-the slot onto the source vertex's chain (``next[slot] = heads[x];
-heads[x] = slot``). Membership inherits the hash table's degree-independent
-cost; enumeration walks the chain and touches exactly deg(x) slots. Chains
-use the out-of-band NONE sentinel because slot 0 is a legitimate hash slot.
+the edge hash, see :class:`~graphstores.edgehash.EdgeHash`, whose flat
+``add_edge`` and ``contains`` it inherits), then threads the slot onto the
+source vertex's chain (``next[slot] = heads[x]; heads[x] = slot``).
+Membership inherits the hash table's degree-independent cost; enumeration
+walks the chain and touches exactly deg(x) slots. Chains use the
+out-of-band NONE sentinel because slot 0 is a legitimate hash slot. This
+class adds only the chain arrays (``_allocate``), their re-threading in
+vertex order after a rebuild (``_rebuild``, whose homes come from the edge
+hash's array finalizer), enumeration, and the weight lookups.
 
 The bulk ``add_edges`` and ``contains_many`` come from the edge hash's
 vectorized front end and batch loops; the add loop threads each new slot
@@ -40,17 +44,6 @@ class HashList(EdgeHash):
         self._next = [NONE] * cap
         self._weights: list | None = [None] * cap if self.config.weighted else None
 
-    def _seat(self, slot: int, code: int, x: int) -> None:
-        # EdgeHash._seat's two lines are repeated, not called: every add
-        # pays for this method, and a nested call measurably slows it.
-        self._data[slot] = code
-        self._count += 1
-        self._next[slot] = self._heads[x]
-        self._heads[x] = slot
-
-    def _tables(self):
-        return self._data, self._heads, self._next, self._weights
-
     def add_edges(self, xs, ys, weights=None) -> list[bool]:
         """``add_edge`` per pair in order; then, where ``weights[i]`` is not None,
         ``set_weight`` with it, so the last weight given for an edge wins.
@@ -74,7 +67,12 @@ class HashList(EdgeHash):
         while i != NONE:
             out.append(data[i] & U32_MASK)
             i = nxt[i]
-        self.counters.enumerate.record_traversals(len(out))
+        steps = len(out)
+        channel = self.counters.enumerate
+        channel.ops += 1
+        channel.traversals += steps
+        if steps > channel.max_traversals:
+            channel.max_traversals = steps
         return out
 
     def _weight_slot(self, x: int, y: int) -> int:
@@ -83,7 +81,7 @@ class HashList(EdgeHash):
             raise ConfigError("weights are not enabled (StoreConfig.weighted)")
         self._check_pair(x, y)
         code = pack_edge(x, y)
-        slot = self._probe(x, y, code, None)
+        slot = self._probe(x, y, code)
         return slot if slot != NONE and self._data[slot] == code else NONE
 
     def set_weight(self, x: int, y: int, weight: float) -> bool:

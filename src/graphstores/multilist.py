@@ -29,6 +29,8 @@ class MultiList(EdgeStore):
     def __init__(self, vertex_count: int, edge_capacity: int) -> None:
         if vertex_count < 1:
             raise ConfigError("vertex_count must be positive")
+        if vertex_count > 1 << 32:
+            raise ConfigError("vertex ids are limited to 32 bits")
         if edge_capacity < 0:
             raise ConfigError("edge_capacity must be nonnegative")
         self._n = vertex_count
@@ -40,7 +42,9 @@ class MultiList(EdgeStore):
         self.counters = OpCounters()
 
     def add_edge(self, x: int, y: int) -> bool:
-        self._check_pair(x, y)
+        n = self._n
+        if x < 0 or x >= n or y < 0 or y >= n:
+            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
         nxt = self._next
         data = self._data
         steps = 0
@@ -48,21 +52,29 @@ class MultiList(EdgeStore):
         while i:
             steps += 1
             if data[i] == y:
-                self.counters.add.record_traversals(steps)
-                return False
+                break
             i = nxt[i]
-        if self._count >= self._m:
-            raise CapacityError(f"all {self._m} cells are in use")
-        self._count += 1
-        cell = self._count
-        data[cell] = y
-        nxt[cell] = self._heads[x]
-        self._heads[x] = cell
-        self.counters.add.record_traversals(steps + 1)
-        return True
+        else:
+            if self._count >= self._m:
+                raise CapacityError(f"all {self._m} cells are in use")
+            self._count += 1
+            cell = self._count
+            data[cell] = y
+            nxt[cell] = self._heads[x]
+            self._heads[x] = cell
+            steps += 1
+        channel = self.counters.add
+        channel.ops += 1
+        channel.traversals += steps
+        if steps > channel.max_traversals:
+            channel.max_traversals = steps
+        # i is still the duplicate's cell, or 0 when the scan ran out and the edge went in.
+        return i == 0
 
     def contains(self, x: int, y: int) -> bool:
-        self._check_pair(x, y)
+        n = self._n
+        if x < 0 or x >= n or y < 0 or y >= n:
+            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
         nxt = self._next
         data = self._data
         steps = 0
@@ -70,11 +82,14 @@ class MultiList(EdgeStore):
         while i:
             steps += 1
             if data[i] == y:
-                self.counters.contains.record_traversals(steps)
-                return True
+                break
             i = nxt[i]
-        self.counters.contains.record_traversals(steps)
-        return False
+        channel = self.counters.contains
+        channel.ops += 1
+        channel.traversals += steps
+        if steps > channel.max_traversals:
+            channel.max_traversals = steps
+        return i != 0
 
     def neighbors(self, x: int) -> list[int]:
         if x < 0 or x >= self._n:
@@ -86,7 +101,12 @@ class MultiList(EdgeStore):
         while i:
             out.append(data[i])
             i = nxt[i]
-        self.counters.enumerate.record_traversals(len(out))
+        steps = len(out)
+        channel = self.counters.enumerate
+        channel.ops += 1
+        channel.traversals += steps
+        if steps > channel.max_traversals:
+            channel.max_traversals = steps
         return out
 
     @property

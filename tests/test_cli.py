@@ -175,6 +175,16 @@ class TestQueryErrors:
         assert out == "" and "Traceback" not in err
         assert err.startswith(f"parse error: line {line}: ") and f"{bad}.txt is not UTF-8" in err
 
+    @pytest.mark.parametrize("structure,exit_code",
+                             [("hashlist", 1), ("edgehash", 1), ("multilist", 1), ("oracle", 3)])
+    def test_huge_header_n_one_line_error(self, tmp_path, capsys, structure, exit_code):
+        g, q = tmp_path / "g.txt", tmp_path / "q.txt"
+        g.write_text("1000000000000 1\n0 1\n")
+        q.write_text("C 0 1\n")
+        code, out, err = run_cli(capsys, "query", str(g), str(q), "--structure", structure)
+        assert (code, out) == (exit_code, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_unknown_flag_exit_1(self, tmp_path, capsys, small_graph):
         code, _, _ = run_cli(capsys, "query", str(small_graph), str(small_graph), "--frobnicate")
         assert code == 1

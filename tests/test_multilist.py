@@ -31,6 +31,14 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             MultiList(0, 5)
 
+    @pytest.mark.parametrize("n,capacity", [(2**32 + 1, -1), (10**12, 1)])
+    def test_rejects_ids_beyond_32_bits(self, n, capacity):
+        # The vertex count is checked first; without that check the -1 would
+        # fail on its own message, and 10**12 heads on a MemoryError, before
+        # any list of n entries could be filled.
+        with pytest.raises(ConfigError, match="vertex ids are limited to 32 bits"):
+            MultiList(n, capacity)
+
 
 class TestAddContains:
     def test_single_insert(self):
