@@ -80,22 +80,24 @@ class LinearProbeModel:
 
     One list of slots (None when empty) probed linearly from the home slot
     of the reference hash. Before each in-range add, a growing table whose
-    edge count has reached floor(threshold * capacity) doubles and re-seats
+    edge count has reached floor(7/10 * capacity) doubles and re-seats
     every edge: ``chained`` tables (HashList) vertex by vertex, each vertex's
     edges oldest-first; the others (EdgeHash) in old slot order. Each op
     returns ``(answer, cost)`` or ``(error name, message)``; ``counters``
     holds ``[ops, cost, peak]`` per operation class.
     """
 
+    #: StoreConfig's default growth_threshold, the one every test store uses.
+    THRESHOLD = Fraction(7, 10)
+
     def __init__(self, n: int, capacity: int, *, mode: str, chained: bool,
-                 growth: bool = True, threshold=Fraction(7, 10)) -> None:
+                 growth: bool = True) -> None:
         self.n = n
         self.cap = capacity
         self.slots: list[int | None] = [None] * capacity
         self.mode = mode
         self.chained = chained
         self.growth = growth
-        self.threshold = Fraction(threshold)
         self.targets: dict[int, list[int]] = {}
         self.count = 0
         self.rebuilds = 0
@@ -144,7 +146,7 @@ class LinearProbeModel:
         error = self._out_of_range(x, y)
         if error:
             return error
-        if self.growth and self.count >= int(self.threshold * self.cap):
+        if self.growth and self.count >= int(self.THRESHOLD * self.cap):
             self._grow()
         code = pack_by_arithmetic(x, y)
         slot, probes = self._find(code)
