@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from time import perf_counter_ns
 
 
 def pack_by_arithmetic(x: int, y: int) -> int:
@@ -175,3 +176,45 @@ class LinearProbeModel:
         out = self.targets.get(x, [])[::-1]
         self._record("enumerate", len(out))
         return (out, len(out))
+
+
+# The op-by-op differential executor: each op goes through every store, and
+# the answers are compared before the next op runs. ``graphstores.bench._execute``
+# must return or raise exactly what this does.
+def op_by_op_execute(ops, stores, wall=None):
+    """Run the stream against every store, comparing answers op by op.
+
+    Returns None on full agreement, else (index, op, answers). ``wall``
+    optionally accumulates per-(structure, class) nanoseconds.
+    """
+    timing = wall is not None
+    for index, op in enumerate(ops):
+        kind = op[0]
+        answers = []
+        if kind == "nbrs":
+            x = op[1]
+            for name, store in stores:
+                if name == "edgehash":
+                    continue  # no per-vertex enumeration on the bare table
+                if timing:
+                    t0 = perf_counter_ns()
+                ans = store.neighbors(x)
+                if timing:
+                    wall[name, "enumerate"] += perf_counter_ns() - t0
+                answers.append((name, ans))
+        else:
+            x, y = op[1], op[2]
+            cls = "add" if kind == "add" else "contains"
+            for name, store in stores:
+                if timing:
+                    t0 = perf_counter_ns()
+                ans = store.add_edge(x, y) if kind == "add" else store.contains(x, y)
+                if timing:
+                    wall[name, cls] += perf_counter_ns() - t0
+                answers.append((name, ans))
+        if len(answers) > 1:
+            base = answers[0][1]
+            for _, other in answers[1:]:
+                if other != base:
+                    return index, op, answers
+    return None

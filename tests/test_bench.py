@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphstores.bench as bench_module
 from graphstores import (
     CSV_HEADER,
+    HASH_MODES,
+    CapacityError,
     ConfigError,
     DifferentialMismatch,
     HashList,
@@ -14,8 +18,94 @@ from graphstores import (
     run_workload,
     scaling_sweep,
 )
+from graphstores.bench import GENERATORS, OPERATIONS, STRUCTURE_NAMES
 
-from _reference import EdgeSetOracle
+from _reference import EdgeSetOracle, op_by_op_execute
+
+#: Streams longer than this cross a chunk boundary of ``bench._execute``.
+CHUNK = 4096
+
+#: The class ``bench`` builds for each structure name.
+STORE_CLASSES = {
+    "hashlist": "HashList",
+    "multilist": "MultiList",
+    "edgehash": "EdgeHash",
+    "oracle": "OracleGraph",
+}
+FAULTS = ("lie", "reverse", "raise_add", "raise_has")
+
+
+def faulty_class(cls, fault: str, k: int):
+    """``cls`` with one injected fault, switched on at the store's k-th call of that kind."""
+
+    class Faulty(cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls = 0
+
+        if fault == "lie":
+            def contains(self, x, y):
+                self.calls += 1
+                answer = cls.contains(self, x, y)
+                return (not answer) if self.calls >= k and y % 3 == 0 else answer
+        elif fault == "reverse":
+            def neighbors(self, x):
+                self.calls += 1
+                out = cls.neighbors(self, x)
+                return out[::-1] if self.calls >= k else out
+        elif fault == "raise_add":
+            def add_edge(self, x, y):
+                self.calls += 1
+                if self.calls == k:
+                    raise CapacityError(f"injected {cls.__name__} failure at add call {k}")
+                return cls.add_edge(self, x, y)
+        else:
+            def contains(self, x, y):
+                self.calls += 1
+                if self.calls == k:
+                    raise CapacityError(f"injected {cls.__name__} failure at contains call {k}")
+                return cls.contains(self, x, y)
+
+    return Faulty
+
+
+@st.composite
+def differential_cases(draw):
+    generator = draw(st.sampled_from(GENERATORS))
+    n = draw(st.integers(4, 40))
+    m = draw(st.one_of(st.integers(0, 300), st.integers(CHUNK + 1, CHUNK + 300)))
+    weights = [draw(st.integers(0, 6)) for _ in range(4)]
+    weights[0] += not any(weights)
+    mix = tuple(w / sum(weights) for w in weights)
+    spec = WorkloadSpec(generator, n=n, m=m, mix=mix, seed=draw(st.integers(0, 2**64 - 1)))
+    structures = tuple(draw(st.permutations(STRUCTURE_NAMES))[: draw(st.integers(1, 4))])
+    faults = draw(
+        st.dictionaries(
+            st.sampled_from(structures),
+            st.tuples(st.sampled_from(FAULTS), st.integers(1, max(1, m // 3))),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    return spec, structures, draw(st.sampled_from(HASH_MODES)), faults
+
+
+def run_executor(execute, ops, spec, structures, hash_mode, adds):
+    """Outcome of one executor on fresh stores, plus per-store counters on agreement."""
+    stores = bench_module._build_stores(spec, structures, hash_mode, adds)
+    wall = {(name, cls): 0 for name in structures for cls in OPERATIONS}
+    try:
+        result = execute(ops, stores, wall)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc)), None
+    if result is not None:
+        return ("mismatch", result), None
+    counters = []
+    for name, store in stores:
+        for cls in OPERATIONS:
+            channel = store.counters.channel(cls)
+            counters.append((name, cls, channel.ops, channel.total, channel.peak))
+    return ("agree", None), counters
 
 
 class TestLcg64:
@@ -213,6 +303,22 @@ class TestScalingSweep:
     def test_rejects_bad_factor(self):
         with pytest.raises(ConfigError):
             scaling_sweep(WorkloadSpec("uniform", n=10, m=10), [0])
+
+
+class TestExecuteMatchesOpByOp:
+    @settings(max_examples=40, deadline=None)
+    @given(differential_cases())
+    def test_same_outcome_as_op_by_op(self, case):
+        spec, structures, hash_mode, faults = case
+        ops = generate_ops(spec)
+        adds = sum(1 for op in ops if op[0] == "add")
+        with pytest.MonkeyPatch.context() as mp:
+            for name, (fault, k) in faults.items():
+                attr = STORE_CLASSES[name]
+                mp.setattr(bench_module, attr, faulty_class(getattr(bench_module, attr), fault, k))
+            got = run_executor(bench_module._execute, ops, spec, structures, hash_mode, adds)
+            want = run_executor(op_by_op_execute, ops, spec, structures, hash_mode, adds)
+        assert got == want
 
 
 class TestMismatchShrinking:
