@@ -11,8 +11,13 @@ platform or language:
 with the high 32 bits of the state as each draw, and bounded draws taken by
 the multiply-shift reduction ``(u64 * n) >> 64``.
 
-Every structure in a run executes the same operation stream; answers are
-compared as the run proceeds, and any disagreement aborts with a
+Every structure in a run executes the same operation stream. Each store
+runs one chunk of the stream on its own, then its answers are compared with
+the first store's: a store's calls then run back to back, with its bound
+methods and working set in hand, instead of taking turns with the other
+stores op by op, and the answers held stay bounded by one chunk. The
+outcome is still that of op-by-op agreement: the earliest disagreeing op,
+or the earliest exception, decides, and any disagreement aborts with a
 bisection-minimized failing stream.
 """
 
@@ -40,6 +45,10 @@ CSV_HEADER = "structure,operation,count_ops,mean_counter,max_counter,wall_ns,slo
 
 #: Rejection budget when sampling an absent edge before falling back.
 _MISS_TRIES = 256
+
+#: Ops each store runs before the answers are compared; answers are held for
+#: one chunk at a time, so memory stays bounded whatever the stream length.
+_CHUNK = 4096
 
 
 class Lcg64:
@@ -248,42 +257,91 @@ def _build_stores(spec: WorkloadSpec, structures: Sequence[str], hash_mode: str,
     return stores
 
 
-def _execute(ops, stores, wall=None):
-    """Run the stream against every store, comparing answers op by op.
+def _run_chunk(chunk, add, has, nbrs):
+    """One store over one chunk of ops.
 
-    Returns None on full agreement, else (index, op, answers). ``wall``
-    optionally accumulates per-(structure, class) nanoseconds.
+    Returns the answers to the pair ops, the answers to the ``nbrs`` ops
+    (None each when ``nbrs`` is None), the ns spent inside the add / contains
+    / enumerate calls, and the exception that stopped the store, if any.
     """
-    timing = wall is not None
-    for index, op in enumerate(ops):
-        kind = op[0]
-        answers = []
-        if kind == "nbrs":
-            x = op[1]
-            for name, store in stores:
-                if name == "edgehash":
-                    continue  # no per-vertex enumeration on the bare table
-                if timing:
-                    t0 = perf_counter_ns()
-                ans = store.neighbors(x)
-                if timing:
-                    wall[name, "enumerate"] += perf_counter_ns() - t0
-                answers.append((name, ans))
-        else:
-            x, y = op[1], op[2]
-            cls = "add" if kind == "add" else "contains"
-            for name, store in stores:
-                if timing:
-                    t0 = perf_counter_ns()
-                ans = store.add_edge(x, y) if kind == "add" else store.contains(x, y)
-                if timing:
-                    wall[name, cls] += perf_counter_ns() - t0
-                answers.append((name, ans))
-        if len(answers) > 1:
-            base = answers[0][1]
-            for _, other in answers[1:]:
-                if other != base:
-                    return index, op, answers
+    pairs, lists = [], []
+    t_add = t_has = t_enum = 0
+    error = None
+    try:
+        for op in chunk:
+            kind = op[0]
+            if kind == "add":
+                t0 = perf_counter_ns()
+                ans = add(op[1], op[2])
+                t_add += perf_counter_ns() - t0
+                pairs.append(ans)
+            elif kind == "has":
+                t0 = perf_counter_ns()
+                ans = has(op[1], op[2])
+                t_has += perf_counter_ns() - t0
+                pairs.append(ans)
+            elif nbrs is None:
+                lists.append(None)
+            else:
+                t0 = perf_counter_ns()
+                ans = nbrs(op[1])
+                t_enum += perf_counter_ns() - t0
+                lists.append(ans)
+    except Exception as exc:
+        error = exc
+    return pairs, lists, (t_add, t_has, t_enum), error
+
+
+def _execute(ops, stores, wall=None):
+    """Run the stream through every store, ``_CHUNK`` ops at a time per store.
+
+    Returns None on full agreement, else (index, op, answers) for the first
+    op on which the stores disagree, with ``answers`` as (name, answer)
+    pairs in store order; the bare edge hash takes no part in ``nbrs`` ops.
+    A store that raises stops at that op, and the earliest op decides the
+    outcome: at one op an exception beats a disagreement, and of two stores
+    raising at the same op the first in store order wins, so the outcome is
+    the one an op-by-op run gives. ``wall`` optionally accumulates
+    per-(structure, class) nanoseconds spent inside the stores' calls.
+    """
+    bound = [
+        (name, store.add_edge, store.contains, None if name == "edgehash" else store.neighbors)
+        for name, store in stores
+    ]
+    for start in range(0, len(ops), _CHUNK):
+        chunk = ops[start:start + _CHUNK]
+        stop, error = len(chunk), None
+        runs = []
+        for name, add, has, nbrs in bound:
+            pairs, lists, spent, exc = _run_chunk(chunk, add, has, nbrs)
+            if wall is not None:
+                for cls, ns in zip(OPERATIONS, spent):
+                    wall[name, cls] += ns
+            if exc is not None and len(pairs) + len(lists) < stop:
+                stop, error = len(pairs) + len(lists), exc
+            runs.append((name, pairs, lists))
+        if error is None:
+            listed = [lists for name, _, lists in runs if name != "edgehash"]
+            if all(pairs == runs[0][1] for _, pairs, _ in runs) and all(
+                lists == listed[0] for lists in listed
+            ):
+                continue
+        p = q = 0
+        for i in range(stop):
+            op = chunk[i]
+            if op[0] == "nbrs":
+                answers = [(name, lists[q]) for name, _, lists in runs if name != "edgehash"]
+                q += 1
+            else:
+                answers = [(name, pairs[p]) for name, pairs, _ in runs]
+                p += 1
+            if len(answers) > 1:
+                base = answers[0][1]
+                for _, other in answers[1:]:
+                    if other != base:
+                        return start + i, op, answers
+        if error is not None:
+            raise error
     return None
 
 

@@ -8,11 +8,13 @@ import graphstores.bench as bench_module
 from graphstores import (
     CSV_HEADER,
     HASH_MODES,
+    NONE,
     CapacityError,
     ConfigError,
     DifferentialMismatch,
     HashList,
     Lcg64,
+    MultiList,
     WorkloadSpec,
     generate_ops,
     run_workload,
@@ -22,8 +24,7 @@ from graphstores.bench import GENERATORS, OPERATIONS, STRUCTURE_NAMES
 
 from _reference import EdgeSetOracle, op_by_op_execute
 
-#: Streams longer than this cross a chunk boundary of ``bench._execute``.
-CHUNK = 4096
+CHUNK = bench_module._CHUNK
 
 #: The class ``bench`` builds for each structure name.
 STORE_CLASSES = {
@@ -87,7 +88,8 @@ def differential_cases(draw):
             max_size=2,
         )
     )
-    return spec, structures, draw(st.sampled_from(HASH_MODES)), faults
+    chunk = draw(st.sampled_from([1, 2, 7, 64, CHUNK]))
+    return spec, structures, draw(st.sampled_from(HASH_MODES)), faults, chunk
 
 
 def run_executor(execute, ops, spec, structures, hash_mode, adds):
@@ -309,16 +311,86 @@ class TestExecuteMatchesOpByOp:
     @settings(max_examples=40, deadline=None)
     @given(differential_cases())
     def test_same_outcome_as_op_by_op(self, case):
-        spec, structures, hash_mode, faults = case
+        spec, structures, hash_mode, faults, chunk = case
         ops = generate_ops(spec)
         adds = sum(1 for op in ops if op[0] == "add")
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench_module, "_CHUNK", chunk)
             for name, (fault, k) in faults.items():
                 attr = STORE_CLASSES[name]
                 mp.setattr(bench_module, attr, faulty_class(getattr(bench_module, attr), fault, k))
             got = run_executor(bench_module._execute, ops, spec, structures, hash_mode, adds)
             want = run_executor(op_by_op_execute, ops, spec, structures, hash_mode, adds)
         assert got == want
+
+    def test_mismatch_past_the_first_chunk_has_its_global_index(self):
+        spec = WorkloadSpec("uniform", n=50, m=2 * CHUNK + 100, seed=23)
+        ops = generate_ops(spec)
+        adds = sum(1 for op in ops if op[0] == "add")
+        has_at = [i for i, op in enumerate(ops) if op[0] == "has"]
+        k = next(j for j, i in enumerate(has_at) if i > CHUNK + 10) + 1
+        expected = next(i for i in has_at[k - 1:] if ops[i][2] % 3 == 0)
+        stores = bench_module._build_stores(spec, ("hashlist", "oracle"), "mixer", adds)
+        stores.insert(1, ("multilist", faulty_class(MultiList, "lie", k)(spec.n, adds)))
+        index, op, answers = bench_module._execute(ops, stores)
+        assert CHUNK < index == expected
+        assert op == ops[expected]
+        assert [name for name, _ in answers] == ["hashlist", "multilist", "oracle"]
+        answers = dict(answers)
+        assert answers["multilist"] != answers["oracle"] == answers["hashlist"]
+
+    @pytest.mark.parametrize("mix", [(0.6, 0.2, 0.15, 0.05), (0.5, 0.3, 0.2, 0.0)])
+    def test_wall_time_recorded_exactly_where_ops_ran(self, mix):
+        spec = WorkloadSpec("uniform", n=64, m=CHUNK + 500, mix=mix, seed=24)
+        report = run_workload(spec, STRUCTURE_NAMES)
+        assert any(row.count_ops == 0 for row in report.rows)
+        for row in report.rows:
+            assert (row.wall_ns > 0) == (row.count_ops > 0), row
+
+
+def nth_op_index(ops, kind: str, k: int) -> int:
+    """Global index of the k-th op of ``kind`` (1-based) in the stream."""
+    return [i for i, op in enumerate(ops) if op[0] == kind][k - 1]
+
+
+class TestHarnessCatchesStoreBugs:
+    def test_dropped_chain_link_is_caught_and_minimized(self, monkeypatch):
+        # A new edge seated in every 7th slot is threaded without its next
+        # link: the vertex's older edges fall off the chain (no cycle).
+        class DroppedLink(HashList):
+            def add_edge(self, x, y):
+                added = super().add_edge(x, y)
+                slot = self._heads[x]
+                if added and slot % 7 == 0:
+                    self._next[slot] = NONE
+                return added
+
+        monkeypatch.setattr(bench_module, "HashList", DroppedLink)
+        spec = WorkloadSpec("uniform", n=30, m=3000, seed=25)
+        with pytest.raises(DifferentialMismatch) as excinfo:
+            run_workload(spec, ("hashlist", "multilist", "edgehash", "oracle"))
+        assert len(excinfo.value.ops) <= 4
+        assert excinfo.value.op[0] == "nbrs"
+
+    def test_exception_before_a_later_lie_propagates(self, monkeypatch):
+        spec = WorkloadSpec("uniform", n=30, m=3000, seed=26)
+        ops = generate_ops(spec)
+        assert nth_op_index(ops, "add", 900) < nth_op_index(ops, "has", 700)
+        monkeypatch.setattr(bench_module, "HashList", faulty_class(HashList, "lie", 700))
+        monkeypatch.setattr(bench_module, "MultiList", faulty_class(MultiList, "raise_add", 900))
+        with pytest.raises(CapacityError, match="MultiList failure at add call 900"):
+            run_workload(spec, ("hashlist", "multilist", "oracle"))
+
+    def test_lie_before_a_later_exception_is_a_mismatch(self, monkeypatch):
+        spec = WorkloadSpec("uniform", n=30, m=3000, seed=26)
+        ops = generate_ops(spec)
+        assert nth_op_index(ops, "has", 3) < nth_op_index(ops, "add", 1500)
+        monkeypatch.setattr(bench_module, "HashList", faulty_class(HashList, "lie", 3))
+        monkeypatch.setattr(bench_module, "MultiList", faulty_class(MultiList, "raise_add", 1500))
+        with pytest.raises(DifferentialMismatch) as excinfo:
+            run_workload(spec, ("hashlist", "multilist", "oracle"))
+        answers = dict(excinfo.value.answers)
+        assert answers["hashlist"] != answers["multilist"] == answers["oracle"]
 
 
 class TestMismatchShrinking:
