@@ -33,7 +33,7 @@ STORE_CLASSES = {
     "edgehash": "EdgeHash",
     "oracle": "OracleGraph",
 }
-FAULTS = ("lie", "reverse", "raise_add", "raise_has")
+FAULTS = ("lie", "reverse", "raise_add", "raise_has", "raise_nbrs")
 
 
 def faulty_class(cls, fault: str, k: int):
@@ -54,6 +54,12 @@ def faulty_class(cls, fault: str, k: int):
                 self.calls += 1
                 out = cls.neighbors(self, x)
                 return out[::-1] if self.calls >= k else out
+        elif fault == "raise_nbrs":
+            def neighbors(self, x):
+                self.calls += 1
+                if self.calls == k:
+                    raise IndexError(f"injected {cls.__name__} failure at neighbors call {k}")
+                return cls.neighbors(self, x)
         elif fault == "raise_add":
             def add_edge(self, x, y):
                 self.calls += 1
@@ -346,6 +352,14 @@ class TestExecuteMatchesOpByOp:
         assert any(row.count_ops == 0 for row in report.rows)
         for row in report.rows:
             assert (row.wall_ns > 0) == (row.count_ops > 0), row
+
+    def test_wall_time_is_summed_per_store_and_class(self, monkeypatch):
+        # A clock that ticks once per read times every store call at 1 ns.
+        ticks = iter(range(10**9))
+        monkeypatch.setattr(bench_module, "perf_counter_ns", lambda: next(ticks))
+        spec = WorkloadSpec("uniform", n=64, m=2 * CHUNK + 500, seed=24)
+        report = run_workload(spec, STRUCTURE_NAMES)
+        assert [row.wall_ns for row in report.rows] == [row.count_ops for row in report.rows]
 
 
 def nth_op_index(ops, kind: str, k: int) -> int:
