@@ -395,12 +395,13 @@ class TestHarnessCatchesStoreBugs:
         with pytest.raises(CapacityError, match="MultiList failure at add call 900"):
             run_workload(spec, ("hashlist", "multilist", "oracle"))
 
-    def test_lie_before_a_later_exception_is_a_mismatch(self, monkeypatch):
+    @pytest.mark.parametrize("fault, kind, k", [("raise_add", "add", 1500), ("raise_nbrs", "nbrs", 100)])
+    def test_lie_before_a_later_exception_is_a_mismatch(self, monkeypatch, fault, kind, k):
         spec = WorkloadSpec("uniform", n=30, m=3000, seed=26)
         ops = generate_ops(spec)
-        assert nth_op_index(ops, "has", 3) < nth_op_index(ops, "add", 1500)
+        assert nth_op_index(ops, "has", 3) < nth_op_index(ops, kind, k)
         monkeypatch.setattr(bench_module, "HashList", faulty_class(HashList, "lie", 3))
-        monkeypatch.setattr(bench_module, "MultiList", faulty_class(MultiList, "raise_add", 1500))
+        monkeypatch.setattr(bench_module, "MultiList", faulty_class(MultiList, fault, k))
         with pytest.raises(DifferentialMismatch) as excinfo:
             run_workload(spec, ("hashlist", "multilist", "oracle"))
         answers = dict(excinfo.value.answers)
