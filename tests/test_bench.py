@@ -395,6 +395,13 @@ class TestHarnessCatchesStoreBugs:
         with pytest.raises(CapacityError, match="MultiList failure at add call 900"):
             run_workload(spec, ("hashlist", "multilist", "oracle"))
 
+    def test_first_store_in_order_wins_a_tie_of_exceptions(self, monkeypatch):
+        monkeypatch.setattr(bench_module, "HashList", faulty_class(HashList, "raise_add", 50))
+        monkeypatch.setattr(bench_module, "MultiList", faulty_class(MultiList, "raise_add", 50))
+        spec = WorkloadSpec("uniform", n=30, m=3000, seed=26)
+        with pytest.raises(CapacityError, match="MultiList failure at add call 50"):
+            run_workload(spec, ("multilist", "hashlist", "oracle"))
+
     @pytest.mark.parametrize("fault, kind, k", [("raise_add", "add", 1500), ("raise_nbrs", "nbrs", 100)])
     def test_lie_before_a_later_exception_is_a_mismatch(self, monkeypatch, fault, kind, k):
         spec = WorkloadSpec("uniform", n=30, m=3000, seed=26)
