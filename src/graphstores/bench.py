@@ -12,13 +12,13 @@ with the high 32 bits of the state as each draw, and bounded draws taken by
 the multiply-shift reduction ``(u64 * n) >> 64``.
 
 Every structure in a run executes the same operation stream. Each store
-runs one chunk of the stream on its own, then its answers are compared with
-the first store's: a store's calls then run back to back, with its bound
-methods and working set in hand, instead of taking turns with the other
-stores op by op, and the answers held stay bounded by one chunk. The
-outcome is still that of op-by-op agreement: the earliest disagreeing op,
-or the earliest exception, decides, and any disagreement aborts with a
-bisection-minimized failing stream.
+runs one chunk of the stream on its own before the chunk's answers are
+compared with the first store's. So a store's calls run back to back, with
+its bound methods and working set at hand, rather than taking turns with
+the other stores op by op; and only one chunk of answers is held, whatever
+the stream length. The outcome is still that of op-by-op agreement: the
+earliest disagreeing op, or the earliest exception, decides, and any
+disagreement aborts with a bisection-minimized failing stream.
 """
 
 from __future__ import annotations
