@@ -85,7 +85,8 @@ class LinearProbeModel:
     every edge: ``chained`` tables (HashList) vertex by vertex, each vertex's
     edges oldest-first; the others (EdgeHash) in old slot order. Each op
     returns ``(answer, cost)`` or ``(error name, message)``; ``counters``
-    holds ``[ops, cost, peak]`` per operation class.
+    holds ``[ops, cost, peak]`` per operation class. Weights are kept per
+    edge, apart from the slots, and set and read without being counted.
     """
 
     #: StoreConfig's default growth_threshold, the one every test store uses.
@@ -102,6 +103,7 @@ class LinearProbeModel:
         self.targets: dict[int, list[int]] = {}
         self.count = 0
         self.rebuilds = 0
+        self.weights: dict[tuple[int, int], float] = {}
         self.counters = {"add": [0, 0, 0], "contains": [0, 0, 0], "enumerate": [0, 0, 0]}
 
     def _home(self, code: int, size: int) -> int:
@@ -169,6 +171,20 @@ class LinearProbeModel:
         slot, probes = self._find(code)
         self._record("contains", probes)
         return (slot is not None and self.slots[slot] == code, probes)
+
+    def set_weight(self, x: int, y: int, weight: float):
+        """True after weighting a stored edge, False for an absent one; uncounted."""
+        error = self._out_of_range(x, y)
+        if error:
+            return error
+        if y not in self.targets.get(x, ()):
+            return False
+        self.weights[x, y] = weight
+        return True
+
+    def get_weight(self, x: int, y: int):
+        """The last weight set on (x, y), None if none was; uncounted."""
+        return self._out_of_range(x, y) or self.weights.get((x, y))
 
     def newest_first(self, x: int):
         if not 0 <= x < self.n:

@@ -4,10 +4,13 @@ Every op's answer, counter delta and channel peaks, the whole slot array
 and the newest-first neighbor lists are compared with
 :class:`_reference.LinearProbeModel` after each call, through at least four
 rebuilds in both hash modes, and with growth off up to and past the
-CapacityError of a full table.
+CapacityError of a full table. Weighted HashLists also carry every
+edge's weight, or its lack of one, through drawn and explicit growth.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +32,9 @@ KINDS = st.sampled_from(("add", "add", "has", "newest_first"))
 TOP = 2**32
 
 
-def pair(cls, mode, *, n, expected=1, growth=True):
+def pair(cls, mode, *, n, expected=1, growth=True, weighted=False):
     store = cls(StoreConfig(vertex_count=n, expected_edges=expected, hash_mode=mode,
-                            growth_enabled=growth))
+                            growth_enabled=growth, weighted=weighted))
     # expected_edges at a max load factor of 1/2, and never below 16 slots.
     model = LinearProbeModel(n, max(16, pow2_at_least(2 * expected)), mode=mode,
                              chained=cls is HashList, growth=growth)
@@ -144,3 +147,62 @@ def test_full_width_ids_follow_the_model(mode, stream):
     drive(store, model, ops, fill, lambda: model.rebuilds >= 4)
     assert model.rebuilds >= 4
     assert max(code for code in model.slots if code is not None) >= 2**63
+
+
+def weigh(store, model, x: int, y: int, weight: float) -> None:
+    """One ``set_weight`` on both sides; it answers as the model does and records nothing."""
+    before = counters(store)
+    expected = model.set_weight(x, y, weight)
+    try:
+        got = store.set_weight(x, y, weight)
+    except GraphStoreError as exc:
+        got = (type(exc).__name__, str(exc))
+    assert got == expected, (x, y, weight)
+    assert counters(store) == before
+
+
+def rebuilt_as_the_model(store, model) -> None:
+    """Slots, chains and the weight of every added edge, after a rebuild."""
+    assert (store.rebuilds, store.capacity, store.edge_count) == (model.rebuilds, model.cap, model.count)
+    assert [None if v == NONE else v for v in store._data] == model.slots
+    edges = [(x, y) for x, ys in model.targets.items() for y in ys]
+    before = counters(store)
+    assert [store.get_weight(x, y) for x, y in edges] == [model.get_weight(x, y) for x, y in edges]
+    assert counters(store) == before
+    for x in range(model.n):
+        step(store, model, "newest_first", x)
+
+
+@pytest.mark.parametrize("mode", ["mixer", "paper_compat"])
+@settings(max_examples=15, deadline=None)
+@given(stream=streams(), grow_at=st.sets(st.integers(0, 60), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32))
+def test_weighted_store_keeps_weights_through_rebuilds(mode, stream, grow_at, seed):
+    # The drawn ops add unweighted edges; of the filled ones about a quarter
+    # stay unweighted, and some are weighted while absent or weighted again.
+    n, ops, fill = stream
+    rnd = random.Random(seed)
+    store, model = pair(HashList, mode, n=n, weighted=True)
+    drive(store, model, ops, [])
+    weigh(store, model, n, 0, 1.0)
+    added = []
+    for i, (x, y) in enumerate(fill):
+        if model.rebuilds >= 4 and i > max(grow_at):
+            break
+        if i in grow_at:
+            store.grow()
+            model._grow()
+            rebuilt_as_the_model(store, model)
+        if rnd.random() < 0.1:
+            weigh(store, model, x, y, rnd.uniform(-1e3, 1e3))
+        rebuilds = model.rebuilds
+        step(store, model, "add", x, y)
+        added.append((x, y))
+        if rnd.random() < 0.75:
+            weigh(store, model, x, y, rnd.uniform(-1e3, 1e3))
+        if rnd.random() < 0.1:
+            weigh(store, model, *rnd.choice(added), rnd.uniform(-1e3, 1e3))
+        if model.rebuilds != rebuilds:
+            rebuilt_as_the_model(store, model)
+    assert model.rebuilds >= 4
+    rebuilt_as_the_model(store, model)
