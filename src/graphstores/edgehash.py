@@ -15,10 +15,10 @@ call costs more than the work of most of these steps. ``pack_edge``,
 standalone functions. This is also the probe core of
 :class:`~graphstores.hashlist.HashList`, which inherits both bodies: they
 thread a new slot onto its source's chain whenever ``_heads`` is set, and
-it is None on an EdgeHash. HashList extends ``_allocate`` and ``_rebuild``;
-``_probe`` is the uncounted lookup its weights use. A rebuild computes
-every new mixer home in one :func:`~graphstores.core.mixer_finalize_array`
-call, then re-seats the codes in order.
+it is None on an EdgeHash. HashList extends ``_allocate`` and supplies
+the order ``_rebuild`` re-seats its codes in. A rebuild is one pass: one
+:func:`~graphstores.core.mixer_finalize_array` call for every mixer home,
+then each code is seated, and on a HashList threaded and its weight carried.
 
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a
@@ -325,33 +325,36 @@ class EdgeHash(EdgeStore):
         self._rebuild(self._cap * 2)
 
     def _rebuild(self, new_cap: int) -> None:
-        self._reseat(new_cap, [s for s, code in enumerate(self._data) if code != NONE])
+        self._reseat(new_cap, [code for code in self._data if code != NONE], None)
 
-    def _reseat(self, new_cap: int, order: list[int]) -> list[int]:
-        """Move the codes at old slots ``order``, in that order, into a fresh table.
+    def _reseat(self, new_cap: int, codes: list[int], weights: list | None) -> None:
+        """Seat ``codes``, in that order, in a fresh table of ``new_cap`` slots.
 
-        Linear probing places codes in an order-dependent way, so ``order``
-        fixes the rebuilt layout. Returns each code's new slot, aligned with
-        ``order``. Mixer homes come from one array finalizer call over all
-        the codes; the probe is inline, since a rebuild re-seats every edge.
+        Linear probing is order-dependent, so the order fixes the layout.
+        When ``_heads`` is set, the same pass threads each slot onto its
+        source's chain and stores its weight from ``weights`` (aligned with
+        ``codes``, or None). Mixer homes come from one array finalizer call;
+        the probe is inline, since a rebuild re-seats every edge.
         """
-        old_data = self._data
-        codes = [old_data[s] for s in order]
         self._allocate(new_cap)
-        data = self._data
+        data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
         mask = self._mask
         if self._mixer:
             homes = (mixer_finalize_array(codes) & np.uint64(mask)).tolist()
         else:
             homes = [compat_hash(*unpack_edge(code), new_cap) for code in codes]
-        slots = []
-        for code, slot in zip(codes, homes):
+        ws = repeat(None) if weights is None else weights
+        for code, slot, w in zip(codes, homes, ws):
             while data[slot] != NONE:
                 slot = (slot + 1) & mask
             data[slot] = code
-            slots.append(slot)
+            if heads is not None:
+                x = code >> 32
+                nxt[slot] = heads[x]
+                heads[x] = slot
+                if w is not None:
+                    wts[slot] = w
         self.rebuilds += 1
-        return slots
 
     @property
     def edge_count(self) -> int:

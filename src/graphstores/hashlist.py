@@ -7,9 +7,10 @@ source vertex's chain (``next[slot] = heads[x]; heads[x] = slot``).
 Membership inherits the hash table's degree-independent cost; enumeration
 walks the chain and touches exactly deg(x) slots. Chains use the
 out-of-band NONE sentinel because slot 0 is a legitimate hash slot. This
-class adds only the chain arrays (``_allocate``), their re-threading in
-vertex order after a rebuild (``_rebuild``, whose homes come from the edge
-hash's array finalizer), enumeration, and the weight lookups.
+class adds only the chain arrays (``_allocate``), the order a rebuild
+seats codes in (``_rebuild``: vertex by vertex, each chain oldest-first;
+the edge hash's rebuild pass threads the chains and carries the weights),
+enumeration, and the weight lookups.
 
 The bulk ``add_edges`` and ``contains_many`` come from the edge hash's
 vectorized front end and batch loops; the add loop threads each new slot
@@ -98,32 +99,19 @@ class HashList(EdgeHash):
         return None if slot == NONE else self._weights[slot]
 
     def _rebuild(self, new_cap: int) -> None:
-        old_heads = self._heads
-        old_next = self._next
-        old_weights = self._weights
-        # Chains enumerate newest-first; re-seat each oldest-first so that
-        # threading the new slots reads back in the same order.
+        # Chains enumerate newest-first; seat each oldest-first so that the
+        # threading in ``_reseat`` reads back in the same order.
+        data, nxt, old_weights = self._data, self._next, self._weights
         order = []
-        for x in range(self._n):
+        for i in self._heads:
             chain = []
-            i = old_heads[x]
             while i != NONE:
                 chain.append(i)
-                i = old_next[i]
+                i = nxt[i]
             chain.reverse()
             order += chain
-        slots = self._reseat(new_cap, order)
-        data = self._data
-        heads = self._heads
-        nxt = self._next
-        for slot in slots:
-            x = data[slot] >> 32
-            nxt[slot] = heads[x]
-            heads[x] = slot
-        if old_weights is not None:
-            weights = self._weights
-            for s, slot in zip(order, slots):
-                weights[slot] = old_weights[s]
+        weights = None if old_weights is None else [old_weights[s] for s in order]
+        self._reseat(new_cap, [data[s] for s in order], weights)
 
     def memory_ints(self) -> int:
         """heads + data/next slot arrays, plus weights when enabled: n + 2*capacity (+ capacity)."""
