@@ -55,7 +55,6 @@ from .core import (
     check_lengths,
     compat_hash,
     mixer_finalize_array,
-    mixer_hash,
     unpack_edge,
 )
 from .counters import OpCounters
@@ -130,24 +129,6 @@ class EdgeHash(EdgeStore):
         self._mask = cap - 1
         self._data = [NONE] * cap
         self._growth_limit = self.config.growth_limit(cap)
-
-    def _probe(self, x: int, y: int, code: int) -> int:
-        """Slot holding ``code``, else the empty slot where it belongs, else NONE
-        when the table is full without it. Records nothing.
-        """
-        cap = self._cap
-        slot = mixer_hash(code, cap) if self._mixer else compat_hash(x, y, cap)
-        data = self._data
-        mask = self._mask
-        probes = 1
-        held = data[slot]
-        while held != code and held != NONE:
-            if probes == cap:
-                return NONE
-            slot = (slot + 1) & mask
-            held = data[slot]
-            probes += 1
-        return slot
 
     def add_edge(self, x: int, y: int) -> bool:
         n = self._n

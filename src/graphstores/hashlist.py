@@ -21,7 +21,8 @@ so a weighted batch probes each edge once rather than once more for
 
 from __future__ import annotations
 
-from .core import NONE, ConfigError, U32_MASK, VertexRangeError, check_lengths, pack_edge
+from .core import (NONE, U32_MASK, ConfigError, VertexRangeError, check_lengths, compat_hash,
+                   mixer_hash, pack_edge)
 from .edgehash import EdgeHash
 
 
@@ -82,8 +83,18 @@ class HashList(EdgeHash):
             raise ConfigError("weights are not enabled (StoreConfig.weighted)")
         self._check_pair(x, y)
         code = pack_edge(x, y)
-        slot = self._probe(x, y, code)
-        return slot if slot != NONE and self._data[slot] == code else NONE
+        cap = self._cap
+        slot = mixer_hash(code, cap) if self._mixer else compat_hash(x, y, cap)
+        data = self._data
+        mask = self._mask
+        for _ in range(cap):
+            held = data[slot]
+            if held == code:
+                return slot
+            if held == NONE:
+                return NONE
+            slot = (slot + 1) & mask
+        return NONE
 
     def set_weight(self, x: int, y: int, weight: float) -> bool:
         """Attach a weight to an existing edge; False if the edge is absent."""
