@@ -241,20 +241,20 @@ class DifferentialMismatch(GraphStoreError):
         )
 
 
+def _new_store(name: str, n: int, edges: int, hash_mode: str, weighted: bool = False):
+    """The store called ``name`` over n vertices, sized for ``edges`` adds."""
+    if name == "multilist":
+        return MultiList(n, edges)
+    if name == "oracle":
+        return OracleGraph(n)
+    cfg = StoreConfig(
+        vertex_count=n, expected_edges=max(1, edges), hash_mode=hash_mode, weighted=weighted
+    )
+    return HashList(cfg) if name == "hashlist" else EdgeHash(cfg)
+
+
 def _build_stores(spec: WorkloadSpec, structures: Sequence[str], hash_mode: str, adds: int):
-    stores = []
-    for name in structures:
-        if name == "multilist":
-            store = MultiList(spec.n, adds)
-        elif name == "oracle":
-            store = OracleGraph(spec.n)
-        else:
-            cfg = StoreConfig(
-                vertex_count=spec.n, expected_edges=max(1, adds), hash_mode=hash_mode
-            )
-            store = HashList(cfg) if name == "hashlist" else EdgeHash(cfg)
-        stores.append((name, store))
-    return stores
+    return [(name, _new_store(name, spec.n, adds, hash_mode)) for name in structures]
 
 
 def _run_chunk(chunk, add, has, nbrs):

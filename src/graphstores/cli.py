@@ -14,6 +14,7 @@ from .bench import (
     STRUCTURE_NAMES,
     DifferentialMismatch,
     WorkloadSpec,
+    _new_store,
     run_workload,
     scaling_sweep,
 )
@@ -22,11 +23,9 @@ from .core import (
     ConfigError,
     GraphStoreError,
     HASH_MODES,
-    StoreConfig,
     UnsupportedOperationError,
     VertexRangeError,
 )
-from .edgehash import EdgeHash
 from .formats import (
     GraphFile,
     ParseError,
@@ -36,8 +35,7 @@ from .formats import (
     parse_query_file,
 )
 from .hashlist import HashList
-from .multilist import MultiList
-from .oracle import ORACLE_MAX_VERTICES, OracleGraph
+from .oracle import ORACLE_MAX_VERTICES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,23 +102,14 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _build_query_store(structure: str, graph: GraphFile, hash_mode: str, undirected: bool):
+    if structure == "oracle" and graph.n > ORACLE_MAX_VERTICES:
+        raise UnsupportedOperationError(
+            f"oracle is capped at {ORACLE_MAX_VERTICES} vertices, got n={graph.n}"
+        )
     # Sized from the lines parsed, not the header's m, which only bounds them.
     capacity = len(graph.xs) * (2 if undirected else 1)
-    if structure == "multilist":
-        return MultiList(graph.n, capacity)
-    if structure == "oracle":
-        if graph.n > ORACLE_MAX_VERTICES:
-            raise UnsupportedOperationError(
-                f"oracle is capped at {ORACLE_MAX_VERTICES} vertices, got n={graph.n}"
-            )
-        return OracleGraph(graph.n)
-    cfg = StoreConfig(
-        vertex_count=graph.n,
-        expected_edges=max(1, capacity),
-        hash_mode=hash_mode,
-        weighted=structure == "hashlist" and graph.has_weights,
-    )
-    return HashList(cfg) if structure == "hashlist" else EdgeHash(cfg)
+    weighted = structure == "hashlist" and graph.has_weights
+    return _new_store(structure, graph.n, capacity, hash_mode, weighted)
 
 
 def _load_query_store(store, graph: GraphFile, undirected: bool) -> None:
@@ -187,13 +176,8 @@ def _parse_mix(text: str) -> tuple[float, float, float, float]:
 
 
 def cmd_bench(args) -> int:
+    # run_workload refuses unknown structures and an oversized oracle (exit 1).
     structures = tuple(s.strip() for s in args.structures.split(",") if s.strip())
-    for name in structures:
-        if name not in STRUCTURE_NAMES:
-            raise UsageError(f"unknown structure {name!r}; choose from {STRUCTURE_NAMES}")
-    if "oracle" in structures and args.n > ORACLE_MAX_VERTICES:
-        raise UsageError(f"oracle is capped at {ORACLE_MAX_VERTICES} vertices, got --n {args.n}")
-
     spec = WorkloadSpec(
         generator=args.gen, n=args.n, m=args.m, mix=_parse_mix(args.mix), seed=args.seed
     )

@@ -204,7 +204,7 @@ class TestQuerySizing:
     @pytest.fixture
     def guarded(self, monkeypatch):
         """Refuse any store asked for more than 16 edges, before it allocates."""
-        import graphstores.cli as cli
+        import graphstores.bench as bench  # where the CLI's stores are built
 
         def config(**kwargs):
             assert kwargs["expected_edges"] <= 16, kwargs
@@ -214,8 +214,8 @@ class TestQuerySizing:
             assert capacity <= 16, capacity
             return MultiList(n, capacity)
 
-        monkeypatch.setattr(cli, "StoreConfig", config)
-        monkeypatch.setattr(cli, "MultiList", multilist)
+        monkeypatch.setattr(bench, "StoreConfig", config)
+        monkeypatch.setattr(bench, "MultiList", multilist)
 
     @pytest.mark.parametrize("structure", ["hashlist", "edgehash", "multilist", "oracle"])
     @pytest.mark.parametrize("undirected", [False, True])
