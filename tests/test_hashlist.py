@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from graphstores import (
     CapacityError,
     ConfigError,
+    EdgeHash,
     HashList,
     MultiList,
     NONE,
@@ -286,3 +288,33 @@ class TestInvariants:
                 assert g.contains(x, y) == naive.has(x, y)
         for x in range(n):
             assert g.neighbors(x) == naive.newest_first(x)
+
+
+class TestMemory:
+    def test_chain_arrays_keep_bytes_per_edge_near_the_edge_hash(self):
+        # Same presized input for both stores. The ids are made before
+        # tracing starts, so only the store's own allocations are counted.
+        n, m = 2048, 8192
+        rnd = random.Random(0xB17E)
+        edges = {}
+        while len(edges) < m:
+            edges[(rnd.randrange(n), rnd.randrange(n))] = None
+
+        def traced(cls):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                store = cls(StoreConfig(vertex_count=n, expected_edges=m))
+                for x, y in edges:
+                    store.add_edge(x, y)
+                per_edge = (tracemalloc.get_traced_memory()[0] - base) / m
+            finally:
+                tracemalloc.stop()
+            assert store.edge_count == m and store.rebuilds == 0
+            return store, per_edge
+
+        fused, fused_bytes = traced(HashList)
+        _, hash_bytes = traced(EdgeHash)
+        assert fused_bytes < 64
+        assert fused_bytes < 1.35 * hash_bytes
+        assert fused._heads.itemsize == fused._next.itemsize == 4
