@@ -358,5 +358,5 @@ class EdgeHash(EdgeStore):
         return self._cap
 
     def memory_ints(self) -> int:
-        """Slot cells in the data array: capacity."""
+        """Cells, not bytes, in the data array: capacity."""
         return self._cap

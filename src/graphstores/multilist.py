@@ -127,5 +127,5 @@ class MultiList(EdgeStore):
         return self._m + 1
 
     def memory_ints(self) -> int:
-        """Total ints across heads/next/data: n + 2*(m + 1)."""
+        """Cells, not bytes, across heads/next/data: n + 2*(m + 1)."""
         return self._n + 2 * (self._m + 1)

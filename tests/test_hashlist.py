@@ -18,6 +18,8 @@ from graphstores import (
     mixer_hash,
 )
 
+from graphstores.hashlist import _chain_cells
+
 from _reference import EdgeSetOracle
 
 
@@ -318,3 +320,13 @@ class TestMemory:
         assert fused_bytes < 64
         assert fused_bytes < 1.35 * hash_bytes
         assert fused._heads.itemsize == fused._next.itemsize == 4
+
+    def test_chain_cell_width_follows_capacity(self):
+        # Length 0 on both sides of the limit: nothing near 2**31 cells is made.
+        assert _chain_cells(0, 1 << 31).format == "i"
+        assert _chain_cells(0, (1 << 31) + 1).format == "q"
+        assert _chain_cells(0, (1 << 31) + 1).itemsize == 8
+        cells = _chain_cells(2, 1 << 31)
+        assert cells.itemsize == 4 and list(cells) == [NONE, NONE]
+        cells[1] = (1 << 31) - 1
+        assert list(cells) == [NONE, (1 << 31) - 1]
