@@ -4,10 +4,14 @@ A fused store seeded with a tiny capacity doubles whenever occupancy
 would cross the growth threshold. Rebuilds are observable only through
 the capacity: membership answers, enumeration order, and stored weights
 all read back unchanged. Allocated slots stay within 2*E/max_load_factor
-(power-of-two rounded), which is the linear-memory bound.
+(power-of-two rounded), which is the linear-memory bound. The same adds,
+replayed into presized stores under tracemalloc, give each store's real
+bytes per edge.
 """
 
-from graphstores import HashList, Lcg64, StoreConfig
+import tracemalloc
+
+from graphstores import EdgeHash, HashList, Lcg64, MultiList, StoreConfig
 
 cfg = StoreConfig(vertex_count=500, expected_edges=1, weighted=True)
 store = HashList(cfg)
@@ -17,12 +21,14 @@ print(f"growth threshold: {cfg.growth_threshold}, initial capacity: {store.capac
 print(f"{'edges':>6} {'capacity':>9} {'load':>6} {'rebuilds':>9}")
 
 snapshots = []
+added_edges = []
 added = 0
 while added < 3000:
     x, y = rng.next_below(500), rng.next_below(500)
     before_cap = store.capacity
     if store.add_edge(x, y):
         store.set_weight(x, y, float(added))
+        added_edges.append((x, y))
         added += 1
     if store.capacity != before_cap:
         print(f"{store.edge_count:>6} {store.capacity:>9} {store.load_factor:>6.2f} "
@@ -42,6 +48,26 @@ bound = 2 * store.edge_count * mlf.denominator // mlf.numerator
 print(f"\nmemory check: capacity {store.capacity} <= 2*E/max_load = {bound}:",
       store.capacity <= bound)
 print("total ints allocated (heads + 2 slot arrays + weights):", store.memory_ints())
+
+
+def traced_bytes_per_edge(make):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fresh = make()
+        for x, y in added_edges:
+            fresh.add_edge(x, y)
+        return (tracemalloc.get_traced_memory()[0] - base) / len(added_edges)
+    finally:
+        tracemalloc.stop()
+
+
+sized = StoreConfig(vertex_count=500, expected_edges=len(added_edges))
+print("traced bytes per edge after the same adds, presized:", ", ".join(
+    f"{name} {traced_bytes_per_edge(make):.1f}"
+    for name, make in [("HashList", lambda: HashList(sized)),
+                       ("EdgeHash", lambda: EdgeHash(sized)),
+                       ("MultiList", lambda: MultiList(500, len(added_edges)))]))
 
 print("\none more manual doubling changes nothing observable:")
 sample = [(rng.next_below(500), rng.next_below(500)) for _ in range(5000)]
