@@ -47,7 +47,7 @@ mlf = cfg.max_load_factor
 bound = 2 * store.edge_count * mlf.denominator // mlf.numerator
 print(f"\nmemory check: capacity {store.capacity} <= 2*E/max_load = {bound}:",
       store.capacity <= bound)
-print("total ints allocated (heads + 2 slot arrays + weights):", store.memory_ints())
+print("total cells allocated (heads + 2 slot arrays + weights):", store.memory_ints())
 
 
 def traced_bytes_per_edge(make):

@@ -25,8 +25,8 @@ inherited bodies index them exactly as they index lists, and a store or
 load through a memoryview costs about half what it does on a bare
 ``array``. ``_data`` stays a list, because every probe reads it and
 unboxing a typed cell on each read slows the probe loop. ``_weights``
-stays a list, because ``nan`` is a legal weight, so no float can mean
-"unset", and None does.
+stays a list, because ``nan`` is a legal weight, so no float value can
+mean "unset"; a list holds None for that.
 """
 
 from __future__ import annotations
