@@ -5,12 +5,17 @@ and the newest-first neighbor lists are compared with
 :class:`_reference.LinearProbeModel` after each call, through at least four
 rebuilds in both hash modes, and with growth off up to and past the
 CapacityError of a full table. Weighted HashLists also carry every
-edge's weight, or its lack of one, through drawn and explicit growth.
+edge's weight, or its lack of one, through drawn and explicit growth,
+on 4-byte and on 8-byte chain cells. After each HashList rebuild the
+chain arrays themselves are read: NONE in every empty slot's link, in
+each oldest slot's link and in the head of every vertex without edges,
+also for an empty store, a sparse one and one hub chain.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +28,10 @@ from graphstores import (
     HashList,
     StoreConfig,
     UnsupportedOperationError,
+    hashlist,
 )
 
-from _reference import LinearProbeModel, pow2_at_least
+from _reference import LinearProbeModel, pow2_at_least, unpack_by_arithmetic
 
 CHANNELS = {"add": "add", "has": "contains", "newest_first": "enumerate"}
 KINDS = st.sampled_from(("add", "add", "has", "newest_first"))
@@ -161,10 +167,27 @@ def weigh(store, model, x: int, y: int, weight: float) -> None:
     assert counters(store) == before
 
 
-def rebuilt_as_the_model(store, model) -> None:
-    """Slots, chains and the weight of every added edge, after a rebuild."""
+def chains_as_the_model(store, model) -> None:
+    """Slots, chain links and heads read directly, uncounted, after a rebuild."""
     assert (store.rebuilds, store.capacity, store.edge_count) == (model.rebuilds, model.cap, model.count)
     assert [None if v == NONE else v for v in store._data] == model.slots
+    data, heads, nxt = store._data, store._heads, store._next
+    assert all(nxt[s] == NONE for s, code in enumerate(model.slots) if code is None)
+    for x in range(model.n):
+        targets = model.targets.get(x, [])
+        if not targets:
+            assert heads[x] == NONE, x
+            continue
+        chain = [heads[x]]
+        while len(chain) < len(targets):
+            chain.append(nxt[chain[-1]])
+        assert nxt[chain[-1]] == NONE, x
+        assert [unpack_by_arithmetic(data[s])[1] for s in chain] == targets[::-1], x
+
+
+def rebuilt_as_the_model(store, model) -> None:
+    """Slots, chains and the weight of every added edge, after a rebuild."""
+    chains_as_the_model(store, model)
     edges = [(x, y) for x, ys in model.targets.items() for y in ys]
     before = counters(store)
     assert [store.get_weight(x, y) for x, y in edges] == [model.get_weight(x, y) for x, y in edges]
@@ -173,11 +196,7 @@ def rebuilt_as_the_model(store, model) -> None:
         step(store, model, "newest_first", x)
 
 
-@pytest.mark.parametrize("mode", ["mixer", "paper_compat"])
-@settings(max_examples=15, deadline=None)
-@given(stream=streams(), grow_at=st.sets(st.integers(0, 60), min_size=1, max_size=3),
-       seed=st.integers(0, 2**32))
-def test_weighted_store_keeps_weights_through_rebuilds(mode, stream, grow_at, seed):
+def keeps_weights_through_rebuilds(mode, stream, grow_at, seed) -> HashList:
     # The drawn ops add unweighted edges; of the filled ones about a quarter
     # stay unweighted, and some are weighted while absent or weighted again.
     n, ops, fill = stream
@@ -206,3 +225,60 @@ def test_weighted_store_keeps_weights_through_rebuilds(mode, stream, grow_at, se
             rebuilt_as_the_model(store, model)
     assert model.rebuilds >= 4
     rebuilt_as_the_model(store, model)
+    return store
+
+
+@pytest.mark.parametrize("mode", ["mixer", "paper_compat"])
+@settings(max_examples=15, deadline=None)
+@given(stream=streams(), grow_at=st.sets(st.integers(0, 60), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32))
+def test_weighted_store_keeps_weights_through_rebuilds(mode, stream, grow_at, seed):
+    keeps_weights_through_rebuilds(mode, stream, grow_at, seed)
+
+
+@pytest.mark.parametrize("mode", ["mixer", "paper_compat"])
+@settings(max_examples=5, deadline=None)
+@given(stream=streams(), grow_at=st.sets(st.integers(0, 60), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32))
+def test_eight_byte_chain_cells_keep_weights_through_rebuilds(mode, stream, grow_at, seed):
+    # 8-byte cells are chosen only past 2**31 slots; patching the width in
+    # runs the same rebuilds on them without allocating that many.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hashlist, "_chain_cells",
+                      lambda length, cap: memoryview(array("q", [NONE]) * length))
+        store = keeps_weights_through_rebuilds(mode, stream, grow_at, seed)
+    assert store._heads.format == store._next.format == "q"
+
+
+def _edge_cases():
+    hub = [(7, y) for y in range(260)] + [(x, 7) for x in range(20)]
+    random.Random(9).shuffle(hub)
+    return {
+        "empty": (10, []),
+        "sparse": (50_000, [(49_999, 0), (0, 49_999), (25_000, 25_000)]),
+        "hub": (300, hub),
+    }
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("mode", ["mixer", "paper_compat"])
+@pytest.mark.parametrize("case", ["empty", "sparse", "hub"])
+def test_rebuilt_chains_at_the_edges(case, mode, weighted):
+    # No edges at all, n far above the edge count, and one chain of 260
+    # edges: each rebuild must leave NONE wherever no slot follows.
+    n, edges = _edge_cases()[case]
+    store, model = pair(HashList, mode, n=n, weighted=weighted)
+    for k, (x, y) in enumerate(edges):
+        rebuilds = model.rebuilds
+        step(store, model, "add", x, y)
+        if weighted and k % 3:
+            weigh(store, model, x, y, float(k))
+        if model.rebuilds != rebuilds:
+            chains_as_the_model(store, model)
+    for _ in range(2):
+        store.grow()
+        model._grow()
+        chains_as_the_model(store, model)
+        edges = [(x, y) for x, ys in model.targets.items() for y in ys]
+        assert [store.get_weight(x, y) if weighted else None for x, y in edges] == \
+            [model.get_weight(x, y) for x, y in edges]
