@@ -15,10 +15,13 @@ call costs more than the work of most of these steps. ``pack_edge``,
 standalone functions. This is also the probe core of
 :class:`~graphstores.hashlist.HashList`, which inherits both bodies: they
 thread a new slot onto its source's chain whenever ``_heads`` is set, and
-it is None on an EdgeHash. HashList extends ``_allocate`` and supplies
-the order ``_rebuild`` re-seats its codes in. A rebuild is one pass: one
+it is None on an EdgeHash. HashList extends ``_allocate`` and
+``_rebuild``: it walks the chains of its live vertices, and only those,
+into the order ``_reseat`` seats its codes in. The seat is one pass: one
 :func:`~graphstores.core.mixer_finalize_array` call for every mixer home,
-then each code is seated, and on a HashList threaded and its weight carried.
+then each code is seated, and on a HashList its weight carried and its
+slot recorded. HashList then threads its chains from the recorded slots
+in a few numpy operations, outside the per-code loop.
 
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a
@@ -308,34 +311,35 @@ class EdgeHash(EdgeStore):
     def _rebuild(self, new_cap: int) -> None:
         self._reseat(new_cap, [code for code in self._data if code != NONE], None)
 
-    def _reseat(self, new_cap: int, codes: list[int], weights: list | None) -> None:
+    def _reseat(self, new_cap: int, codes: list[int], weights: list | None) -> list[int] | None:
         """Seat ``codes``, in that order, in a fresh table of ``new_cap`` slots.
 
         Linear probing is order-dependent, so the order fixes the layout.
-        When ``_heads`` is set, the same pass threads each slot onto its
-        source's chain and stores its weight from ``weights`` (aligned with
-        ``codes``, or None). Mixer homes come from one array finalizer call;
-        the probe is inline, since a rebuild re-seats every edge.
+        Mixer homes come from one array finalizer call; the probe is inline,
+        since a rebuild re-seats every edge. When ``_heads`` is set, the
+        same pass stores each code's weight from ``weights`` (aligned with
+        ``codes``, or None) and returns the seated slots in seat order, from
+        which the caller threads the chains; otherwise it returns None.
         """
         self._allocate(new_cap)
-        data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
+        data, wts = self._data, self._weights
         mask = self._mask
         if self._mixer:
             homes = (mixer_finalize_array(codes) & np.uint64(mask)).tolist()
         else:
             homes = [compat_hash(*unpack_edge(code), new_cap) for code in codes]
+        seated = None if self._heads is None else []
         ws = repeat(None) if weights is None else weights
         for code, slot, w in zip(codes, homes, ws):
             while data[slot] != NONE:
                 slot = (slot + 1) & mask
             data[slot] = code
-            if heads is not None:
-                x = code >> 32
-                nxt[slot] = heads[x]
-                heads[x] = slot
+            if seated is not None:
+                seated.append(slot)
                 if w is not None:
                     wts[slot] = w
         self.rebuilds += 1
+        return seated
 
     @property
     def edge_count(self) -> int:

@@ -7,10 +7,16 @@ source vertex's chain (``next[slot] = heads[x]; heads[x] = slot``).
 Membership inherits the hash table's degree-independent cost; enumeration
 walks the chain and touches exactly deg(x) slots. Chains use the
 out-of-band NONE sentinel because slot 0 is a legitimate hash slot. This
-class adds only the chain arrays (``_allocate``), the order a rebuild
-seats codes in (``_rebuild``: vertex by vertex, each chain oldest-first;
-the edge hash's rebuild pass threads the chains and carries the weights),
-enumeration, and the weight lookups.
+class adds only the chain arrays (``_allocate``), the rebuild's order and
+threading (``_rebuild``), enumeration, and the weight lookups.
+
+A rebuild finds the vertices that have edges with one numpy pass over
+``_heads`` and walks only their chains, in Python, into the seat order:
+vertex by vertex, each chain oldest-first as one run. The edge hash's
+seat pass places the codes, carries the weights and returns the seated
+slots. The chains are then threaded with numpy over views of the fresh
+chain arrays: ``heads[v]`` is the last slot of v's run, every other slot
+links to the one seated before it, and each run's first slot keeps NONE.
 
 The bulk ``add_edges`` and ``contains_many`` come from the edge hash's
 vectorized front end and batch loops; the add loop threads each new slot
@@ -32,6 +38,8 @@ mean "unset"; a list holds None for that.
 from __future__ import annotations
 
 from array import array
+
+import numpy as np
 
 from .core import (NONE, U32_MASK, ConfigError, VertexRangeError, check_lengths, compat_hash,
                    mixer_hash, pack_edge)
@@ -131,19 +139,32 @@ class HashList(EdgeHash):
         return None if slot == NONE else self._weights[slot]
 
     def _rebuild(self, new_cap: int) -> None:
-        # Chains enumerate newest-first; seat each oldest-first so that the
-        # threading in ``_reseat`` reads back in the same order.
-        data, nxt, old_weights = self._data, self._next, self._weights
+        # Chains enumerate newest-first, so walking the live vertices from
+        # the last one and reversing the whole walk gives the seat order:
+        # vertex by vertex, each chain oldest-first.
+        data, heads, nxt, old_weights = self._data, self._heads, self._next, self._weights
+        old_heads = np.frombuffer(heads, dtype=heads.format)
+        live = np.flatnonzero(old_heads != NONE)
         order = []
-        for i in self._heads:
-            chain = []
+        append = order.append
+        starts = []
+        for i in reversed(old_heads[live].tolist()):
+            starts.append(len(order))
             while i != NONE:
-                chain.append(i)
+                append(i)
                 i = nxt[i]
-            chain.reverse()
-            order += chain
+        order.reverse()
         weights = None if old_weights is None else [old_weights[s] for s in order]
-        self._reseat(new_cap, [data[s] for s in order], weights)
+        seated = self._reseat(new_cap, [data[s] for s in order], weights)
+        # heads[v] is the last slot of v's run, every other slot links to the
+        # one seated before it, and each run's first slot keeps NONE.
+        new_heads = np.frombuffer(self._heads, dtype=self._heads.format)
+        new_next = np.frombuffer(self._next, dtype=self._next.format)
+        slots = np.array(seated, dtype=np.intp)
+        last = len(order) - 1 - np.array(starts[::-1], dtype=np.intp)
+        new_heads[live] = slots[last]
+        new_next[slots[1:]] = slots[:-1]
+        new_next[slots[last[:-1] + 1]] = NONE
 
     def memory_ints(self) -> int:
         """Cells, not bytes: n heads + data/next slot arrays (+ weights): n + 2*cap (+ cap)."""
