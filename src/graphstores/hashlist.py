@@ -142,8 +142,8 @@ class HashList(EdgeHash):
         # Chains enumerate newest-first, so walking the live vertices from
         # the last one and reversing the whole walk gives the seat order:
         # vertex by vertex, each chain oldest-first.
-        data, heads, nxt, old_weights = self._data, self._heads, self._next, self._weights
-        old_heads = np.frombuffer(heads, dtype=heads.format)
+        data, nxt, old_weights = self._data, self._next, self._weights
+        old_heads = np.frombuffer(self._heads, dtype=self._heads.format)
         live = np.flatnonzero(old_heads != NONE)
         order = []
         append = order.append
@@ -154,10 +154,14 @@ class HashList(EdgeHash):
                 append(i)
                 i = nxt[i]
         order.reverse()
+        # The view would keep the n old head cells alive through the seat.
+        del old_heads
         weights = None if old_weights is None else [old_weights[s] for s in order]
         seated = self._reseat(new_cap, [data[s] for s in order], weights)
-        # heads[v] is the last slot of v's run, every other slot links to the
-        # one seated before it, and each run's first slot keeps NONE.
+        # A run that starts at k in the walk ends at len(order) - 1 - k in
+        # the seat order. heads[v] is the last slot of v's run, every other
+        # slot links to the one seated before it, and each run's first slot
+        # keeps NONE.
         new_heads = np.frombuffer(self._heads, dtype=self._heads.format)
         new_next = np.frombuffer(self._next, dtype=self._next.format)
         slots = np.array(seated, dtype=np.intp)
