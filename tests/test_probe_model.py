@@ -279,6 +279,6 @@ def test_rebuilt_chains_at_the_edges(case, mode, weighted):
         store.grow()
         model._grow()
         chains_as_the_model(store, model)
-        edges = [(x, y) for x, ys in model.targets.items() for y in ys]
-        assert [store.get_weight(x, y) if weighted else None for x, y in edges] == \
-            [model.get_weight(x, y) for x, y in edges]
+        added = [(x, y) for x, ys in model.targets.items() for y in ys]
+        assert [store.get_weight(x, y) if weighted else None for x, y in added] == \
+            [model.get_weight(x, y) for x, y in added]
