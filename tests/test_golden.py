@@ -184,3 +184,22 @@ def test_cli_query_bytes_pinned(tmp_path, structure, hash_mode, undirected):
     nbrs, bits = CLI_GOLDEN[undirected]
     lines = list(bits) if structure == "edgehash" else nbrs + list(bits)
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+@pytest.mark.parametrize("hash_mode", ["mixer", "paper_compat"])
+@pytest.mark.parametrize("structure", ["hashlist", "multilist", "oracle"])
+def test_cli_repeated_n_queries_bytes_pinned(tmp_path, structure, hash_mode, undirected):
+    """Every vertex asked twice, the first time alternating with C lines, gives the same lines twice."""
+    graph = tmp_path / "graph.txt"
+    graph.write_text(CLI_GRAPH)
+    queries = tmp_path / "queries.txt"
+    asked = [q for pair in zip(CLI_N, CLI_C) for q in pair] + CLI_C[8:] + CLI_N
+    queries.write_text("\n".join(asked) + "\n")
+    out = tmp_path / "out.txt"
+    argv = ["query", str(graph), str(queries), "--structure", structure,
+            "--hash-mode", hash_mode, "--out", str(out)]
+    assert cli_main(argv + ["--undirected"] if undirected else argv) == 0
+    nbrs, bits = CLI_GOLDEN[undirected]
+    lines = [r for pair in zip(nbrs, bits) for r in pair] + list(bits[8:]) + nbrs
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
