@@ -162,6 +162,22 @@ class TestQueryErrors:
         assert code == 3
         assert out == "" and "enumerate" in err
 
+    @pytest.mark.parametrize("structure", ["hashlist", "multilist", "oracle"])
+    def test_first_bad_n_vertex_among_repeats_exit_3(self, tmp_path, capsys, structure):
+        g, q = tmp_path / "g.txt", tmp_path / "q.txt"
+        g.write_text("8 2\n0 1\n1 2\n")
+        q.write_text("N 1\nN 9\nN 1\nN 12\n")
+        code, out, err = run_cli(capsys, "query", str(g), str(q), "--structure", structure)
+        assert (code, out) == (3, "")
+        assert "vertex 9 " in err and "12" not in err
+
+    def test_repeated_neighbors_on_edgehash_exit_3(self, tmp_path, capsys, small_graph):
+        q = tmp_path / "q.txt"
+        q.write_text("C 0 1\nN 0\nN 0\n")
+        code, out, err = run_cli(capsys, "query", str(small_graph), str(q), "--structure", "edgehash")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "enumerate" in err
+
     @pytest.mark.parametrize("bad,line", [("graph", 3), ("queries", 2)])
     def test_invalid_utf8_exit_2(self, tmp_path, capsys, bad, line):
         files = {"graph": b"3 2\n0 1\n", "queries": b"C 0 1\n"}
