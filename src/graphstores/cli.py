@@ -130,12 +130,17 @@ def _load_query_store(store, graph: GraphFile, undirected: bool) -> None:
 
 
 def _answer_queries(store, queries: QueryFile) -> list[str]:
-    """Result lines in query order: one ``contains_many`` for the C queries, then N one by one."""
+    """Result lines in query order: one ``contains_many`` for the C queries, then the N lines.
+
+    The store no longer changes, so each distinct N vertex is enumerated
+    and formatted once, in the order of its first N query, and every later
+    query of it reuses that line. The first bad N vertex still raises first.
+    """
     hits = iter(store.contains_many(queries.cxs, queries.cys))
-    nvs = iter(queries.nvs)
     # EdgeHash.neighbors raises UnsupportedOperationError
-    return [("1" if next(hits) else "0") if c else " ".join(map(str, store.neighbors(next(nvs))))
-            for c in queries.is_c]
+    lines = {v: " ".join(map(str, store.neighbors(v))) for v in dict.fromkeys(queries.nvs)}
+    nbrs = map(lines.__getitem__, queries.nvs)
+    return [("1" if next(hits) else "0") if c else next(nbrs) for c in queries.is_c]
 
 
 def _read_text(path: str) -> str:
@@ -152,10 +157,11 @@ def cmd_query(args) -> int:
 
     Both files are parsed into columns (see ``formats``), which go straight
     to ``add_edges`` and ``contains_many``. The store is sized from the
-    edge lines parsed, not from the header's ``m``. The result bytes are
-    those of adding and asking one edge at a time. Because all C queries
-    are asked before any N query, a file with several bad queries may
-    report a different one of them first; the exit code is the same.
+    edge lines parsed, not from the header's ``m``. Each distinct N vertex
+    is enumerated and formatted once, however often it is asked. The result
+    bytes are those of adding and asking one edge at a time. Because all C
+    queries are asked before any N query, a file with several bad queries
+    may report a different one of them first; the exit code is the same.
     """
     graph = parse_edge_list(_read_text(args.graph))
     queries = parse_query_file(_read_text(args.queries))

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from graphstores import HashList, MultiList, StoreConfig, parse_edge_list
-from graphstores.cli import _build_query_store, _load_query_store, main
+from graphstores.cli import _answer_queries, _build_query_store, _load_query_store, main
+from graphstores.formats import parse_query_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -298,6 +299,20 @@ class TestQueryLoad:
             pairs = [(x, y) for x in range(50) for y in range(50)]
             assert [store.get_weight(x, y) for x, y in pairs] == [ref.get_weight(x, y) for x, y in pairs]
             assert [store.neighbors(v) for v in range(50)] == [ref.neighbors(v) for v in range(50)]
+
+
+class TestQueryAnswers:
+    """The answer phase enumerates each distinct N vertex once and reuses its line."""
+
+    @pytest.mark.parametrize("structure", ["hashlist", "multilist", "oracle"])
+    def test_each_distinct_n_vertex_enumerated_once(self, structure):
+        graph = parse_edge_list("6 5\n0 1\n0 2\n3 4\n4 0\n5 5\n")
+        queries = parse_query_file("N 0\nC 0 1\nN 3\nN 0\nN 1\nC 4 0\nN 3\nN 0\n")
+        store = _build_query_store(structure, graph, "mixer", False)
+        _load_query_store(store, graph, False)
+        lines = _answer_queries(store, queries)
+        assert lines == ["2 1", "1", "4", "2 1", "", "1", "4", "2 1"]
+        assert store.counters.enumerate.ops == len(set(queries.nvs)) == 3
 
 
 class TestBench:
