@@ -1,7 +1,8 @@
 """Command-line front end: ingest edge lists, answer queries, run benchmarks.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 vertex-range or
-unsupported-operation error, 4 differential/selftest failure.
+Exit codes: 0 success, 1 usage or configuration error (out of memory
+included), 2 parse error, 3 vertex-range or unsupported-operation error,
+4 differential/selftest failure.
 """
 
 from __future__ import annotations
@@ -235,6 +236,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # e.g. a header n whose per-vertex heads do not fit
+        print(f"configuration error: out of memory {exc}".rstrip(), file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -202,6 +202,25 @@ class TestQueryErrors:
         assert (code, out) == (exit_code, "")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("structure", ["hashlist", "multilist"])
+    def test_memory_error_one_line_exit_1(self, tmp_path, capsys, monkeypatch, small_graph, structure):
+        """A store that cannot be allocated (say, for a header n of 2**32) exits 1 in one line.
+
+        The store classes the factory calls raise instead, so nothing is allocated.
+        """
+        import graphstores.bench as bench  # where the CLI's stores are built
+
+        def refuse(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(bench, "HashList", refuse)
+        monkeypatch.setattr(bench, "MultiList", refuse)
+        q = tmp_path / "q.txt"
+        q.write_text("C 0 1\n")
+        code, out, err = run_cli(capsys, "query", str(small_graph), str(q), "--structure", structure)
+        assert (code, out) == (1, "")
+        assert err == "configuration error: out of memory\n"
+
     def test_unknown_flag_exit_1(self, tmp_path, capsys, small_graph):
         code, _, _ = run_cli(capsys, "query", str(small_graph), str(small_graph), "--frobnicate")
         assert code == 1
