@@ -3,7 +3,7 @@
 A fused store seeded with a tiny capacity doubles whenever occupancy
 would cross the growth threshold. Rebuilds are observable only through
 the capacity: membership answers, enumeration order, and stored weights
-all read back unchanged. Allocated slots stay within 2*E/max_load_factor
+all read back unchanged. Allocated slots stay within 2*E/MAX_LOAD_FACTOR
 (power-of-two rounded), which is the linear-memory bound. The same adds,
 replayed into presized stores under tracemalloc, give each store's real
 bytes per edge. Last, one explicit grow() is timed on the HashList and on
@@ -14,12 +14,13 @@ import tracemalloc
 from time import perf_counter
 
 from graphstores import EdgeHash, HashList, Lcg64, MultiList, StoreConfig
+from graphstores.core import GROWTH_THRESHOLD, MAX_LOAD_FACTOR
 
 cfg = StoreConfig(vertex_count=500, expected_edges=1, weighted=True)
 store = HashList(cfg)
 rng = Lcg64(0xD1CE)
 
-print(f"growth threshold: {cfg.growth_threshold}, initial capacity: {store.capacity}")
+print(f"growth threshold: {GROWTH_THRESHOLD}, initial capacity: {store.capacity}")
 print(f"{'edges':>6} {'capacity':>9} {'load':>6} {'rebuilds':>9}")
 
 snapshots = []
@@ -45,7 +46,7 @@ for edges, nbrs, _ in snapshots:
     print(f"  after {edges:>5} edges neighbors(7) started {nbrs[:6]}... "
           f"still a suffix of today's chain: {prefix_intact}")
 
-mlf = cfg.max_load_factor
+mlf = MAX_LOAD_FACTOR
 bound = 2 * store.edge_count * mlf.denominator // mlf.numerator
 print(f"\nmemory check: capacity {store.capacity} <= 2*E/max_load = {bound}:",
       store.capacity <= bound)

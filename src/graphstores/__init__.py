@@ -34,7 +34,6 @@ from .core import (
     ceil_pow2,
     compat_hash,
     mixer_hash,
-    mixer_hash_array,
     pack_edge,
     unpack_edge,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "compat_hash",
     "generate_ops",
     "mixer_hash",
-    "mixer_hash_array",
     "pack_edge",
     "parse_edge_list",
     "parse_queries",

@@ -97,7 +97,8 @@ class WorkloadSpec:
             raise ConfigError("grid workloads need at least 4 vertices")
         if self.m < 0:
             raise ConfigError("m must be nonnegative")
-        if len(self.mix) != 4 or any(f < 0 for f in self.mix):
+        # NaN >= 0 is False, so a NaN fraction fails this; it would pass "f < 0".
+        if len(self.mix) != 4 or not all(f >= 0 for f in self.mix):
             raise ConfigError("mix must be four nonnegative fractions")
         if abs(sum(self.mix) - 1.0) > 1e-9:
             raise ConfigError(f"mix fractions must sum to 1, got {sum(self.mix)}")

@@ -114,47 +114,32 @@ def mixer_finalize_array(codes: np.ndarray) -> np.ndarray:
     return z ^ (z >> s33)
 
 
-def mixer_hash_array(codes: np.ndarray, capacity: int) -> np.ndarray:
-    """Vectorized :func:`mixer_hash` over an array of codes.
-
-    Bit-identical to the scalar version; handy for bulk distribution
-    checks where a Python loop over millions of codes would crawl.
-    """
-    return (mixer_finalize_array(codes) & np.uint64(capacity - 1)).astype(np.int64)
-
-
 def ceil_pow2(value: int) -> int:
     """Smallest power of two >= value (value >= 1)."""
     return 1 << (value - 1).bit_length()
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise ConfigError(f"expected a rational number, got {value!r}")
-
-
 HASH_MODES = ("mixer", "paper_compat")
+
+#: Sizing policy of every hash-backed store: a table starts at a load factor
+#: of at most MAX_LOAD_FACTOR and doubles before its occupancy would pass
+#: GROWTH_THRESHOLD.
+MAX_LOAD_FACTOR = Fraction(1, 2)
+GROWTH_THRESHOLD = Fraction(7, 10)
 
 
 @dataclass(frozen=True)
 class StoreConfig:
     """Sizing and behavior knobs shared by the hash-backed stores.
 
-    max_load_factor governs initial sizing: the initial slot capacity is
-    the smallest power of two >= expected_edges / max_load_factor, never
-    below MIN_CAPACITY. growth_threshold is the occupancy fraction whose
-    crossing triggers a doubling rebuild (when growth_enabled).
+    The initial slot capacity is the smallest power of two >=
+    expected_edges / MAX_LOAD_FACTOR, never below MIN_CAPACITY. With
+    growth_enabled, crossing GROWTH_THRESHOLD occupancy triggers a doubling
+    rebuild. Both fractions are fixed policy, not fields.
     """
 
     vertex_count: int
     expected_edges: int
-    max_load_factor: Fraction = Fraction(1, 2)
-    growth_threshold: Fraction = Fraction(7, 10)
     growth_enabled: bool = True
     hash_mode: str = "mixer"
     weighted: bool = False
@@ -166,25 +151,18 @@ class StoreConfig:
             raise ConfigError("vertex ids are limited to 32 bits")
         if self.expected_edges < 1:
             raise ConfigError("expected_edges must be positive")
-        object.__setattr__(self, "max_load_factor", _as_fraction(self.max_load_factor))
-        object.__setattr__(self, "growth_threshold", _as_fraction(self.growth_threshold))
-        if not (0 < self.max_load_factor < self.growth_threshold < 1):
-            raise ConfigError(
-                "need 0 < max_load_factor < growth_threshold < 1, got "
-                f"{self.max_load_factor} and {self.growth_threshold}"
-            )
         if self.hash_mode not in HASH_MODES:
             raise ConfigError(f"hash_mode must be one of {HASH_MODES}, got {self.hash_mode!r}")
 
     @property
     def initial_capacity(self) -> int:
-        mlf = self.max_load_factor
+        mlf = MAX_LOAD_FACTOR
         needed = -(-self.expected_edges * mlf.denominator // mlf.numerator)
         return max(MIN_CAPACITY, ceil_pow2(needed))
 
     def growth_limit(self, capacity: int) -> int:
         """Largest occupied count that does not force a rebuild at this capacity."""
-        thr = self.growth_threshold
+        thr = GROWTH_THRESHOLD
         return thr.numerator * capacity // thr.denominator
 
 

@@ -1,14 +1,16 @@
 """Operation-cost counters attached to every store.
 
-Hash-backed stores report cost as slot *probes*; list-backed stores report
-node *traversals*. Each operation class (add / contains / enumerate) gets
-its own channel so reports can separate insertion cost from query cost.
-A successful insert counts the cell or slot it writes, so the cheapest
-possible add costs 1 in either unit.
+Each operation class (add / contains / enumerate) gets its own channel so
+reports can separate insertion cost from query cost. A channel holds one
+cost/peak pair: ``total`` sums the cost of its operations and ``peak`` is
+the largest single cost. Hash-backed lookups cost slot *probes* and list
+walks cost node *traversals*; a channel only ever records one of the two,
+so its unit is that of the store and operation class. A successful insert
+counts the cell or slot it writes, so the cheapest possible add costs 1.
 
 The stores' scalar calls update a channel's fields inline rather than
-calling ``record_probes`` / ``record_traversals``, to save a Python call
-per operation; the ``record_*`` methods stay the public way to record.
+calling ``record``, to save a Python call per operation; ``record`` and
+``record_batch`` stay the public way to record.
 """
 
 from __future__ import annotations
@@ -21,48 +23,35 @@ class Channel:
     """Monotone counters for one operation class; reset() starts a new phase."""
 
     ops: int = 0
-    probes: int = 0
-    traversals: int = 0
-    max_probes: int = 0
-    max_traversals: int = 0
+    total: int = 0
+    peak: int = 0
 
-    def record_probes(self, count: int) -> None:
+    def record(self, count: int) -> None:
+        """Record one operation of cost ``count``."""
         self.ops += 1
-        self.probes += count
-        if count > self.max_probes:
-            self.max_probes = count
+        self.total += count
+        if count > self.peak:
+            self.peak = count
 
-    def record_probe_batch(self, ops: int, probes: int, peak: int) -> None:
-        """Record ``ops`` operations at once: ``probes`` in all, the longest ``peak``."""
+    def record_batch(self, ops: int, total: int, peak: int) -> None:
+        """Record ``ops`` operations at once: ``total`` cost in all, the largest ``peak``."""
         self.ops += ops
-        self.probes += probes
-        if peak > self.max_probes:
-            self.max_probes = peak
+        self.total += total
+        if peak > self.peak:
+            self.peak = peak
 
-    def record_traversals(self, count: int) -> None:
-        self.ops += 1
-        self.traversals += count
-        if count > self.max_traversals:
-            self.max_traversals = count
-
-    @property
-    def total(self) -> int:
-        return self.probes + self.traversals
+    # Names kept for callers that record by unit; both are ``record``.
+    record_probes = record
+    record_traversals = record
 
     @property
     def mean(self) -> float:
         return self.total / self.ops if self.ops else 0.0
 
-    @property
-    def peak(self) -> int:
-        return self.max_probes if self.max_probes > self.max_traversals else self.max_traversals
-
     def reset(self) -> None:
         self.ops = 0
-        self.probes = 0
-        self.traversals = 0
-        self.max_probes = 0
-        self.max_traversals = 0
+        self.total = 0
+        self.peak = 0
 
 
 OP_CLASSES = ("add", "contains", "enumerate")

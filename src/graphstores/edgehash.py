@@ -11,7 +11,7 @@ slot.
 check, packing, the mixer finalizer, the bounded probe, the counter fields
 and, on add, the seat all run in one frame, because in CPython a nested
 call costs more than the work of most of these steps. ``pack_edge``,
-``mixer_hash`` and ``Channel.record_probes`` spell out the same steps as
+``mixer_hash`` and ``Channel.record`` spell out the same steps as
 standalone functions. This is also the probe core of
 :class:`~graphstores.hashlist.HashList`, which inherits both bodies: they
 thread a new slot onto its source's chain whenever ``_heads`` is set, and
@@ -162,9 +162,9 @@ class EdgeHash(EdgeStore):
             probes += 1
         channel = self.counters.add
         channel.ops += 1
-        channel.probes += probes
-        if probes > channel.max_probes:
-            channel.max_probes = probes
+        channel.total += probes
+        if probes > channel.peak:
+            channel.peak = probes
         if held == code:
             return False
         data[slot] = code
@@ -199,9 +199,9 @@ class EdgeHash(EdgeStore):
             probes += 1
         channel = self.counters.contains
         channel.ops += 1
-        channel.probes += probes
-        if probes > channel.max_probes:
-            channel.max_probes = probes
+        channel.total += probes
+        if probes > channel.peak:
+            channel.peak = probes
         return held == code
 
     def add_edges(self, xs, ys) -> list[bool]:
@@ -263,7 +263,7 @@ class EdgeHash(EdgeStore):
                     wts[slot] = w
         finally:
             self._count = count
-            self.counters.add.record_probe_batch(len(out), total, peak)
+            self.counters.add.record_batch(len(out), total, peak)
         if k < len(xs):
             self._check_pair(xs[k], ys[k])
         return out
@@ -292,7 +292,7 @@ class EdgeHash(EdgeStore):
             if probes > peak:
                 peak = probes
             append(held == code)
-        self.counters.contains.record_probe_batch(len(out), total, peak)
+        self.counters.contains.record_batch(len(out), total, peak)
         if k < len(xs):
             self._check_pair(xs[k], ys[k])
         return out

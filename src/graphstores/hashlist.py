@@ -101,9 +101,9 @@ class HashList(EdgeHash):
         steps = len(out)
         channel = self.counters.enumerate
         channel.ops += 1
-        channel.traversals += steps
-        if steps > channel.max_traversals:
-            channel.max_traversals = steps
+        channel.total += steps
+        if steps > channel.peak:
+            channel.peak = steps
         return out
 
     def _weight_slot(self, x: int, y: int) -> int:

@@ -65,9 +65,9 @@ class MultiList(EdgeStore):
             steps += 1
         channel = self.counters.add
         channel.ops += 1
-        channel.traversals += steps
-        if steps > channel.max_traversals:
-            channel.max_traversals = steps
+        channel.total += steps
+        if steps > channel.peak:
+            channel.peak = steps
         # i is still the duplicate's cell, or 0 when the scan ran out and the edge went in.
         return i == 0
 
@@ -86,9 +86,9 @@ class MultiList(EdgeStore):
             i = nxt[i]
         channel = self.counters.contains
         channel.ops += 1
-        channel.traversals += steps
-        if steps > channel.max_traversals:
-            channel.max_traversals = steps
+        channel.total += steps
+        if steps > channel.peak:
+            channel.peak = steps
         return i != 0
 
     def neighbors(self, x: int) -> list[int]:
@@ -104,9 +104,9 @@ class MultiList(EdgeStore):
         steps = len(out)
         channel = self.counters.enumerate
         channel.ops += 1
-        channel.traversals += steps
-        if steps > channel.max_traversals:
-            channel.max_traversals = steps
+        channel.total += steps
+        if steps > channel.peak:
+            channel.peak = steps
         return out
 
     @property

@@ -33,7 +33,7 @@ class OracleGraph(EdgeStore):
 
     def add_edge(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
-        self.counters.add.record_traversals(1)
+        self.counters.add.record(1)
         if self._matrix[x, y]:
             return False
         self._matrix[x, y] = True
@@ -43,7 +43,7 @@ class OracleGraph(EdgeStore):
 
     def contains(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
-        self.counters.contains.record_traversals(1)
+        self.counters.contains.record(1)
         return bool(self._matrix[x, y])
 
     def neighbors(self, x: int) -> list[int]:
@@ -51,12 +51,8 @@ class OracleGraph(EdgeStore):
         if x < 0 or x >= self._n:
             raise VertexRangeError(f"vertex {x} outside range [0, {self._n})")
         log = self._logs[x]
-        self.counters.enumerate.record_traversals(len(log))
+        self.counters.enumerate.record(len(log))
         return log[::-1]
-
-    def recount_edges(self) -> int:
-        """Independent tally by full matrix scan; must equal edge_count."""
-        return int(np.count_nonzero(self._matrix))
 
     @property
     def edge_count(self) -> int:

@@ -89,7 +89,7 @@ class LinearProbeModel:
     edge, apart from the slots, and set and read without being counted.
     """
 
-    #: StoreConfig's default growth_threshold, the one every test store uses.
+    #: The stores' fixed growth threshold, core.GROWTH_THRESHOLD, restated here.
     THRESHOLD = Fraction(7, 10)
 
     def __init__(self, n: int, capacity: int, *, mode: str, chained: bool,

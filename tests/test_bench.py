@@ -148,6 +148,9 @@ class TestWorkloadSpec:
             dict(generator="uniform", n=10, m=10, mix=(0.5, 0.5, 0.5, 0.5)),
             dict(generator="uniform", n=10, m=10, mix=(1.5, -0.5, 0, 0)),
             dict(generator="uniform", n=10, m=10, seed=2**64),
+            # NaN passes both "f < 0" and the sum test, as it compares false
+            dict(generator="uniform", n=10, m=10, mix=(float("nan"), 0, 0, 1)),
+            dict(generator="uniform", n=10, m=10, mix=(0.5, float("nan"), 0.5, 0)),
         ],
     )
     def test_invalid(self, kwargs):

@@ -390,6 +390,13 @@ class TestBench:
         code, _, _ = run_cli(capsys, "bench", "--n", "10", "--m", "10", "--mix", "1,2")
         assert code == 1
 
+    @pytest.mark.parametrize("mix", ["nan,0,0,1", "0.5,nan,0.5,0"])
+    def test_nan_mix_one_line_exit_1(self, capsys, mix):
+        code, out, err = run_cli(capsys, "bench", "--n", "10", "--m", "10", "--mix", mix)
+        assert (code, out) == (1, "")
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_structure_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--n", "10", "--m", "10",
                              "--structures", "skiplist")

@@ -143,9 +143,9 @@ class TestCrossStructure:
             if g.add_edge(x, y):
                 degrees[x] += 1
         for x in range(n):
-            before = g.counters.enumerate.traversals
+            before = g.counters.enumerate.total
             seq = g.neighbors(x)
-            assert g.counters.enumerate.traversals - before == len(seq) == degrees[x]
+            assert g.counters.enumerate.total - before == len(seq) == degrees[x]
 
 
 class TestWeights:

@@ -190,13 +190,13 @@ class TestInstrumentation:
     def test_add_to_empty_costs_one(self):
         g = MultiList(4, 4)
         g.add_edge(0, 1)
-        assert g.counters.add.traversals == 1
+        assert g.counters.add.total == 1
 
     def test_contains_miss_on_empty_costs_zero(self):
         g = MultiList(4, 4)
         g.contains(0, 1)
         assert g.counters.contains.ops == 1
-        assert g.counters.contains.traversals == 0
+        assert g.counters.contains.total == 0
 
     def test_contains_cost_is_chain_position(self):
         g = MultiList(8, 8)
@@ -204,6 +204,6 @@ class TestInstrumentation:
             g.add_edge(0, y)
         g.counters.reset()
         g.contains(0, 3)  # newest: first cell
-        assert g.counters.contains.traversals == 1
+        assert g.counters.contains.total == 1
         g.contains(0, 1)  # oldest: full scan
-        assert g.counters.contains.traversals == 1 + 3
+        assert g.counters.contains.total == 1 + 3

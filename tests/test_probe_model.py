@@ -49,17 +49,12 @@ def pair(cls, mode, *, n, expected=1, growth=True, weighted=False):
 
 def counters(store) -> dict:
     c = store.counters
-    return {name: (c.channel(ch).ops, c.channel(ch).probes, c.channel(ch).max_probes,
-                   c.channel(ch).traversals, c.channel(ch).max_traversals)
+    return {name: (c.channel(ch).ops, c.channel(ch).total, c.channel(ch).peak)
             for name, ch in CHANNELS.items()}
 
 
 def model_counters(model) -> dict:
-    out = {}
-    for name, ch in CHANNELS.items():
-        ops, cost, peak = model.counters[ch]
-        out[name] = (ops, 0, 0, cost, peak) if ch == "enumerate" else (ops, cost, peak, 0, 0)
-    return out
+    return {name: tuple(model.counters[ch]) for name, ch in CHANNELS.items()}
 
 
 def step(store, model, op: str, *args):
