@@ -151,6 +151,9 @@ class TestStoreConfig:
         [
             dict(vertex_count=0, expected_edges=1),
             dict(vertex_count=1, expected_edges=0),
+            dict(vertex_count=(1 << 32) + 1, expected_edges=1),
+            dict(vertex_count=1, expected_edges=-1),
+            dict(vertex_count=-5, expected_edges=1),
             dict(vertex_count=1, expected_edges=1, hash_mode="md5"),
         ],
     )
