@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .bench import (
     STRUCTURE_NAMES,
+    BenchReport,
     DifferentialMismatch,
     WorkloadSpec,
     _new_store,
@@ -194,13 +195,10 @@ def cmd_bench(args) -> int:
         except ValueError:
             raise UsageError(f"--sweep must be comma-separated integers, got {args.sweep!r}") from None
         results = scaling_sweep(spec, factors, structures, args.hash_mode)
-        lines = [results[0][1].to_csv().splitlines()[0]]
-        for _, report in results:
-            lines.extend(report.to_csv().splitlines()[1:])
-        _write_output("\n".join(lines) + "\n", args.out)
+        report = BenchReport([row for _, part in results for row in part.rows])
     else:
         report = run_workload(spec, structures, args.hash_mode)
-        _write_output(report.to_csv(), args.out)
+    _write_output(report.to_csv(), args.out)
     return EXIT_OK
 
 

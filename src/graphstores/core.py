@@ -114,12 +114,29 @@ def mixer_finalize_array(codes: np.ndarray) -> np.ndarray:
     return z ^ (z >> s33)
 
 
+def compat_finalize_array(codes: np.ndarray) -> np.ndarray:
+    """The key of :func:`compat_hash` over an array of codes, before the mask.
+
+    The product wraps in int64 as in the original arithmetic, and its
+    absolute value is read as uint64, so the product -2**63 keys to 2**63.
+    For every power-of-two ``size``, ``compat_hash(x, y, size)`` is
+    ``key & (size - 1)``, where (x, y) is the code unpacked.
+    """
+    z = np.asarray(codes, dtype=np.uint64)
+    x = (z >> np.uint64(32)).astype(np.int64) + 111111
+    y = (z & np.uint64(U32_MASK)).astype(np.int64) - 333333
+    return np.abs(x * y).view(np.uint64)
+
+
 def ceil_pow2(value: int) -> int:
     """Smallest power of two >= value (value >= 1)."""
     return 1 << (value - 1).bit_length()
 
 
-HASH_MODES = ("mixer", "paper_compat")
+#: The capacity-independent array key of each hash mode; a home slot is
+#: ``key & (capacity - 1)``.
+HASH_KEYS = {"mixer": mixer_finalize_array, "paper_compat": compat_finalize_array}
+HASH_MODES = tuple(HASH_KEYS)
 
 #: Sizing policy of every hash-backed store: a table starts at a load factor
 #: of at most MAX_LOAD_FACTOR and doubles before its occupancy would pass

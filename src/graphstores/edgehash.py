@@ -18,21 +18,21 @@ thread a new slot onto its source's chain whenever ``_heads`` is set, and
 it is None on an EdgeHash. HashList extends ``_allocate`` and
 ``_rebuild``: it walks the chains of its live vertices, and only those,
 into the order ``_reseat`` seats its codes in. The seat is one pass: one
-:func:`~graphstores.core.mixer_finalize_array` call for every mixer home,
-then each code is seated, and on a HashList its weight carried and its
-slot recorded. HashList then threads its chains from the recorded slots
-in a few numpy operations, outside the per-code loop.
+array key call for every home, then each code is seated, and on a
+HashList its weight carried and its slot recorded. HashList then threads
+its chains from the recorded slots in a few numpy operations, outside the
+per-code loop.
 
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a
-numpy range check, the packed codes, and the mixer's finalizer without
-its capacity mask. Then one Python loop per method walks the batch in
-order, masks each finalized hash with the current capacity, and probes,
-seats and threads exactly as the scalar calls would, so answers, slot
-layout, chain order, weights, rebuilds and counters all come out the same.
+numpy range check, the packed codes, and the hash mode's 64-bit key
+(:data:`~graphstores.core.HASH_KEYS`) without its capacity mask. Then one
+Python loop per method walks the batch in order, masks each key with the
+current capacity, and probes, seats and threads exactly as the scalar
+calls would, so answers, slot layout, chain order, weights, rebuilds and
+counters all come out the same.
 Counters are recorded once per batch. A rebuild mid-batch changes only
-the mask, because the finalized hash does not depend on capacity;
-``paper_compat`` homes do, so that mode calls ``compat_hash`` per op.
+the mask, because in both modes the key does not depend on capacity.
 Input numpy cannot hold exactly (floats, ids beyond 64 bits) goes through
 the scalar calls instead.
 """
@@ -46,8 +46,8 @@ import numpy as np
 from .core import (
     _MIX_MULT_1,
     _MIX_MULT_2,
+    HASH_KEYS,
     NONE,
-    U32_MASK,
     U64_MASK,
     CapacityError,
     ConfigError,
@@ -57,20 +57,19 @@ from .core import (
     VertexRangeError,
     check_lengths,
     compat_hash,
-    mixer_finalize_array,
-    unpack_edge,
 )
 from .counters import OpCounters
 
 
-def _bulk_codes(xs, ys, n: int):
+def _bulk_codes(xs, ys, n: int, key):
     """The vectorized front end of the bulk methods.
 
-    Returns ``(codes, finalized, k)``: k is the number of leading pairs
+    Returns ``(codes, keys, k)``: k is the number of leading pairs
     with both ids in [0, n), and the two lists hold, for those pairs, the
-    packed codes and their capacity-independent mixer hashes. Returns
-    None when numpy cannot hold the ids exactly as integers; the caller
-    then runs the scalar calls, which raise what they always raise.
+    packed codes and their capacity-independent keys under ``key``, one of
+    :data:`~graphstores.core.HASH_KEYS`. Returns None when numpy cannot
+    hold the ids exactly as integers; the caller then runs the scalar
+    calls, which raise what they always raise.
     """
     check_lengths(xs, ys)
     try:
@@ -83,7 +82,7 @@ def _bulk_codes(xs, ys, n: int):
     bad = (ax < 0) | (ax >= n) | (ay < 0) | (ay >= n)
     k = int(bad.argmax()) if bad.any() else len(bad)
     codes = (ax[:k].astype(np.uint64) << np.uint64(32)) | ay[:k].astype(np.uint64)
-    return codes.tolist(), mixer_finalize_array(codes).tolist(), k
+    return codes.tolist(), key(codes).tolist(), k
 
 
 class EdgeHash(EdgeStore):
@@ -108,6 +107,7 @@ class EdgeHash(EdgeStore):
         "_data",
         "_count",
         "_mixer",
+        "_key",
         "_growth_enabled",
         "_growth_limit",
     )
@@ -121,6 +121,7 @@ class EdgeHash(EdgeStore):
         self._n = config.vertex_count
         self._count = 0
         self._mixer = config.hash_mode == "mixer"
+        self._key = HASH_KEYS[config.hash_mode]
         self._growth_enabled = config.growth_enabled
         self.rebuilds = 0
         self.counters = OpCounters()
@@ -209,7 +210,7 @@ class EdgeHash(EdgeStore):
 
     def _add_batch(self, xs, ys, weights) -> list[bool]:
         """``add_edge`` per pair, and ``set_weight`` where ``weights`` holds a weight."""
-        front = _bulk_codes(xs, ys, self._n)
+        front = _bulk_codes(xs, ys, self._n, self._key)
         ws = repeat(None) if weights is None else weights
         if front is None:
             out = []
@@ -218,26 +219,25 @@ class EdgeHash(EdgeStore):
                 if w is not None:
                     self.set_weight(x, y, w)
             return out
-        codes, finalized, k = front
+        codes, keys, k = front
         data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
         cap = self._cap
         mask = self._mask
         limit = self._growth_limit
         growth = self._growth_enabled
-        mixer = self._mixer
         count = self._count
         total = peak = 0
         out = []
         append = out.append
         try:
-            for code, fin, w in zip(codes, finalized, ws):
+            for code, key, w in zip(codes, keys, ws):
                 if count >= limit and growth:
                     self._rebuild(cap * 2)
                     data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
                     cap = self._cap
                     mask = self._mask
                     limit = self._growth_limit
-                slot = fin & mask if mixer else compat_hash(code >> 32, code & U32_MASK, cap)
+                slot = key & mask
                 held = data[slot]
                 probes = 1
                 while held != code and held != NONE:
@@ -269,19 +269,18 @@ class EdgeHash(EdgeStore):
         return out
 
     def contains_many(self, xs, ys) -> list[bool]:
-        front = _bulk_codes(xs, ys, self._n)
+        front = _bulk_codes(xs, ys, self._n, self._key)
         if front is None:
             return super().contains_many(xs, ys)
-        codes, finalized, k = front
+        codes, keys, k = front
         data = self._data
         cap = self._cap
         mask = self._mask
-        mixer = self._mixer
         total = peak = 0
         out = []
         append = out.append
-        for code, fin in zip(codes, finalized):
-            slot = fin & mask if mixer else compat_hash(code >> 32, code & U32_MASK, cap)
+        for code, key in zip(codes, keys):
+            slot = key & mask
             held = data[slot]
             probes = 1
             while held != code and held != NONE and probes != cap:
@@ -315,19 +314,17 @@ class EdgeHash(EdgeStore):
         """Seat ``codes``, in that order, in a fresh table of ``new_cap`` slots.
 
         Linear probing is order-dependent, so the order fixes the layout.
-        Mixer homes come from one array finalizer call; the probe is inline,
-        since a rebuild re-seats every edge. When ``_heads`` is set, the
-        same pass stores each code's weight from ``weights`` (aligned with
-        ``codes``, or None) and returns the seated slots in seat order, from
-        which the caller threads the chains; otherwise it returns None.
+        Every home is the hash mode's key, from one array call, masked to
+        the new capacity; the probe is inline, since a rebuild re-seats
+        every edge. When ``_heads`` is set, the same pass stores each code's
+        weight from ``weights`` (aligned with ``codes``, or None) and returns
+        the seated slots in seat order, from which the caller threads the
+        chains; otherwise it returns None.
         """
         self._allocate(new_cap)
         data, wts = self._data, self._weights
         mask = self._mask
-        if self._mixer:
-            homes = (mixer_finalize_array(codes) & np.uint64(mask)).tolist()
-        else:
-            homes = [compat_hash(*unpack_edge(code), new_cap) for code in codes]
+        homes = (self._key(codes) & np.uint64(mask)).tolist()
         seated = None if self._heads is None else []
         ws = repeat(None) if weights is None else weights
         for code, slot, w in zip(codes, homes, ws):

@@ -134,6 +134,58 @@ def test_all_ones_code_at_32_bit_vertex_count():
             assert state(bulk) == state(scalar)
 
 
+FULL = 1 << 32
+# Full-width ids, plus the ids around compat's zero line y = 333333 and
+# around 2**31 + 333333, where the wrapped product reaches -2**63.
+wide_id = st.one_of(
+    st.integers(0, FULL - 1),
+    st.integers(333333 - 2, 333333 + 2),
+    st.integers(2**31 + 333333 - 2, 2**31 + 333333 + 2),
+    st.sampled_from([FULL - 111111, FULL - 1]),
+)
+
+
+def run_full_width_twins(hash_mode, form, batches):
+    """EdgeHash twins over 2**32 vertices, growing from 16 slots, so codes at
+    and above 2**63 are keyed in each batch and re-keyed by mid-batch
+    rebuilds. Only EdgeHash: a HashList would hold 2**32 heads here."""
+    cfg = StoreConfig(vertex_count=FULL, expected_edges=1, hash_mode=hash_mode)
+    bulk, scalar = EdgeHash(cfg), EdgeHash(cfg)
+    for pairs in batches:
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        assert bulk.add_edges(shaped(xs, form), shaped(ys, form)) == scalar_adds(scalar, xs, ys)
+        assert state(bulk) == state(scalar)
+        qx, qy = xs + ys, ys + xs  # every stored pair, then mostly misses
+        got = bulk.contains_many(shaped(qx, form), shaped(qy, form))
+        assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)]
+        assert state(bulk) == state(scalar)
+    return bulk
+
+
+FORMS = ["list", "int64", "uint64"]
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("hash_mode", MODES)
+@settings(max_examples=30, deadline=None)
+@given(batches=st.lists(st.lists(st.tuples(wide_id, wide_id), min_size=1, max_size=60),
+                        min_size=1, max_size=4))
+def test_full_width_bulk_matches_scalar(hash_mode, form, batches):
+    run_full_width_twins(hash_mode, form, batches)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("hash_mode", MODES)
+def test_full_width_rebuilds_rekey_high_codes(hash_mode, form):
+    rng = np.random.default_rng(12)
+    near = rng.choice([333333, 2**31 + 333333, FULL - 111111], 2400) + rng.integers(-2, 3, 2400)
+    ids = np.where(rng.random(2400) < 0.5, rng.integers(0, FULL, 2400), near).tolist()
+    pairs = list(zip(ids[:1200], ids[1200:]))
+    bulk = run_full_width_twins(hash_mode, form, [pairs[:400], pairs[400:]])
+    assert bulk.rebuilds >= 6
+    assert max(bulk._data) >= 1 << 63
+
+
 @pytest.mark.parametrize("make", [lambda: MultiList(10, 30), lambda: OracleGraph(10)],
                          ids=["multilist", "oracle"])
 def test_edge_store_defaults(make):

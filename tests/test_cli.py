@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from graphstores import HashList, MultiList, StoreConfig, parse_edge_list
+from graphstores import HashList, MultiList, StoreConfig, cli, parse_edge_list, scaling_sweep
 from graphstores.cli import _answer_queries, _build_query_store, _load_query_store, main
 from graphstores.formats import parse_query_file
 
@@ -363,7 +363,14 @@ class TestBench:
 
         assert stable_columns(csvs[0]) == stable_columns(csvs[1])
 
-    def test_sweep_single_header(self, tmp_path, capsys):
+    def test_sweep_single_header(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def recording_sweep(*args):
+            seen.extend(scaling_sweep(*args))
+            return seen
+
+        monkeypatch.setattr(cli, "scaling_sweep", recording_sweep)
         out = tmp_path / "s.csv"
         code, _, _ = run_cli(
             capsys, "bench", "--n", "100", "--m", "1000", "--sweep", "1,2",
@@ -373,6 +380,10 @@ class TestBench:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 3
         assert sum(1 for line in lines if line.startswith("structure,")) == 1
+        # The bytes are the header once, then each factor's report rows in order.
+        parts = [report.to_csv().splitlines() for _, report in seen]
+        body = [line for part in parts for line in part[1:]]
+        assert out.read_text() == "\n".join(parts[0][:1] + body) + "\n"
 
     def test_stdout_default(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--n", "50", "--m", "200",

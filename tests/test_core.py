@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from graphstores import (
     pack_edge,
     unpack_edge,
 )
-from graphstores.core import mixer_finalize_array
+from graphstores.core import compat_finalize_array, mixer_finalize_array
 
 from _reference import (
     pack_by_arithmetic,
@@ -96,6 +97,35 @@ class TestCompatHash:
     def test_collides_along_offset_lines(self):
         # y = 333333 zeroes the product for every x: the reason mixer is the default
         assert {compat_hash(x, 333333, 1024) for x in range(50)} == {0}
+
+
+def compat_keys(pairs) -> list[int]:
+    """compat_finalize_array over packed pairs, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return compat_finalize_array([pack_edge(x, y) for x, y in pairs]).tolist()
+
+
+class TestCompatKey:
+    """Masked by a power-of-two size, the array key is compat_hash, bit for bit."""
+
+    @given(st.lists(st.tuples(st.integers(0, U32_MAX), st.integers(0, U32_MAX)), min_size=1))
+    def test_masks_to_compat_hash(self, pairs):
+        for (x, y), key in zip(pairs, compat_keys(pairs)):
+            for bits in range(64):
+                assert key & ((1 << bits) - 1) == compat_hash(x, y, 1 << bits)
+
+    def test_most_negative_product(self):
+        # (2**32) * (2**31) wraps to -2**63: its absolute value reads as 2**63
+        x, y = 2**32 - 111111, 2**31 + 333333
+        assert compat_keys([(x, y)]) == [2**63]
+        for bits in range(64):
+            assert compat_hash(x, y, 1 << bits) == 0
+
+    def test_zero_product(self):
+        pairs = [(x, 333333) for x in (0, 1, 2**31, U32_MAX)]
+        assert compat_keys(pairs) == [0] * 4
+        assert {compat_hash(x, y, 1 << 63) for x, y in pairs} == {0}
 
 
 class TestMixerHash:
