@@ -29,6 +29,7 @@ from time import perf_counter_ns
 from typing import Callable, Sequence
 
 from .core import ConfigError, GraphStoreError, StoreConfig, U64_MASK
+from .counters import OP_CLASSES
 from .edgehash import EdgeHash
 from .hashlist import HashList
 from .multilist import MultiList
@@ -39,7 +40,6 @@ LCG_INCREMENT = 1442695040888963407
 
 STRUCTURE_NAMES = ("hashlist", "multilist", "edgehash", "oracle")
 GENERATORS = ("uniform", "star", "grid")
-OPERATIONS = ("add", "contains", "enumerate")
 
 CSV_HEADER = "structure,operation,count_ops,mean_counter,max_counter,wall_ns,slots_allocated"
 
@@ -316,7 +316,7 @@ def _execute(ops, stores, wall=None):
         for name, add, has, nbrs in bound:
             pairs, lists, spent, exc = _run_chunk(chunk, add, has, nbrs)
             if wall is not None:
-                for cls, ns in zip(OPERATIONS, spent):
+                for cls, ns in zip(OP_CLASSES, spent):
                     wall[name, cls] += ns
             if exc is not None and len(pairs) + len(lists) < stop:
                 stop, error = len(pairs) + len(lists), exc
@@ -389,7 +389,7 @@ def run_workload(
     ops = generate_ops(spec)
     adds = sum(1 for op in ops if op[0] == "add")
     stores = _build_stores(spec, structures, hash_mode, adds)
-    wall = {(name, cls): 0 for name, _ in stores for cls in OPERATIONS}
+    wall = {(name, cls): 0 for name, _ in stores for cls in OP_CLASSES}
 
     mismatch = _execute(ops, stores, wall)
     if mismatch is not None:
@@ -406,7 +406,7 @@ def run_workload(
 
     report = BenchReport()
     for name, store in stores:
-        for cls in OPERATIONS:
+        for cls in OP_CLASSES:
             channel = store.counters.channel(cls)
             report.rows.append(
                 BenchRow(

@@ -38,7 +38,7 @@ class VertexRangeError(GraphStoreError):
 
 
 class CapacityError(GraphStoreError):
-    """A fixed-size store ran out of cells, or a non-growing table filled up."""
+    """A fixed-size store ran out of cells; only MultiList raises it, hash tables grow."""
 
 
 class ConfigError(GraphStoreError):
@@ -150,14 +150,14 @@ class StoreConfig:
     """Sizing and behavior knobs shared by the hash-backed stores.
 
     The initial slot capacity is the smallest power of two >=
-    expected_edges / MAX_LOAD_FACTOR, never below MIN_CAPACITY. With
-    growth_enabled, crossing GROWTH_THRESHOLD occupancy triggers a doubling
-    rebuild. Both fractions are fixed policy, not fields.
+    expected_edges / MAX_LOAD_FACTOR, never below MIN_CAPACITY. Every
+    table grows: an add that finds GROWTH_THRESHOLD occupancy reached first
+    doubles the table, so a table always keeps an empty slot, at which
+    every probe ends. Both fractions are fixed policy, not fields.
     """
 
     vertex_count: int
     expected_edges: int
-    growth_enabled: bool = True
     hash_mode: str = "mixer"
     weighted: bool = False
 

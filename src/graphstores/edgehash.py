@@ -5,11 +5,16 @@ never negative, so an empty slot holds the out-of-band NONE (-1); no
 separate occupancy array is needed, even though pack(0, 0) == 0 is a legal
 edge. There is no removal, which keeps probe chains intact forever: an
 entry is always reachable from its home slot without crossing an empty
-slot.
+slot. Every table grows: an add that finds ``edge_count`` at
+``config.growth_limit(capacity)``, 7/10 of the slots, rebuilds at double
+the capacity before it seats. So a table always keeps an empty slot, and
+every probe ends at its code or at an empty slot; none needs a bound.
+A rebuild builds the whole new table before it installs any of it, so
+one that fails leaves the old table in place.
 
 ``add_edge`` and ``contains`` are each one flat body: range check, growth
-check, packing, the mixer finalizer, the bounded probe, the counter fields
-and, on add, the seat all run in one frame, because in CPython a nested
+check, packing, the mixer finalizer, the probe, the counter fields and,
+on add, the seat all run in one frame, because in CPython a nested
 call costs more than the work of most of these steps. ``pack_edge``,
 ``mixer_hash`` and ``Channel.record`` spell out the same steps as
 standalone functions. This is also the probe core of
@@ -49,8 +54,6 @@ from .core import (
     HASH_KEYS,
     NONE,
     U64_MASK,
-    CapacityError,
-    ConfigError,
     EdgeStore,
     StoreConfig,
     UnsupportedOperationError,
@@ -108,7 +111,6 @@ class EdgeHash(EdgeStore):
         "_count",
         "_mixer",
         "_key",
-        "_growth_enabled",
         "_growth_limit",
     )
 
@@ -122,26 +124,28 @@ class EdgeHash(EdgeStore):
         self._count = 0
         self._mixer = config.hash_mode == "mixer"
         self._key = HASH_KEYS[config.hash_mode]
-        self._growth_enabled = config.growth_enabled
         self.rebuilds = 0
         self.counters = OpCounters()
         self._allocate(config.initial_capacity)
 
     def _allocate(self, cap: int) -> None:
         """Install an empty table of ``cap`` slots."""
+        self._install(cap, [NONE] * cap)
+
+    def _install(self, cap: int, data: list) -> None:
+        """Make ``data``, a slot list of length ``cap``, the store's table."""
+        self._growth_limit = self.config.growth_limit(cap)
         self._cap = cap
         self._mask = cap - 1
-        self._data = [NONE] * cap
-        self._growth_limit = self.config.growth_limit(cap)
+        self._data = data
 
     def add_edge(self, x: int, y: int) -> bool:
         n = self._n
         if x < 0 or x >= n or y < 0 or y >= n:
             raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
-        if self._count >= self._growth_limit and self._growth_enabled:
+        if self._count >= self._growth_limit:
             self._rebuild(self._cap * 2)
         code = (x << 32) | y
-        cap = self._cap
         mask = self._mask
         if self._mixer:
             z = code & U64_MASK
@@ -149,15 +153,11 @@ class EdgeHash(EdgeStore):
             z = ((z ^ (z >> 33)) * _MIX_MULT_2) & U64_MASK
             slot = (z ^ (z >> 33)) & mask
         else:
-            slot = compat_hash(x, y, cap)
+            slot = compat_hash(x, y, self._cap)
         data = self._data
         probes = 1
         held = data[slot]
         while held != code and held != NONE:
-            if probes == cap:
-                # Only reachable with growth disabled, every slot occupied, and
-                # the edge absent; the bounded probe is what keeps it from hanging.
-                raise CapacityError(f"table full at capacity {cap} with growth disabled")
             slot = (slot + 1) & mask
             held = data[slot]
             probes += 1
@@ -181,7 +181,6 @@ class EdgeHash(EdgeStore):
         if x < 0 or x >= n or y < 0 or y >= n:
             raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
         code = (x << 32) | y
-        cap = self._cap
         mask = self._mask
         if self._mixer:
             z = code & U64_MASK
@@ -189,12 +188,11 @@ class EdgeHash(EdgeStore):
             z = ((z ^ (z >> 33)) * _MIX_MULT_2) & U64_MASK
             slot = (z ^ (z >> 33)) & mask
         else:
-            slot = compat_hash(x, y, cap)
+            slot = compat_hash(x, y, self._cap)
         data = self._data
         probes = 1
         held = data[slot]
-        # A miss in a full table stops after cap probes and records cap.
-        while held != code and held != NONE and probes != cap:
+        while held != code and held != NONE:
             slot = (slot + 1) & mask
             held = data[slot]
             probes += 1
@@ -221,28 +219,23 @@ class EdgeHash(EdgeStore):
             return out
         codes, keys, k = front
         data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
-        cap = self._cap
         mask = self._mask
         limit = self._growth_limit
-        growth = self._growth_enabled
         count = self._count
         total = peak = 0
         out = []
         append = out.append
         try:
             for code, key, w in zip(codes, keys, ws):
-                if count >= limit and growth:
-                    self._rebuild(cap * 2)
+                if count >= limit:
+                    self._rebuild(self._cap * 2)
                     data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
-                    cap = self._cap
                     mask = self._mask
                     limit = self._growth_limit
                 slot = key & mask
                 held = data[slot]
                 probes = 1
                 while held != code and held != NONE:
-                    if probes == cap:
-                        raise CapacityError(f"table full at capacity {cap} with growth disabled")
                     slot = (slot + 1) & mask
                     held = data[slot]
                     probes += 1
@@ -274,7 +267,6 @@ class EdgeHash(EdgeStore):
             return super().contains_many(xs, ys)
         codes, keys, k = front
         data = self._data
-        cap = self._cap
         mask = self._mask
         total = peak = 0
         out = []
@@ -283,7 +275,7 @@ class EdgeHash(EdgeStore):
             slot = key & mask
             held = data[slot]
             probes = 1
-            while held != code and held != NONE and probes != cap:
+            while held != code and held != NONE:
                 slot = (slot + 1) & mask
                 held = data[slot]
                 probes += 1
@@ -303,28 +295,30 @@ class EdgeHash(EdgeStore):
 
     def grow(self) -> None:
         """Double capacity and re-seat every code; observable answers are unchanged."""
-        if not self._growth_enabled:
-            raise ConfigError("growth is disabled for this store")
         self._rebuild(self._cap * 2)
 
     def _rebuild(self, new_cap: int) -> None:
-        self._reseat(new_cap, [code for code in self._data if code != NONE], None)
+        data, _, _ = self._reseat(new_cap, [code for code in self._data if code != NONE], None)
+        self._install(new_cap, data)
+        self.rebuilds += 1
 
-    def _reseat(self, new_cap: int, codes: list[int], weights: list | None) -> list[int] | None:
-        """Seat ``codes``, in that order, in a fresh table of ``new_cap`` slots.
+    def _reseat(self, new_cap: int, codes: list[int], weights: list | None) -> tuple:
+        """Seat ``codes``, in that order, in a fresh slot list of ``new_cap`` slots.
 
         Linear probing is order-dependent, so the order fixes the layout.
         Every home is the hash mode's key, from one array call, masked to
         the new capacity; the probe is inline, since a rebuild re-seats
-        every edge. When ``_heads`` is set, the same pass stores each code's
-        weight from ``weights`` (aligned with ``codes``, or None) and returns
-        the seated slots in seat order, from which the caller threads the
-        chains; otherwise it returns None.
+        every edge. Returns ``(data, weights, seated)`` for the caller to
+        install, and changes nothing in the store. When ``_heads`` is set,
+        the same pass carries each code's weight from ``weights`` (aligned
+        with ``codes``, or None) into a fresh weight list and records the
+        seated slots in seat order, from which the caller threads the
+        chains; otherwise both are None.
         """
-        self._allocate(new_cap)
-        data, wts = self._data, self._weights
-        mask = self._mask
+        mask = new_cap - 1
         homes = (self._key(codes) & np.uint64(mask)).tolist()
+        data = [NONE] * new_cap
+        wts = None if weights is None else [None] * new_cap
         seated = None if self._heads is None else []
         ws = repeat(None) if weights is None else weights
         for code, slot, w in zip(codes, homes, ws):
@@ -335,8 +329,7 @@ class EdgeHash(EdgeStore):
                 seated.append(slot)
                 if w is not None:
                     wts[slot] = w
-        self.rebuilds += 1
-        return seated
+        return data, wts, seated
 
     @property
     def edge_count(self) -> int:

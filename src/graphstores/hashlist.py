@@ -17,6 +17,8 @@ seat pass places the codes, carries the weights and returns the seated
 slots. The chains are then threaded with numpy over views of the fresh
 chain arrays: ``heads[v]`` is the last slot of v's run, every other slot
 links to the one seated before it, and each run's first slot keeps NONE.
+Only then are the new slots, chains and weights installed, so a rebuild
+that fails on the way leaves the store as it was.
 
 The bulk ``add_edges`` and ``contains_many`` come from the edge hash's
 vectorized front end and batch loops; the add loop threads each new slot
@@ -116,14 +118,11 @@ class HashList(EdgeHash):
         slot = mixer_hash(code, cap) if self._mixer else compat_hash(x, y, cap)
         data = self._data
         mask = self._mask
-        for _ in range(cap):
-            held = data[slot]
-            if held == code:
-                return slot
-            if held == NONE:
-                return NONE
+        held = data[slot]
+        while held != code and held != NONE:
             slot = (slot + 1) & mask
-        return NONE
+            held = data[slot]
+        return slot if held == code else NONE
 
     def set_weight(self, x: int, y: int, weight: float) -> bool:
         """Attach a weight to an existing edge; False if the edge is absent."""
@@ -154,21 +153,23 @@ class HashList(EdgeHash):
                 append(i)
                 i = nxt[i]
         order.reverse()
-        # The view would keep the n old head cells alive through the seat.
-        del old_heads
         weights = None if old_weights is None else [old_weights[s] for s in order]
-        seated = self._reseat(new_cap, [data[s] for s in order], weights)
+        data, weights, seated = self._reseat(new_cap, [data[s] for s in order], weights)
+        heads, nxt = _chain_cells(self._n, new_cap), _chain_cells(new_cap, new_cap)
         # A run that starts at k in the walk ends at len(order) - 1 - k in
         # the seat order. heads[v] is the last slot of v's run, every other
         # slot links to the one seated before it, and each run's first slot
         # keeps NONE.
-        new_heads = np.frombuffer(self._heads, dtype=self._heads.format)
-        new_next = np.frombuffer(self._next, dtype=self._next.format)
+        new_heads = np.frombuffer(heads, dtype=heads.format)
+        new_next = np.frombuffer(nxt, dtype=nxt.format)
         slots = np.array(seated, dtype=np.intp)
         last = len(order) - 1 - np.array(starts[::-1], dtype=np.intp)
         new_heads[live] = slots[last]
         new_next[slots[1:]] = slots[:-1]
         new_next[slots[last[:-1] + 1]] = NONE
+        self._install(new_cap, data)
+        self._heads, self._next, self._weights = heads, nxt, weights
+        self.rebuilds += 1
 
     def memory_ints(self) -> int:
         """Cells, not bytes: n heads + data/next slot arrays (+ weights): n + 2*cap (+ cap)."""

@@ -80,10 +80,11 @@ class LinearProbeModel:
     """The hash stores' specified behavior, slot by slot and counter by counter.
 
     One list of slots (None when empty) probed linearly from the home slot
-    of the reference hash. Before each in-range add, a growing table whose
-    edge count has reached floor(7/10 * capacity) doubles and re-seats
-    every edge: ``chained`` tables (HashList) vertex by vertex, each vertex's
-    edges oldest-first; the others (EdgeHash) in old slot order. Each op
+    of the reference hash. Before each in-range add, a table whose edge
+    count has reached floor(7/10 * capacity) doubles and re-seats every
+    edge, so a slot is always empty and every probe ends: ``chained``
+    tables (HashList) vertex by vertex, each vertex's edges oldest-first;
+    the others (EdgeHash) in old slot order. Each op
     returns ``(answer, cost)`` or ``(error name, message)``; ``counters``
     holds ``[ops, cost, peak]`` per operation class. Weights are kept per
     edge, apart from the slots, and set and read without being counted.
@@ -92,14 +93,12 @@ class LinearProbeModel:
     #: The stores' fixed growth threshold, core.GROWTH_THRESHOLD, restated here.
     THRESHOLD = Fraction(7, 10)
 
-    def __init__(self, n: int, capacity: int, *, mode: str, chained: bool,
-                 growth: bool = True) -> None:
+    def __init__(self, n: int, capacity: int, *, mode: str, chained: bool) -> None:
         self.n = n
         self.cap = capacity
         self.slots: list[int | None] = [None] * capacity
         self.mode = mode
         self.chained = chained
-        self.growth = growth
         self.targets: dict[int, list[int]] = {}
         self.count = 0
         self.rebuilds = 0
@@ -122,14 +121,14 @@ class LinearProbeModel:
             return None
         return ("VertexRangeError", f"edge ({x}, {y}) outside vertex range [0, {self.n})")
 
-    def _find(self, code: int) -> tuple[int | None, int]:
-        """(slot holding ``code`` or the empty slot it belongs in, probes); slot None when full."""
+    def _find(self, code: int) -> tuple[int, int]:
+        """(slot holding ``code`` or the empty slot it belongs in, probes)."""
         slot = self._home(code, self.cap)
-        for probes in range(1, self.cap + 1):
-            if self.slots[slot] is None or self.slots[slot] == code:
-                return slot, probes
+        probes = 1
+        while self.slots[slot] is not None and self.slots[slot] != code:
             slot = (slot + 1) % self.cap
-        return None, self.cap
+            probes += 1
+        return slot, probes
 
     def _grow(self) -> None:
         if self.chained:
@@ -149,12 +148,10 @@ class LinearProbeModel:
         error = self._out_of_range(x, y)
         if error:
             return error
-        if self.growth and self.count >= int(self.THRESHOLD * self.cap):
+        if self.count >= int(self.THRESHOLD * self.cap):
             self._grow()
         code = pack_by_arithmetic(x, y)
         slot, probes = self._find(code)
-        if slot is None:
-            return ("CapacityError", f"table full at capacity {self.cap} with growth disabled")
         self._record("add", probes)
         if self.slots[slot] == code:
             return (False, probes)
@@ -170,7 +167,7 @@ class LinearProbeModel:
         code = pack_by_arithmetic(x, y)
         slot, probes = self._find(code)
         self._record("contains", probes)
-        return (slot is not None and self.slots[slot] == code, probes)
+        return (self.slots[slot] == code, probes)
 
     def set_weight(self, x: int, y: int, weight: float):
         """True after weighting a stored edge, False for an absent one; uncounted."""

@@ -20,7 +20,8 @@ from graphstores import (
     run_workload,
     scaling_sweep,
 )
-from graphstores.bench import GENERATORS, OPERATIONS, STRUCTURE_NAMES
+from graphstores.bench import GENERATORS, STRUCTURE_NAMES
+from graphstores.counters import OP_CLASSES
 
 from _reference import EdgeSetOracle, op_by_op_execute
 
@@ -101,7 +102,7 @@ def differential_cases(draw):
 def run_executor(execute, ops, spec, structures, hash_mode, adds):
     """Outcome of one executor on fresh stores, plus per-store counters on agreement."""
     stores = bench_module._build_stores(spec, structures, hash_mode, adds)
-    wall = {(name, cls): 0 for name in structures for cls in OPERATIONS}
+    wall = {(name, cls): 0 for name in structures for cls in OP_CLASSES}
     try:
         result = execute(ops, stores, wall)
     except Exception as exc:
@@ -110,7 +111,7 @@ def run_executor(execute, ops, spec, structures, hash_mode, adds):
         return ("mismatch", result), None
     counters = []
     for name, store in stores:
-        for cls in OPERATIONS:
+        for cls in OP_CLASSES:
             channel = store.counters.channel(cls)
             counters.append((name, cls, channel.ops, channel.total, channel.peak))
     return ("agree", None), counters

@@ -5,8 +5,6 @@ import random
 import pytest
 
 from graphstores import (
-    CapacityError,
-    ConfigError,
     EdgeHash,
     NONE,
     StoreConfig,
@@ -90,7 +88,7 @@ class TestProbeCosts:
         rnd = random.Random(123)
         n = 2000
         edges = 8192
-        t = make(n=n, expected=edges, growth_enabled=False)
+        t = make(n=n, expected=edges)
         assert t.capacity == 16384
         added = set()
         while len(added) < edges:
@@ -98,6 +96,7 @@ class TestProbeCosts:
             if (x, y) not in added and t.add_edge(x, y):
                 added.add((x, y))
         assert t.load_factor == 0.5
+        assert t.rebuilds == 0
         t.counters.reset()
         for x, y in added:
             assert t.contains(x, y)
@@ -149,28 +148,6 @@ class TestGrowth:
             t.add_edge(i % 100, i // 100)
         assert t.capacity == 32
         assert t.rebuilds == 1
-
-    def test_grow_disabled_raises(self):
-        t = make(growth_enabled=False)
-        with pytest.raises(ConfigError):
-            t.grow()
-
-    def test_full_table_behavior_with_growth_disabled(self):
-        t = make(n=100, expected=8, growth_enabled=False)
-        assert t.capacity == 16
-        for i in range(16):
-            assert t.add_edge(i, 0) is True
-        assert t.edge_count == 16
-        # duplicates still answer instead of hanging or raising
-        assert t.add_edge(3, 0) is False
-        assert t.contains(3, 0) is True
-        t.counters.reset()
-        assert t.contains(99, 99) is False  # bounded full scan, then miss
-        assert (t.counters.contains.ops, t.counters.contains.total) == (1, 16)
-        with pytest.raises(CapacityError):
-            t.add_edge(17, 0)
-        assert t.counters.add.ops == 0  # a refused add records nothing
-        assert t.edge_count == 16
 
 
 class TestInvariants:

@@ -6,7 +6,6 @@ import tracemalloc
 import pytest
 
 from graphstores import (
-    CapacityError,
     ConfigError,
     EdgeHash,
     HashList,
@@ -85,23 +84,6 @@ class TestAddContainsNeighbors:
                 g.contains(*pair)
         with pytest.raises(VertexRangeError):
             g.neighbors(10)
-
-    def test_full_table_growth_disabled(self):
-        g = make(n=100, expected=8, growth_enabled=False, weighted=True)
-        for i in range(16):
-            g.add_edge(i, 0)
-        assert g.add_edge(0, 0) is False
-        g.counters.reset()
-        with pytest.raises(CapacityError):
-            g.add_edge(50, 1)
-        assert g.counters.add.ops == 0  # a refused add records nothing
-        assert g.edge_count == 16
-        assert g.neighbors(50) == []
-        assert g.contains(50, 1) is False
-        assert (g.counters.contains.ops, g.counters.contains.total) == (1, 16)
-        assert g.get_weight(50, 1) is None  # uncounted full scan, then miss
-        assert g.set_weight(50, 1, 1.0) is False
-        assert g.counters.contains.ops == 1
 
 
 class TestCrossStructure:
@@ -212,11 +194,6 @@ class TestGrowth:
         assert g.edge_count == count
         assert [g.contains(x, y) for x, y in probes] == contains_before
         assert [g.neighbors(x) for x in range(n)] == neighbors_before
-
-    def test_grow_disabled_raises(self):
-        g = make(growth_enabled=False)
-        with pytest.raises(ConfigError):
-            g.grow()
 
     def test_load_halves(self):
         g = self._filled()
