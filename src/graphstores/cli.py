@@ -134,9 +134,13 @@ def _load_query_store(store, graph: GraphFile, undirected: bool) -> None:
 def _answer_queries(store, queries: QueryFile) -> list[str]:
     """Result lines in query order: one ``contains_many`` for the C queries, then the N lines.
 
-    The store no longer changes, so each distinct N vertex is enumerated
-    and formatted once, in the order of its first N query, and every later
-    query of it reuses that line. The first bad N vertex still raises first.
+    The store no longer changes, so on a hash store ``contains_many``
+    probes a batch of at least capacity / 8 C queries in numpy rounds over
+    one copy of the slots, and a smaller one in a Python loop; both give
+    the answers and counters of asking one at a time. Each distinct N
+    vertex is enumerated and formatted once, in the order of its first N
+    query, and every later query of it reuses that line. The first bad N
+    vertex still raises first.
     """
     hits = iter(store.contains_many(queries.cxs, queries.cys))
     # EdgeHash.neighbors raises UnsupportedOperationError
@@ -159,11 +163,14 @@ def cmd_query(args) -> int:
 
     Both files are parsed into columns (see ``formats``), which go straight
     to ``add_edges`` and ``contains_many``. The store is sized from the
-    edge lines parsed, not from the header's ``m``. Each distinct N vertex
-    is enumerated and formatted once, however often it is asked. The result
-    bytes are those of adding and asking one edge at a time. Because all C
-    queries are asked before any N query, a file with several bad queries
-    may report a different one of them first; the exit code is the same.
+    edge lines parsed, not from the header's ``m``. The adds run in file
+    order, since the order fixes a hash store's layout; the C queries may
+    be probed all at once in numpy rounds, since reads move nothing. Each
+    distinct N vertex is enumerated and formatted once, however often it
+    is asked. The result bytes are those of adding and asking one edge at
+    a time. Because all C queries are asked before any N query, a file
+    with several bad queries may report a different one of them first;
+    the exit code is the same.
     """
     graph = parse_edge_list(_read_text(args.graph))
     queries = parse_query_file(_read_text(args.queries))

@@ -31,15 +31,24 @@ per-code loop.
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a
 numpy range check, the packed codes, and the hash mode's 64-bit key
-(:data:`~graphstores.core.HASH_KEYS`) without its capacity mask. Then one
-Python loop per method walks the batch in order, masks each key with the
-current capacity, and probes, seats and threads exactly as the scalar
-calls would, so answers, slot layout, chain order, weights, rebuilds and
-counters all come out the same.
-Counters are recorded once per batch. A rebuild mid-batch changes only
-the mask, because in both modes the key does not depend on capacity.
-Input numpy cannot hold exactly (floats, ids beyond 64 bits) goes through
-the scalar calls instead.
+(:data:`~graphstores.core.HASH_KEYS`) without its capacity mask. Then a
+Python loop walks the batch in order, masks each key with the current
+capacity, and probes, seats and threads exactly as the scalar calls
+would, so answers, slot layout, chain order, weights, rebuilds and
+counters all come out the same. A rebuild mid-batch changes only the
+mask, because in both modes the key does not depend on capacity.
+
+``contains_many`` has a second read path. When the batch holds at least
+capacity / 8 valid pairs and the store at most 2**31 vertices, it copies
+the slots once into an int64 array and probes every query at once, one
+slot per numpy round, until each reads its code or NONE. Reads move
+nothing, so each query takes the same probes in rounds as alone; the
+copy costs in proportion to the capacity, which a smaller batch does
+not repay. Adds stay in the loop: the order in which codes are seated
+fixes the layout, and a round that seated them together would change it.
+Counters are recorded once per batch on either path. Input numpy cannot
+hold exactly (floats, ids beyond 64 bits) goes through the scalar calls
+instead.
 """
 
 from __future__ import annotations
@@ -68,11 +77,11 @@ def _bulk_codes(xs, ys, n: int, key):
     """The vectorized front end of the bulk methods.
 
     Returns ``(codes, keys, k)``: k is the number of leading pairs
-    with both ids in [0, n), and the two lists hold, for those pairs, the
-    packed codes and their capacity-independent keys under ``key``, one of
-    :data:`~graphstores.core.HASH_KEYS`. Returns None when numpy cannot
-    hold the ids exactly as integers; the caller then runs the scalar
-    calls, which raise what they always raise.
+    with both ids in [0, n), and the two uint64 arrays hold, for those
+    pairs, the packed codes and their capacity-independent keys under
+    ``key``, one of :data:`~graphstores.core.HASH_KEYS`. Returns None when
+    numpy cannot hold the ids exactly as integers; the caller then runs
+    the scalar calls, which raise what they always raise.
     """
     check_lengths(xs, ys)
     try:
@@ -85,7 +94,31 @@ def _bulk_codes(xs, ys, n: int, key):
     bad = (ax < 0) | (ax >= n) | (ay < 0) | (ay >= n)
     k = int(bad.argmax()) if bad.any() else len(bad)
     codes = (ax[:k].astype(np.uint64) << np.uint64(32)) | ay[:k].astype(np.uint64)
-    return codes.tolist(), key(codes).tolist(), k
+    return codes, key(codes), k
+
+
+def _probe_rounds(table, codes, slots, mask: int) -> tuple:
+    """Probe every query at once, one slot per round, over an int64 ``table``.
+
+    ``codes`` and ``slots`` are int64 arrays: the sought codes and their
+    home slots. Each round reads the slot of every live query; a query
+    stops when it reads its code or NONE (a table always keeps an empty
+    slot), and every other one moves one slot on, so each takes exactly
+    the probes it takes alone. Returns ``(found, total, peak)``: a bool
+    array aligned with ``codes``, the sum of the probes and the longest.
+    """
+    found = np.zeros(len(codes), dtype=bool)
+    live = np.arange(len(codes))
+    total = rounds = 0
+    while len(live):
+        total += len(live)
+        rounds += 1
+        held = table[slots]
+        hit = held == codes
+        found[live[hit]] = True
+        going = ~hit & (held != NONE)
+        live, codes, slots = live[going], codes[going], (slots[going] + 1) & mask
+    return found, total, rounds
 
 
 class EdgeHash(EdgeStore):
@@ -226,7 +259,7 @@ class EdgeHash(EdgeStore):
         out = []
         append = out.append
         try:
-            for code, key, w in zip(codes, keys, ws):
+            for code, key, w in zip(codes.tolist(), keys.tolist(), ws):
                 if count >= limit:
                     self._rebuild(self._cap * 2)
                     data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
@@ -262,27 +295,41 @@ class EdgeHash(EdgeStore):
         return out
 
     def contains_many(self, xs, ys) -> list[bool]:
+        """``contains`` per pair; both read paths give the same answers and counters.
+
+        A batch of at least capacity / 8 valid pairs, on a store of at most
+        2**31 vertices (so int64 holds every code and NONE), is probed in
+        numpy rounds over a one-time int64 copy of the slots; any other
+        batch runs the Python loop. The first bad pair is raised after the
+        pairs before it are answered and counted.
+        """
         front = _bulk_codes(xs, ys, self._n, self._key)
         if front is None:
             return super().contains_many(xs, ys)
         codes, keys, k = front
-        data = self._data
         mask = self._mask
-        total = peak = 0
-        out = []
-        append = out.append
-        for code, key in zip(codes, keys):
-            slot = key & mask
-            held = data[slot]
-            probes = 1
-            while held != code and held != NONE:
-                slot = (slot + 1) & mask
+        if k * 8 >= self._cap and self._n <= 1 << 31:
+            table = np.fromiter(self._data, np.int64, self._cap)
+            slots = (keys & np.uint64(mask)).astype(np.int64)
+            found, total, peak = _probe_rounds(table, codes.view(np.int64), slots, mask)
+            out = found.tolist()
+        else:
+            data = self._data
+            total = peak = 0
+            out = []
+            append = out.append
+            for code, key in zip(codes.tolist(), keys.tolist()):
+                slot = key & mask
                 held = data[slot]
-                probes += 1
-            total += probes
-            if probes > peak:
-                peak = probes
-            append(held == code)
+                probes = 1
+                while held != code and held != NONE:
+                    slot = (slot + 1) & mask
+                    held = data[slot]
+                    probes += 1
+                total += probes
+                if probes > peak:
+                    peak = probes
+                append(held == code)
         self.counters.contains.record_batch(len(out), total, peak)
         if k < len(xs):
             self._check_pair(xs[k], ys[k])

@@ -21,7 +21,7 @@ Only then are the new slots, chains and weights installed, so a rebuild
 that fails on the way leaves the store as it was.
 
 The bulk ``add_edges`` and ``contains_many`` come from the edge hash's
-vectorized front end and batch loops; the add loop threads each new slot
+vectorized front end and batch paths; the add loop threads each new slot
 onto its chain as ``add_edge`` does, and takes an optional weight per pair,
 so a weighted batch probes each edge once rather than once more for
 ``set_weight``.

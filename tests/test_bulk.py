@@ -10,6 +10,9 @@ channel's (ops, total, peak).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from graphstores import (
     StoreConfig,
     VertexRangeError,
 )
+from graphstores import edgehash
 
 STORES = [
     pytest.param(EdgeHash, False, id="edgehash"),
@@ -31,6 +35,7 @@ STORES = [
     pytest.param(HashList, True, id="hashlist-weighted"),
 ]
 MODES = ["mixer", "paper_compat"]
+FORMS = ["list", "int64", "uint64"]
 
 
 def state(store) -> dict:
@@ -106,6 +111,139 @@ def test_bulk_matches_scalar(cls, weighted, hash_mode, n, batches, form):
         assert [bulk.neighbors(v) for v in range(n)] == [scalar.neighbors(v) for v in range(n)]
 
 
+def snapshot(store) -> dict:
+    """``state`` with every slot, chain and weight array copied, to compare across a call."""
+    return {name: list(v) if isinstance(v, (list, memoryview)) else v
+            for name, v in state(store).items()}
+
+
+@contextmanager
+def read_path():
+    """Yields a list that gains one "rounds" for each batch ``contains_many`` probes in
+    rounds; a batch probed by the Python loop adds nothing."""
+    paths = []
+    rounds = edgehash._probe_rounds
+
+    def spy(*args):
+        paths.append("rounds")
+        return rounds(*args)
+
+    with mock.patch.object(edgehash, "_probe_rounds", spy):
+        yield paths
+
+
+def expected_path(store, k: int) -> str:
+    return "rounds" if k * 8 >= store.capacity and store.vertex_count <= 1 << 31 else "loop"
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), edges=st.integers(0, 80),
+       side=st.sampled_from(["below", "at", "above"]), form=st.sampled_from(FORMS))
+def test_read_paths_match_scalar(cls, weighted, hash_mode, data, n, edges, side, form):
+    """Batches of cap/8 - 1 and cap/8 valid pairs, on each side of the rounds rule, and
+    of 4 * cap, well above it: the same answers and counters as the scalar loop, and
+    the reads change no slot, chain, weight or other counter."""
+    cfg = StoreConfig(vertex_count=n, expected_edges=1 + edges // 3, hash_mode=hash_mode,
+                      weighted=weighted)
+    bulk, scalar = cls(cfg), cls(cfg)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    stored = data.draw(st.lists(pair, min_size=edges, max_size=edges))
+    xs, ys = [x for x, _ in stored], [y for _, y in stored]
+    assert bulk.add_edges(xs, ys) == scalar_adds(scalar, xs, ys)
+    cap = bulk.capacity
+    size = {"below": cap // 8 - 1, "at": cap // 8, "above": 4 * cap}[side]
+    asked = data.draw(st.lists(st.one_of(st.sampled_from(stored or [(0, 0)]), pair),
+                               min_size=size, max_size=size))
+    qx, qy = [x for x, _ in asked], [y for _, y in asked]
+    before = snapshot(bulk)
+    with read_path() as paths:
+        got = bulk.contains_many(shaped(qx, form), shaped(qy, form))
+    assert paths == (["rounds"] if expected_path(bulk, size) == "rounds" else [])
+    assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)]
+    after = snapshot(bulk)
+    assert after == snapshot(scalar)
+    assert {**after, "channels": None} == {**before, "channels": None}
+    assert after["channels"][0] == before["channels"][0]  # the add channel
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("n,path", [(1 << 31, "rounds"), ((1 << 31) + 1, "loop")])
+def test_read_path_by_vertex_count(n, path, hash_mode, form):
+    """At n = 2**31 every code fits int64, up to 2**63 - 1, so the rounds run; at
+    2**31 + 1 a code may reach 2**63, so the loop runs. Only EdgeHash: a HashList or
+    MultiList would hold n heads here."""
+    top = n - 1
+    ids = [top, top - 1, top - 2, (1 << 31) - 1, 1 << 30, 0]
+    xs = [top, top, top - 1, 0, 1 << 30, top - 2]
+    ys = [top, 0, top - 2, top, 1 << 30, top - 1]
+    qx, qy = ids + xs + [top] * 6, xs + ids + ids
+    cfg = StoreConfig(vertex_count=n, expected_edges=1, hash_mode=hash_mode)
+    bulk, scalar = EdgeHash(cfg), EdgeHash(cfg)
+    assert bulk.add_edges(shaped(xs, form), shaped(ys, form)) == scalar_adds(scalar, xs, ys)
+    assert max(bulk._data) == (top << 32) | top
+    with read_path() as paths:
+        got = bulk.contains_many(shaped(qx, form), shaped(qy, form))
+    assert expected_path(bulk, len(qx)) == path
+    assert paths == ([path] if path == "rounds" else [])
+    assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)]
+    assert any(got) and not all(got)
+    assert snapshot(bulk) == snapshot(scalar)
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+@pytest.mark.parametrize("j", [2, 5, 9])
+def test_bad_id_on_the_rounds_path(cls, weighted, hash_mode, j):
+    """A bad id at index j of a 10-pair batch on a 16-slot table: the j valid pairs
+    before it take the rounds (j * 8 >= 16), are counted as a scalar loop stopped at j
+    counts them, and then the same VertexRangeError is raised."""
+    cfg = StoreConfig(vertex_count=8, expected_edges=4, hash_mode=hash_mode, weighted=weighted)
+    bulk, scalar = cls(cfg), cls(cfg)
+    xs, ys = [0, 5, 7, 3, 1, 2], [0, 5, 7, 1, 3, 2]
+    bulk.add_edges(xs, ys)
+    scalar_adds(scalar, xs, ys)
+    assert bulk.capacity == 16
+    qx, qy = [0, 5, 1, 3, 7, 6, 2, 4, 5, 0], [0, 5, 3, 3, 7, 6, 2, 4, 0, 1]
+    qy[j] = 8
+    _, want = run_scalar(lambda: [scalar.contains(x, y) for x, y in zip(qx, qy)])
+    with read_path() as paths, pytest.raises(VertexRangeError) as info:
+        bulk.contains_many(np.array(qx), qy)
+    assert paths == ["rounds"]
+    assert (info.type, str(info.value)) == want
+    assert snapshot(bulk) == snapshot(scalar)
+    assert bulk.counters.contains.ops == j
+
+
+EDGE_CASES = [
+    pytest.param([], [], [], id="empty"),
+    pytest.param([1, 2], [2, 1], ["rounds"], id="two-pairs-16-slots"),
+    pytest.param(np.array([1.0, 2.0, 3.0, 0.0]), np.array([2.0, 1.0, 3.0, 0.0]), [],
+                 id="float-ids"),
+]
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+@pytest.mark.parametrize("qx,qy,path", EDGE_CASES)
+def test_read_path_edge_cases(cls, weighted, hash_mode, qx, qy, path):
+    """An empty batch takes the loop (0 < 16 / 8); two pairs are enough for rounds on
+    16 slots; float ids go to the scalar calls, which raise what they always raise."""
+    cfg = StoreConfig(vertex_count=4, expected_edges=2, hash_mode=hash_mode, weighted=weighted)
+    bulk, scalar = cls(cfg), cls(cfg)
+    bulk.add_edges([1, 3], [2, 3])
+    scalar_adds(scalar, [1, 3], [2, 3])
+    assert bulk.capacity == 16
+    want = run_scalar(lambda: [scalar.contains(x, y) for x, y in zip(qx, qy)])
+    with read_path() as paths:
+        got = run_scalar(bulk.contains_many, qx, qy)
+    assert paths == path
+    assert got == want
+    assert snapshot(bulk) == snapshot(scalar)
+
+
 def test_mid_batch_rebuilds_in_one_call():
     """One 3000-edge batch from 16 slots crosses every growth step inside the call."""
     rng = np.random.default_rng(5)
@@ -165,8 +303,6 @@ def run_full_width_twins(hash_mode, form, batches):
         assert state(bulk) == state(scalar)
     return bulk
 
-
-FORMS = ["list", "int64", "uint64"]
 
 
 @pytest.mark.parametrize("form", FORMS)
