@@ -9,8 +9,13 @@ from quotient arithmetic, and power-of-two rounding by doubling.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter_ns
+
+import numpy as np
+
+from graphstores.formats import GraphFile, QueryFile
 
 
 def pack_by_arithmetic(x: int, y: int) -> int:
@@ -231,3 +236,130 @@ def op_by_op_execute(ops, stores, wall=None):
                 if other != base:
                     return index, op, answers
     return None
+
+
+# The byte-granular parse kernel: a running count of newlines for line ids and
+# a per-byte digit table summed per token. ``graphstores.formats._scan`` and the
+# two bulk parsers must decline exactly the texts these decline and return
+# exactly what these return.
+_MAX_ID_DIGITS = 19  # 10**19 - 1 < 2**64
+_MAX_WEIGHT_DIGITS = 15  # mantissa < 2**53, and 10**k is exact for k <= 15
+_MAX_BYTES = 2**31 - 1  # running counts fit in int32
+_POW10 = 10 ** np.arange(_MAX_ID_DIGITS, dtype=np.uint64)
+_POW10_FLOAT = _POW10[: _MAX_WEIGHT_DIGITS + 1].astype(np.float64)
+# _DIGIT_VALUE[p * 256 + byte]: the byte's digit times 10**p, 0 for a non-digit byte
+_DIGIT_VALUE = np.zeros((_MAX_ID_DIGITS, 256), dtype=np.uint64)
+_DIGIT_VALUE[:, ord("0"): ord("9") + 1] = _POW10[:, None] * np.arange(10, dtype=np.uint64)
+_DIGIT_VALUE = _DIGIT_VALUE.ravel()
+
+
+def _byte_set(chars: bytes) -> np.ndarray:
+    table = np.zeros(256, dtype=bool)
+    table[np.frombuffer(chars, np.uint8)] = True
+    return table
+
+
+_EDGE_BYTES = _byte_set(b"0123456789 \n.")
+_QUERY_BYTES = _byte_set(b"0123456789 \nCN")
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """Token layout of a file. Per line that holds tokens: its ``first``
+    token and ``width``. Per token: ``lead`` byte, ``length``, ``digits``,
+    ``value`` (the integer its digits spell, other bytes skipped) and
+    ``scale`` (digits after its last ``.``)."""
+
+    first: np.ndarray
+    width: np.ndarray
+    lead: np.ndarray
+    length: np.ndarray
+    digits: np.ndarray
+    value: np.ndarray
+    scale: np.ndarray
+
+
+def _scan(text: str, allowed: np.ndarray) -> _Scan | None:
+    """Whole-buffer token scan, or None on a byte outside ``allowed``, a
+    token over 19 bytes or a text of 2 GiB or more."""
+    if not text.isascii() or len(text) > _MAX_BYTES:
+        return None
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    if not allowed.take(buf).all():
+        return None
+    in_token = buf > ord(" ")  # the allowed separators are space and newline
+    bounds = np.flatnonzero(np.diff(in_token.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
+    starts = bounds[0::2]
+    length = bounds[1::2] - starts
+    if len(starts) and length.max() > _MAX_ID_DIGITS:
+        return None
+    line = np.cumsum(buf == ord("\n"), dtype=np.int32)[starts]
+    first = np.flatnonzero(np.diff(line, prepend=-1))
+    width = np.diff(first, append=len(starts))
+
+    chars = buf[in_token]
+    is_digit = chars - ord("0") < 10  # uint8 wraps below '0'
+    seen = np.cumsum(is_digit, dtype=np.int32)
+    begin = np.cumsum(length) - length
+    last_seen = seen[begin + length - 1]
+    after = np.repeat(last_seen, length) - seen
+    value = np.add.reduceat(_DIGIT_VALUE.take(after * 256 + chars), begin) if len(begin) else begin
+    digits = last_seen - seen[begin] + is_digit[begin]
+    dots = np.flatnonzero(chars == ord("."))
+    scale = np.zeros(len(starts), dtype=np.int64)
+    scale[np.searchsorted(begin, dots, side="right") - 1] = after[dots]
+    return _Scan(first, width, buf[starts], length, digits, value, scale)
+
+
+def _bulk_edge_list(text: str) -> GraphFile | None:
+    s = _scan(text, _EDGE_BYTES)
+    if s is None or len(s.first) == 0 or s.width[0] != 2:
+        return None
+    whole = s.digits == s.length  # the token is a plain decimal integer
+    if not (whole[0] and whole[1]):
+        return None
+    n, m = int(s.value[0]), int(s.value[1])
+    first, width = s.first[1:], s.width[1:]
+    if n < 1 or len(first) > m or not ((width == 2) | (width == 3)).all():
+        return None
+    if not (whole[first].all() and whole[first + 1].all()):
+        return None
+    xs, ys = s.value[first], s.value[first + 1]
+    if len(first) and max(xs.max(), ys.max()) >= n:
+        return None
+
+    weighted = width == 3
+    w = first[weighted] + 2
+    digits = s.digits[w]
+    if not ((digits >= 1) & (digits <= _MAX_WEIGHT_DIGITS) & (s.length[w] - digits <= 1)).all():
+        return None
+    weights = s.value[w].astype(np.float64) / _POW10_FLOAT[s.scale[w]]
+
+    if weighted.all():
+        ws = weights.tolist()
+    elif not weighted.any():
+        ws = [None] * len(first)
+    else:
+        column = np.full(len(first), None, dtype=object)
+        column[weighted] = weights
+        ws = column.tolist()
+    return GraphFile(n=n, m=m, xs=xs.tolist(), ys=ys.tolist(), ws=ws, has_weights=bool(len(w)))
+
+
+def _bulk_queries(text: str) -> QueryFile | None:
+    s = _scan(text, _QUERY_BYTES)
+    if s is None:
+        return None
+    first, width = s.first, s.width
+    head = s.lead[first]
+    is_c = head == ord("C")
+    shape = (s.length[first] == 1) & np.where(is_c, width == 3, (head == ord("N")) & (width == 2))
+    whole = s.digits == s.length
+    if not (shape.all() and whole[first + 1].all() and whole[first[is_c] + 2].all()):
+        return None
+    c = first[is_c]
+    return QueryFile(
+        is_c=is_c.tolist(), cxs=s.value[c + 1].tolist(), cys=s.value[c + 2].tolist(),
+        nvs=s.value[first[~is_c] + 1].tolist(),
+    )
+

@@ -6,6 +6,10 @@ kernel, which declines any byte outside digits, space, newline, ``.``,
 significant lines through the per-line parser, which is the reference:
 both calls must give the same values with the same Python types, or raise
 the same exception class with the same message and line number.
+
+The kernel itself is also checked against the byte-granular kernel it
+replaced, kept in ``_reference``: on texts over each kernel's own bytes,
+both decline or both return the same token layout and the same file.
 """
 
 from __future__ import annotations
@@ -14,10 +18,16 @@ import importlib
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _reference import _EDGE_BYTES as REFERENCE_EDGE_BYTES
+from _reference import _QUERY_BYTES as REFERENCE_QUERY_BYTES
+from _reference import _bulk_edge_list as reference_bulk_edge_list
+from _reference import _bulk_queries as reference_bulk_queries
+from _reference import _scan as reference_scan
 from graphstores import GraphStoreError, formats, parse_edge_list, parse_queries
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -155,6 +165,88 @@ def test_edge_lists_match_per_line(text):
 @given(query_files())
 def test_queries_match_per_line(text):
     assert_same_queries(text)
+
+
+# --- the kernel against the byte-granular kernel it replaced, on texts over its own bytes.
+
+def column_types(parsed) -> dict:
+    return {f.name: [type(v) for v in getattr(parsed, f.name)] for f in fields(parsed)
+            if isinstance(getattr(parsed, f.name), list)}
+
+
+def assert_same_kernel(text: str, kernel: str) -> None:
+    edges = kernel == "edges"
+    scans = (formats._scan(text, formats._EDGE_BYTES if edges else formats._QUERY_BYTES),
+             reference_scan(text, REFERENCE_EDGE_BYTES if edges else REFERENCE_QUERY_BYTES))
+    assert (scans[0] is None) == (scans[1] is None), text
+    if scans[0] is not None:
+        for f in fields(scans[1]):
+            assert np.array_equal(getattr(scans[0], f.name), getattr(scans[1], f.name)), (text, f.name)
+    got = formats._bulk_edge_list(text) if edges else formats._bulk_queries(text)
+    ref = reference_bulk_edge_list(text) if edges else reference_bulk_queries(text)
+    assert got == ref, text
+    if got is not None:
+        assert column_types(got) == column_types(ref), text
+        if edges:
+            assert type(got.n) is int and type(got.m) is int and type(got.has_weights) is bool
+
+
+def run(chars: str):
+    return st.text(chars, max_size=3)
+
+
+DIGITS = "0123456789"
+NUMBER = st.one_of(st.integers(0, 99999).map(str), st.integers(0, 99999).map(str),
+                   st.text(DIGITS, min_size=1, max_size=20))
+
+
+@st.composite
+def decimal(draw):
+    digits = draw(st.text(DIGITS, min_size=1, max_size=16))
+    dot = draw(st.integers(-1, len(digits)))
+    return digits if dot < 0 else digits[:dot] + "." + digits[dot:]
+
+
+def edge_row(draw):
+    return [draw(NUMBER), draw(NUMBER)] + [draw(decimal())] * draw(st.integers(0, 1))
+
+
+def query_row(draw):
+    return ["C", draw(NUMBER), draw(NUMBER)] if draw(st.booleans()) else ["N", draw(NUMBER)]
+
+
+@st.composite
+def kernel_texts(draw, token_bytes: str, header, row):
+    """A plain string over ``token_bytes``, blank and newline; or rows of tokens, one of them
+    sometimes swapped for 1–20 bytes over ``token_bytes`` or its row's width changed, joined
+    by runs of blanks and newlines, with or without a trailing newline."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.text(token_bytes + " \n", max_size=40))
+    rows = ([draw(header)] if header is not None else []) + [row(draw) for _ in range(draw(st.integers(0, 8)))]
+    if rows and draw(st.booleans()):
+        r = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, len(r)))
+        odd = st.text(token_bytes, min_size=1, max_size=20)
+        r[i:i + 1] = draw(st.sampled_from([[], [draw(odd)], [draw(odd), draw(NUMBER)]]))
+    text = draw(run(" \n"))
+    for r in rows:
+        text += draw(run(" ")) + " ".join(r) + draw(run(" ")) + draw(st.sampled_from(["\n", "\n\n", "\n \n "]))
+    return text[: len(text) - draw(st.integers(0, 3))]
+
+
+EDGE_HEADER = st.tuples(st.sampled_from(["9" * 19, "1000", "1"]), st.sampled_from(["9" * 19, "8", "0"])).map(list)
+
+
+@SETTINGS
+@given(st.one_of(st.just(""), kernel_texts("0123456789.", EDGE_HEADER, edge_row)))
+def test_edge_kernel_matches_reference(text):
+    assert_same_kernel(text, "edges")
+
+
+@SETTINGS
+@given(st.one_of(st.just(""), kernel_texts("0123456789CN", None, query_row)))
+def test_query_kernel_matches_reference(text):
+    assert_same_kernel(text, "queries")
 
 
 # Every malformed shape in test_formats.py, and the boundary tokens one at a time.
