@@ -263,12 +263,18 @@ EDGE_CASES = [
     "3 1\n0 1 0.1\n", "3 1\n0 1 0.3\n", "3 1\n0 1 2.675\n", "3 1\n0 1 1.\n", "3 1\n0 1 ..\n",
     "3 2\n0 1 1.5\n1 2\n", "3 2\n0 1\n1 2 1.5\n", "3 1\n00 01 000.500\n", "3 1\n0 1 C\n", "3 1\nC 0 1\n",
     "3 1\n0 1  \n", "3 1\n0 1 \x0c\n", "3 1\n0\x0b1\n",
+    # the kernel's own boundaries: tokens at end of file, id widths around 2**32, line starts
+    f"{10**19 - 1} 1\n0 {'9' * 19}", f"{10**19 - 1} 1\n0 {'9' * 20}", "3 1\n0 1 123456789012345",
+    "3 1\n0 1 12345678901.2345", f"{10**10} 2\n999999999 9999999999\n4294967295 4294967296\n",
+    f"{2**32} 1\n4294967295 0\n", f"{2**32} 1\n4294967296 0\n", "\n\n3 1\n\n \n0 1", "   ", "\n \n  ",
 ]
 QUERY_CASES = [
     "", "C 0 1\nN 2\n", "# q\nC 1 1\n", "C 0\n", "N 0 1\n", "X 0 1\n", "C a b\n", "contains 0 1\n",
     "C 0 1", "  C   0  1  \n\n N 2 \n", "C\t0 1\n", "c 0 1\n", "CN 0\n", "C 0 N\n", "N C\n", "C0 1\n",
     "N 1.5\n", f"C {10**19 - 1} 0\n", f"C {10**19} 0\n", f"N {'0' * 19}1\n", "C -1 0\n", "N +1\n",
     "C 0 1\r\nN 2\r\n", "N 1\nN\n", "C\n", "N\n", "\n\n\n",
+    f"C 0 {'9' * 19}", f"C 0 {'9' * 20}", f"N {'0' * 18}1", "C 999999999 9999999999\nN 4294967295\nN 4294967296",
+    "\n\nN 3\n\n \nC 0 1", "   ", " \n ",
 ]
 
 
@@ -282,11 +288,12 @@ def test_query_cases(text):
     assert_same_queries(text)
 
 
-def test_kernel_accepts_benchmark_files(monkeypatch):
-    """The files perfbench writes (one format for every workload) take the bulk path."""
+@pytest.mark.parametrize("workload", ["uniform-presized", "skewed-growing", "cli-query", "selftest"])
+def test_kernel_accepts_benchmark_files(monkeypatch, workload):
+    """The files every perfbench workload writes take the bulk path, never the per-line parser."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     bench_inputs = importlib.import_module("bench_inputs")
-    inp = bench_inputs.make_inputs(bench_inputs.WORKLOADS["selftest"], 5)
+    inp = bench_inputs.make_inputs(bench_inputs.WORKLOADS[workload], 5)
     graph = formats._bulk_edge_list(inp.graph_text)
     queries = formats._bulk_queries(inp.query_text)
     assert graph is not None and queries is not None
