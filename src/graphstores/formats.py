@@ -6,20 +6,23 @@ are ignored. Query files: ``C x y`` asks membership, ``N x`` asks for the
 neighbor list. Result files carry exactly one line per query: ``1``/``0``
 for C, a space-separated target list (store enumeration order) for N.
 
-Both parsers first try a bulk kernel that reads the whole file in a few
-numpy passes over its ASCII bytes: token bounds, line ids from a running
-count of newlines, each line's shape, every id of up to 19 digits as a
-``uint64`` sum of digit times power of ten, and every weight of up to 15
-digits and at most one ``.`` as mantissa / 10**k, which is exactly
-``float(token)`` because both operands are exact doubles (Clinger's fast
-path). The kernel never raises: it declines any file it cannot settle
-exactly, such as one holding a byte other than digits, space, newline,
-``.``, ``C`` or ``N`` (so ``#`` comments, tabs, carriage returns, signs,
-``_``, exponents and non-ASCII text), a longer token, a bad line shape,
-an out-of-range id or more edge lines than ``m``. The per-line parser then
-reads the whole text. It is the reference the kernel is tested against,
-and the only code that reports errors, so error classes, messages and
-line numbers do not depend on the kernel.
+Both parsers first try a bulk kernel. One ``bytes.translate`` checks the
+file's bytes, and whole-buffer numpy passes find the token bounds and the
+newlines; the rest works per token. The first token of each line is the
+one after a newline, found by binary search. Every token's value comes from
+a Horner loop over byte positions, one vectorized step per position up to
+the longest token, so every id of up to 19 digits is an exact integer
+(``uint32`` while no token is longer than 9 bytes, else ``uint64``). Every
+weight of up to 15 digits and at most one ``.`` is mantissa / 10**k, which
+is exactly ``float(token)`` because both operands are exact doubles
+(Clinger's fast path). The kernel never raises: it declines any file it
+cannot settle exactly, such as one holding a byte other than digits,
+space, newline, ``.``, ``C`` or ``N`` (so ``#`` comments, tabs, carriage
+returns, signs, ``_``, exponents and non-ASCII text), a longer token, a
+bad line shape, an out-of-range id or more edge lines than ``m``. The
+per-line parser then reads the whole text. It is the reference the kernel
+is tested against, and the only code that reports errors, so error
+classes, messages and line numbers do not depend on the kernel.
 """
 
 from __future__ import annotations
@@ -74,23 +77,13 @@ class QueryFile:
 
 _MAX_ID_DIGITS = 19  # 10**19 - 1 < 2**64
 _MAX_WEIGHT_DIGITS = 15  # mantissa < 2**53, and 10**k is exact for k <= 15
-_MAX_BYTES = 2**31 - 1  # running counts fit in int32
-_POW10 = 10 ** np.arange(_MAX_ID_DIGITS, dtype=np.uint64)
-_POW10_FLOAT = _POW10[: _MAX_WEIGHT_DIGITS + 1].astype(np.float64)
-# _DIGIT_VALUE[p * 256 + byte]: the byte's digit times 10**p, 0 for a non-digit byte
-_DIGIT_VALUE = np.zeros((_MAX_ID_DIGITS, 256), dtype=np.uint64)
-_DIGIT_VALUE[:, ord("0"): ord("9") + 1] = _POW10[:, None] * np.arange(10, dtype=np.uint64)
-_DIGIT_VALUE = _DIGIT_VALUE.ravel()
-
-
-def _byte_set(chars: bytes) -> np.ndarray:
-    table = np.zeros(256, dtype=bool)
-    table[np.frombuffer(chars, np.uint8)] = True
-    return table
-
-
-_EDGE_BYTES = _byte_set(b"0123456789 \n.")
-_QUERY_BYTES = _byte_set(b"0123456789 \nCN")
+# Larger texts go to the per-line parser. Every kernel index is int64, so the
+# limit guards no arithmetic; it is kept because no test runs the kernel on a
+# text this large.
+_MAX_BYTES = 2**31 - 1
+_POW10_FLOAT = (10 ** np.arange(_MAX_WEIGHT_DIGITS + 1)).astype(np.float64)
+_EDGE_BYTES = b"0123456789 \n."
+_QUERY_BYTES = b"0123456789 \nCN"
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ class _Scan:
     """Token layout of a file. Per line that holds tokens: its ``first``
     token and ``width``. Per token: ``lead`` byte, ``length``, ``digits``,
     ``value`` (the integer its digits spell, other bytes skipped) and
-    ``scale`` (digits after its last ``.``)."""
+    ``scale`` (digits after its last ``.``, 0 without one)."""
 
     first: np.ndarray
     width: np.ndarray
@@ -109,35 +102,48 @@ class _Scan:
     scale: np.ndarray
 
 
-def _scan(text: str, allowed: np.ndarray) -> _Scan | None:
-    """Whole-buffer token scan, or None on a byte outside ``allowed``, a
-    token over 19 bytes or a text of 2 GiB or more."""
+def _scan(text: str, allowed: bytes) -> _Scan | None:
+    """Token scan, or None on a byte outside ``allowed``, a token over 19
+    bytes or a text of 2 GiB or more."""
     if not text.isascii() or len(text) > _MAX_BYTES:
         return None
-    buf = np.frombuffer(text.encode("ascii"), np.uint8)
-    if not allowed.take(buf).all():
+    raw = text.encode("ascii")
+    if raw.translate(None, allowed):
         return None
+    buf = np.frombuffer(raw, np.uint8)
     in_token = buf > ord(" ")  # the allowed separators are space and newline
     bounds = np.flatnonzero(np.diff(in_token.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
     starts = bounds[0::2]
     length = bounds[1::2] - starts
-    if len(starts) and length.max() > _MAX_ID_DIGITS:
+    longest = int(length.max()) if len(starts) else 0
+    if longest > _MAX_ID_DIGITS:
         return None
-    line = np.cumsum(buf == ord("\n"), dtype=np.int32)[starts]
-    first = np.flatnonzero(np.diff(line, prepend=-1))
+    opens = np.zeros(len(starts) + 1, dtype=bool)  # opens[i]: token i is the first of its line
+    opens[0] = True
+    opens[np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))] = True
+    first = np.flatnonzero(opens[:-1])
     width = np.diff(first, append=len(starts))
 
-    chars = buf[in_token]
-    is_digit = chars - ord("0") < 10  # uint8 wraps below '0'
-    seen = np.cumsum(is_digit, dtype=np.int32)
-    begin = np.cumsum(length) - length
-    last_seen = seen[begin + length - 1]
-    after = np.repeat(last_seen, length) - seen
-    value = np.add.reduceat(_DIGIT_VALUE.take(after * 256 + chars), begin) if len(begin) else begin
-    digits = last_seen - seen[begin] + is_digit[begin]
-    dots = np.flatnonzero(chars == ord("."))
-    scale = np.zeros(len(starts), dtype=np.int64)
-    scale[np.searchsorted(begin, dots, side="right") - 1] = after[dots]
+    # Horner over byte positions p: at a digit, value = 10 * value + digit; other bytes are skipped.
+    padded = np.concatenate((buf, np.zeros(longest, np.uint8)))
+    value = np.zeros(len(starts), np.uint32 if longest <= 9 else np.uint64)
+    digits = np.zeros(len(starts), np.uint8)
+    scale = np.zeros(len(starts), np.uint8)
+    dotted = np.zeros(len(starts), dtype=bool)
+    remaining = length.astype(np.uint8)
+    for p in range(longest):
+        byte = padded[starts + p]  # past a token's end: a separator, the next token or padding
+        live = remaining > p
+        digit = byte - np.uint8(ord("0"))  # uint8 wraps below '0'
+        is_digit = (digit < 10) & live
+        value *= is_digit * np.uint8(9) + np.uint8(1)  # 10 at a digit, else 1
+        value += digit * is_digit
+        digits += is_digit
+        dot = (byte == ord(".")) & live
+        dotted |= dot
+        scale *= ~dot  # a dot restarts the count
+        scale += is_digit
+    scale *= dotted
     return _Scan(first, width, buf[starts], length, digits, value, scale)
 
 
