@@ -3,7 +3,8 @@
 Everything here deliberately takes a different route from the library:
 packing by arithmetic instead of shifts, two's-complement wrapping through
 struct instead of conditional subtraction, truncated remainder spelled out
-from quotient arithmetic, and power-of-two rounding by doubling.
+from quotient arithmetic, power-of-two rounding by doubling, and a parse
+kernel that works byte by byte where the library's works token by token.
 """
 
 from __future__ import annotations

@@ -219,19 +219,25 @@ def query_row(draw):
 def kernel_texts(draw, token_bytes: str, header, row):
     """A plain string over ``token_bytes``, blank and newline; or rows of tokens, one of them
     sometimes swapped for 1–20 bytes over ``token_bytes`` or its row's width changed, joined
-    by runs of blanks and newlines, with or without a trailing newline."""
+    by runs of blanks and newlines, with or without a trailing newline. Now and then one
+    character from outside the alphabet goes in, which the kernel must decline."""
     if draw(st.integers(0, 7)) == 0:
-        return draw(st.text(token_bytes + " \n", max_size=40))
-    rows = ([draw(header)] if header is not None else []) + [row(draw) for _ in range(draw(st.integers(0, 8)))]
-    if rows and draw(st.booleans()):
-        r = draw(st.sampled_from(rows))
-        i = draw(st.integers(0, len(r)))
-        odd = st.text(token_bytes, min_size=1, max_size=20)
-        r[i:i + 1] = draw(st.sampled_from([[], [draw(odd)], [draw(odd), draw(NUMBER)]]))
-    text = draw(run(" \n"))
-    for r in rows:
-        text += draw(run(" ")) + " ".join(r) + draw(run(" ")) + draw(st.sampled_from(["\n", "\n\n", "\n \n "]))
-    return text[: len(text) - draw(st.integers(0, 3))]
+        text = draw(st.text(token_bytes + " \n", max_size=40))
+    else:
+        rows = ([draw(header)] if header is not None else []) + [row(draw) for _ in range(draw(st.integers(0, 8)))]
+        if rows and draw(st.booleans()):
+            r = draw(st.sampled_from(rows))
+            i = draw(st.integers(0, len(r)))
+            odd = st.text(token_bytes, min_size=1, max_size=20)
+            r[i:i + 1] = draw(st.sampled_from([[], [draw(odd)], [draw(odd), draw(NUMBER)]]))
+        text = draw(run(" \n"))
+        for r in rows:
+            text += draw(run(" ")) + " ".join(r) + draw(run(" ")) + draw(st.sampled_from(["\n", "\n\n", "\n \n "]))
+        text = text[: len(text) - draw(st.integers(0, 3))]
+    if draw(st.integers(0, 7)) == 0:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from("\t\r\x0b\x0c#-+e_.CN\xe9")) + text[i:]
+    return text
 
 
 EDGE_HEADER = st.tuples(st.sampled_from(["9" * 19, "1000", "1"]), st.sampled_from(["9" * 19, "8", "0"])).map(list)
@@ -267,6 +273,7 @@ EDGE_CASES = [
     f"{10**19 - 1} 1\n0 {'9' * 19}", f"{10**19 - 1} 1\n0 {'9' * 20}", "3 1\n0 1 123456789012345",
     "3 1\n0 1 12345678901.2345", f"{10**10} 2\n999999999 9999999999\n4294967295 4294967296\n",
     f"{2**32} 1\n4294967295 0\n", f"{2**32} 1\n4294967296 0\n", "\n\n3 1\n\n \n0 1", "   ", "\n \n  ",
+    "3 100000\n0 1.5 .25\n",
 ]
 QUERY_CASES = [
     "", "C 0 1\nN 2\n", "# q\nC 1 1\n", "C 0\n", "N 0 1\n", "X 0 1\n", "C a b\n", "contains 0 1\n",
@@ -281,11 +288,13 @@ QUERY_CASES = [
 @pytest.mark.parametrize("text", EDGE_CASES)
 def test_edge_list_cases(text):
     assert_same_graph(text)
+    assert_same_kernel(text, "edges")
 
 
 @pytest.mark.parametrize("text", QUERY_CASES)
 def test_query_cases(text):
     assert_same_queries(text)
+    assert_same_kernel(text, "queries")
 
 
 @pytest.mark.parametrize("workload", ["uniform-presized", "skewed-growing", "cli-query", "selftest"])
