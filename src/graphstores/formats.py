@@ -130,10 +130,9 @@ def _scan(text: str, allowed: bytes) -> _Scan | None:
     digits = np.zeros(len(starts), np.uint8)
     scale = np.zeros(len(starts), np.uint8)
     dotted = np.zeros(len(starts), dtype=bool)
-    remaining = length.astype(np.uint8)
     for p in range(longest):
         byte = padded[starts + p]  # past a token's end: a separator, the next token or padding
-        live = remaining > p
+        live = length > p
         digit = byte - np.uint8(ord("0"))  # uint8 wraps below '0'
         is_digit = (digit < 10) & live
         value *= is_digit * np.uint8(9) + np.uint8(1)  # 10 at a digit, else 1
