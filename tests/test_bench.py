@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,6 +218,47 @@ class TestGenerateOps:
         nbrs = sum(1 for op in ops if op[0] == "nbrs")
         assert abs(adds / len(ops) - 0.6) < 0.02
         assert abs(nbrs / len(ops) - 0.05) < 0.01
+
+
+#: Specs whose streams are pinned. The miss-heavy ones sit on n = 2, so their misses run
+#: out of absent pairs: star's fall back to a spoke-to-hub pair, uniform's to an enumerate.
+PINNED_SPECS = {
+    "uniform": dict(generator="uniform", n=300, m=3000),
+    "star": dict(generator="star", n=300, m=3000),
+    "grid": dict(generator="grid", n=300, m=3000),
+    "star-miss-heavy": dict(generator="star", n=2, m=400, mix=(0.3, 0.0, 0.7, 0.0)),
+    "uniform-miss-heavy": dict(generator="uniform", n=2, m=400, mix=(0.3, 0.0, 0.7, 0.0)),
+}
+#: Leading 32 hex digits of sha256(repr(generate_ops(spec))).
+PINNED_STREAMS = {
+    ("uniform", 0): "db8e7932945836f75b9cc0071365b5fe",
+    ("star", 0): "e021815cb7687ae2cec70b6d664d6411",
+    ("grid", 0): "ec49744c91d62c9dd941037beb99e48d",
+    ("star-miss-heavy", 0): "6e41a53640d410c11fff1b3cb972b863",
+    ("uniform-miss-heavy", 0): "5903b25ca67949633ec86e2f33e1ac5f",
+    ("uniform", 1): "6ddd06c732faa30db45e6b73918aa217",
+    ("star", 1): "d249b30cb6735ca655a7c59db3137505",
+    ("grid", 1): "a82fc00956058ba7f9c6e5120a231288",
+    ("star-miss-heavy", 1): "80d3dac2650f30a24124ffa656cbdab1",
+    ("uniform-miss-heavy", 1): "d6db62e24734ab81c78f7868070d48ae",
+    ("uniform", 2**64 - 1): "dd3adf530cf3e344f759cd90f0e88639",
+    ("star", 2**64 - 1): "3171b07964ffa50e9b96e76fcab1554b",
+    ("grid", 2**64 - 1): "b35c6267f04e96a05c6d1da159f3e757",
+    ("star-miss-heavy", 2**64 - 1): "3523906be2b35462f855fb421da390c8",
+    ("uniform-miss-heavy", 2**64 - 1): "d34d5230d26feef2bc7bc70361023cfa",
+}
+
+
+@pytest.mark.parametrize("name,seed", list(PINNED_STREAMS))
+def test_generate_ops_stream_pinned(name, seed):
+    """The exact stream for each pinned spec and seed, so a faster generator can be
+    checked op for op; the miss-heavy specs show that both fallbacks fired."""
+    ops = generate_ops(WorkloadSpec(seed=seed, **PINNED_SPECS[name]))
+    assert hashlib.sha256(repr(ops).encode()).hexdigest()[:32] == PINNED_STREAMS[name, seed]
+    if name == "star-miss-heavy":
+        assert ("has", 1, 0) in ops  # star never adds (1, 0); only the fallback asks it
+    if name == "uniform-miss-heavy":
+        assert any(op[0] == "nbrs" for op in ops)  # the mix has no enumerates
 
 
 class TestRunWorkload:
