@@ -39,7 +39,7 @@ from .core import (
 )
 from .counters import Channel, OpCounters
 from .edgehash import EdgeHash
-from .formats import GraphFile, ParseError, parse_edge_list, parse_queries
+from .formats import GraphFile, ParseError, QueryFile, parse_edge_list, parse_queries
 from .hashlist import HashList
 from .multilist import MultiList
 from .oracle import ORACLE_MAX_VERTICES, OracleGraph
@@ -68,6 +68,7 @@ __all__ = [
     "OpCounters",
     "OracleGraph",
     "ParseError",
+    "QueryFile",
     "STRUCTURE_NAMES",
     "StoreConfig",
     "UnsupportedOperationError",

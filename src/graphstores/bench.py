@@ -33,7 +33,7 @@ from .counters import OP_CLASSES
 from .edgehash import EdgeHash
 from .hashlist import HashList
 from .multilist import MultiList
-from .oracle import ORACLE_MAX_VERTICES, OracleGraph
+from .oracle import OracleGraph
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -383,8 +383,6 @@ def run_workload(
             raise ConfigError(f"unknown structure {name!r}; choose from {STRUCTURE_NAMES}")
     if len(set(structures)) != len(structures):
         raise ConfigError("duplicate structure selection")
-    if "oracle" in structures and spec.n > ORACLE_MAX_VERTICES:
-        raise ConfigError(f"oracle is capped at {ORACLE_MAX_VERTICES} vertices, got n={spec.n}")
 
     ops = generate_ops(spec)
     adds = sum(1 for op in ops if op[0] == "add")

@@ -11,6 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bench import (
     STRUCTURE_NAMES,
     BenchReport,
@@ -104,6 +106,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _build_query_store(structure: str, graph: GraphFile, hash_mode: str, undirected: bool):
+    # OracleGraph refuses this with ConfigError (exit 1, as in bench); query keeps its exit 3.
     if structure == "oracle" and graph.n > ORACLE_MAX_VERTICES:
         raise UnsupportedOperationError(
             f"oracle is capped at {ORACLE_MAX_VERTICES} vertices, got n={graph.n}"
@@ -117,13 +120,15 @@ def _build_query_store(structure: str, graph: GraphFile, hash_mode: str, undirec
 def _load_query_store(store, graph: GraphFile, undirected: bool) -> None:
     """Add every edge line in file order with one ``add_edges`` call.
 
-    ``--undirected`` interleaves (x, y), (y, x) per line. A weighted
-    HashList takes each line's weight in the same call, so the last
-    weighted line for an edge wins and a line without a weight keeps it.
+    The id columns go to the store as the parser's arrays. ``--undirected``
+    interleaves (x, y), (y, x) per line in numpy, and each line's weight
+    twice in the list. A weighted HashList takes each line's weight in the
+    same call, so the last weighted line for an edge wins and a line
+    without a weight keeps it.
     """
     xs, ys, ws = graph.xs, graph.ys, graph.ws
     if undirected:
-        xs, ys = [v for p in zip(xs, ys) for v in p], [v for p in zip(ys, xs) for v in p]
+        xs, ys = np.column_stack((xs, ys)).ravel(), np.column_stack((ys, xs)).ravel()
         ws = [w for w in ws for _ in (0, 1)]
     if isinstance(store, HashList) and store.config.weighted:
         store.add_edges(xs, ys, ws)
@@ -161,8 +166,10 @@ def _read_text(path: str) -> str:
 def cmd_query(args) -> int:
     """Build the chosen store from the edge list, answer the queries, write the results.
 
-    Both files are parsed into columns (see ``formats``), which go straight
-    to ``add_edges`` and ``contains_many``. The store is sized from the
+    Both files are parsed into columns (see ``formats``). The edge ids and
+    the C queries' ids are ``uint64`` arrays, which ``add_edges`` and
+    ``contains_many`` read without a copy; the stores that loop in Python
+    turn them into Python ints first. The store is sized from the
     edge lines parsed, not from the header's ``m``. The adds run in file
     order, since the order fixes a hash store's layout; the C queries may
     be probed all at once in numpy rounds, since reads move nothing. Each
@@ -191,7 +198,7 @@ def _parse_mix(text: str) -> tuple[float, float, float, float]:
 
 
 def cmd_bench(args) -> int:
-    # run_workload refuses unknown structures and an oversized oracle (exit 1).
+    # run_workload refuses unknown structures, and OracleGraph more than 4096 vertices (exit 1).
     structures = tuple(s.strip() for s in args.structures.split(",") if s.strip())
     spec = WorkloadSpec(
         generator=args.gen, n=args.n, m=args.m, mix=_parse_mix(args.mix), seed=args.seed

@@ -183,6 +183,12 @@ class StoreConfig:
         return thr.numerator * capacity // thr.denominator
 
 
+def _python_ids(ids):
+    """A numpy integer array as a list of Python ints, so the scalar calls of a
+    bulk loop never hold numpy scalars; any other sequence as it is."""
+    return ids.tolist() if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" else ids
+
+
 def check_lengths(xs, *others) -> None:
     """Raise ValueError unless every bulk argument is as long as ``xs``."""
     for seq in others:
@@ -220,12 +226,12 @@ class EdgeStore(abc.ABC):
         leaves pairs 0..k-1 added and counted, as the loop of calls would.
         """
         check_lengths(xs, ys)
-        return [self.add_edge(x, y) for x, y in zip(xs, ys)]
+        return [self.add_edge(x, y) for x, y in zip(_python_ids(xs), _python_ids(ys))]
 
     def contains_many(self, xs, ys) -> list[bool]:
         """``contains(xs[i], ys[i])`` for each i in order; same contract as add_edges."""
         check_lengths(xs, ys)
-        return [self.contains(x, y) for x, y in zip(xs, ys)]
+        return [self.contains(x, y) for x, y in zip(_python_ids(xs), _python_ids(ys))]
 
     @abc.abstractmethod
     def neighbors(self, x: int) -> list[int]:

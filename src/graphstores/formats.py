@@ -6,13 +6,21 @@ are ignored. Query files: ``C x y`` asks membership, ``N x`` asks for the
 neighbor list. Result files carry exactly one line per query: ``1``/``0``
 for C, a space-separated target list (store enumeration order) for N.
 
+Both parsers return columns (:class:`GraphFile`, :class:`QueryFile`). The
+edge ids and the C queries' ids are 1-D ``uint64`` arrays, which the bulk
+store methods take without a copy; weights, the query kinds and the N
+vertices are lists, because their consumers iterate in Python.
+``GraphFile.edges`` and :func:`parse_queries` give tuples of Python ints.
+
 Both parsers first try a bulk kernel. One ``bytes.translate`` checks the
-file's bytes, and whole-buffer numpy passes find the token bounds and the
-newlines; the rest works per token. The first token of each line is the
+file's bytes. Whole-buffer numpy passes over one zero-padded copy of it
+find the token bounds, and one over the bytes finds the newlines; the rest
+works per token. The first token of each line is the
 one after a newline, found by binary search. Every token's value comes from
 a Horner loop over byte positions, one vectorized step per position up to
 the longest token, so every id of up to 19 digits is an exact integer
-(``uint32`` while no token is longer than 9 bytes, else ``uint64``). Every
+(computed in ``uint32`` while no token is longer than 9 bytes, else in
+``uint64``, and returned as ``uint64``). Every
 weight of up to 15 digits and at most one ``.`` is mantissa / 10**k, which
 is exactly ``float(token)`` because both operands are exact doubles
 (Clinger's fast path). The kernel never raises: it declines any file it
@@ -22,7 +30,10 @@ returns, signs, ``_``, exponents and non-ASCII text), a longer token, a
 bad line shape, an out-of-range id or more edge lines than ``m``. The
 per-line parser then reads the whole text. It is the reference the kernel
 is tested against, and the only code that reports errors, so error
-classes, messages and line numbers do not depend on the kernel.
+classes, messages and line numbers do not depend on the kernel. It returns
+the kernel's column types, except that ids a ``uint64`` cannot hold (a
+negative query id, say, which the store then refuses) make that column an
+object array of Python ints.
 """
 
 from __future__ import annotations
@@ -43,33 +54,46 @@ class ParseError(GraphStoreError):
         super().__init__(f"line {line}: {message}")
 
 
+def _id_column(ids: list[int]) -> np.ndarray:
+    """The per-line parser's ids as the kernel's ``uint64`` column; as an object
+    array of the Python ints when one of them is negative or 2**64 or more."""
+    try:
+        return np.array(ids, np.uint64)
+    except OverflowError:
+        return np.array(ids, object)
+
+
 @dataclass(frozen=True)
 class GraphFile:
     """A parsed edge list as columns, one entry per edge line in file order.
 
-    ``ws[i]`` is None for a line without a weight.
+    ``xs`` and ``ys`` are 1-D ``uint64`` arrays (object arrays of Python
+    ints only for ids beyond 64 bits). ``ws`` is a list, and ``ws[i]`` is
+    None for a line without a weight.
     """
 
     n: int
     m: int
-    xs: list[int]
-    ys: list[int]
+    xs: np.ndarray
+    ys: np.ndarray
     ws: list[float | None]
     has_weights: bool
 
     @property
     def edges(self) -> list[tuple[int, int, float | None]]:
-        return list(zip(self.xs, self.ys, self.ws))
+        """``(x, y, weight)`` per edge line, the ids as Python ints."""
+        return list(zip(self.xs.tolist(), self.ys.tolist(), self.ws))
 
 
 @dataclass(frozen=True)
 class QueryFile:
-    """Parsed queries as columns: ``is_c`` per query in file order, the C
-    queries' ids in ``cxs``/``cys`` and the N queries' vertices in ``nvs``."""
+    """Parsed queries as columns: ``is_c``, a list of bools, per query in file
+    order; the C queries' ids in ``cxs``/``cys``, typed as ``GraphFile.xs``;
+    and the N queries' vertices in ``nvs``, a list of Python ints."""
 
     is_c: list[bool]
-    cxs: list[int]
-    cys: list[int]
+    cxs: np.ndarray
+    cys: np.ndarray
     nvs: list[int]
 
 
@@ -90,8 +114,8 @@ _QUERY_BYTES = b"0123456789 \nCN"
 class _Scan:
     """Token layout of a file. Per line that holds tokens: its ``first``
     token and ``width``. Per token: ``lead`` byte, ``length``, ``digits``,
-    ``value`` (the integer its digits spell, other bytes skipped) and
-    ``scale`` (digits after its last ``.``, 0 without one)."""
+    ``value`` (the integer its digits spell, other bytes skipped; ``uint64``)
+    and ``scale`` (digits after its last ``.``, 0 without one)."""
 
     first: np.ndarray
     width: np.ndarray
@@ -111,8 +135,12 @@ def _scan(text: str, allowed: bytes) -> _Scan | None:
     if raw.translate(None, allowed):
         return None
     buf = np.frombuffer(raw, np.uint8)
-    in_token = buf > ord(" ")  # the allowed separators are space and newline
-    bounds = np.flatnonzero(np.diff(in_token.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
+    # One zero byte before the text and one more than the longest token after it: the
+    # token bounds and the Horner gather below read this one copy.
+    padded = np.zeros(len(buf) + 2 + _MAX_ID_DIGITS, np.uint8)
+    padded[1 : len(buf) + 1] = buf
+    in_token = padded > ord(" ")  # the allowed separators are space and newline
+    bounds = np.flatnonzero(in_token[1:] != in_token[:-1])  # byte offsets in ``buf``
     starts = bounds[0::2]
     length = bounds[1::2] - starts
     longest = int(length.max()) if len(starts) else 0
@@ -125,13 +153,12 @@ def _scan(text: str, allowed: bytes) -> _Scan | None:
     width = np.diff(first, append=len(starts))
 
     # Horner over byte positions p: at a digit, value = 10 * value + digit; other bytes are skipped.
-    padded = np.concatenate((buf, np.zeros(longest, np.uint8)))
     value = np.zeros(len(starts), np.uint32 if longest <= 9 else np.uint64)
     digits = np.zeros(len(starts), np.uint8)
     scale = np.zeros(len(starts), np.uint8)
     dotted = np.zeros(len(starts), dtype=bool)
     for p in range(longest):
-        byte = padded[starts + p]  # past a token's end: a separator, the next token or padding
+        byte = padded[starts + (p + 1)]  # past a token's end: a separator, the next token or padding
         live = length > p
         digit = byte - np.uint8(ord("0"))  # uint8 wraps below '0'
         is_digit = (digit < 10) & live
@@ -143,7 +170,7 @@ def _scan(text: str, allowed: bytes) -> _Scan | None:
         scale *= ~dot  # a dot restarts the count
         scale += is_digit
     scale *= dotted
-    return _Scan(first, width, buf[starts], length, digits, value, scale)
+    return _Scan(first, width, buf[starts], length, digits, value.astype(np.uint64, copy=False), scale)
 
 
 def _bulk_edge_list(text: str) -> GraphFile | None:
@@ -178,7 +205,7 @@ def _bulk_edge_list(text: str) -> GraphFile | None:
         column = np.full(len(first), None, dtype=object)
         column[weighted] = weights
         ws = column.tolist()
-    return GraphFile(n=n, m=m, xs=xs.tolist(), ys=ys.tolist(), ws=ws, has_weights=bool(len(w)))
+    return GraphFile(n=n, m=m, xs=xs, ys=ys, ws=ws, has_weights=bool(len(w)))
 
 
 def _bulk_queries(text: str) -> QueryFile | None:
@@ -194,7 +221,7 @@ def _bulk_queries(text: str) -> QueryFile | None:
         return None
     c = first[is_c]
     return QueryFile(
-        is_c=is_c.tolist(), cxs=s.value[c + 1].tolist(), cys=s.value[c + 2].tolist(),
+        is_c=is_c.tolist(), cxs=s.value[c + 1], cys=s.value[c + 2],
         nvs=s.value[first[~is_c] + 1].tolist(),
     )
 
@@ -254,22 +281,26 @@ def _edge_list_lines(text: str) -> GraphFile:
         xs.append(x)
         ys.append(y)
         ws.append(weight)
-    return GraphFile(n=n, m=m, xs=xs, ys=ys, ws=ws, has_weights=any(w is not None for w in ws))
+    return GraphFile(n=n, m=m, xs=_id_column(xs), ys=_id_column(ys), ws=ws,
+                     has_weights=any(w is not None for w in ws))
 
 
 def _queries_lines(text: str) -> QueryFile:
-    q = QueryFile(is_c=[], cxs=[], cys=[], nvs=[])
+    is_c: list[bool] = []
+    cxs: list[int] = []
+    cys: list[int] = []
+    nvs: list[int] = []
     for number, line in _significant_lines(text):
         tokens = line.split()
         if tokens[0] == "C" and len(tokens) == 3:
-            q.cxs.append(_int_token(tokens[1], number, "source vertex"))
-            q.cys.append(_int_token(tokens[2], number, "target vertex"))
+            cxs.append(_int_token(tokens[1], number, "source vertex"))
+            cys.append(_int_token(tokens[2], number, "target vertex"))
         elif tokens[0] == "N" and len(tokens) == 2:
-            q.nvs.append(_int_token(tokens[1], number, "vertex"))
+            nvs.append(_int_token(tokens[1], number, "vertex"))
         else:
             raise ParseError(number, f"query must be 'C x y' or 'N x', got {line!r}")
-        q.is_c.append(tokens[0] == "C")
-    return q
+        is_c.append(tokens[0] == "C")
+    return QueryFile(is_c=is_c, cxs=_id_column(cxs), cys=_id_column(cys), nvs=nvs)
 
 
 # ------------------------------------------------------------------ public API
@@ -287,9 +318,9 @@ def parse_query_file(text: str) -> QueryFile:
 
 
 def parse_queries(text: str) -> list[tuple]:
-    """Parse a query file into ("C", x, y) / ("N", x) tuples."""
+    """Parse a query file into ("C", x, y) / ("N", x) tuples of Python ints."""
     q = parse_query_file(text)
-    cs, ns = zip(repeat("C"), q.cxs, q.cys), zip(repeat("N"), q.nvs)
+    cs, ns = zip(repeat("C"), q.cxs.tolist(), q.cys.tolist()), zip(repeat("N"), q.nvs)
     return [next(cs) if c else next(ns) for c in q.is_c]
 
 

@@ -18,13 +18,20 @@ ORACLE_MAX_VERTICES = 4096
 
 
 class OracleGraph(EdgeStore):
-    """Adjacency matrix plus insertion logs; the correctness baseline."""
+    """Adjacency matrix plus insertion logs; the correctness baseline.
+
+    Refuses more than :data:`ORACLE_MAX_VERTICES` vertices with ConfigError.
+    """
 
     __slots__ = ("_n", "_matrix", "_logs", "_count", "counters")
 
     def __init__(self, vertex_count: int) -> None:
         if vertex_count < 1:
             raise ConfigError("vertex_count must be positive")
+        if vertex_count > ORACLE_MAX_VERTICES:
+            raise ConfigError(
+                f"oracle is capped at {ORACLE_MAX_VERTICES} vertices, got n={vertex_count}"
+            )
         self._n = vertex_count
         self._matrix = np.zeros((vertex_count, vertex_count), dtype=bool)
         self._logs: list[list[int]] = [[] for _ in range(vertex_count)]

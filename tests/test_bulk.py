@@ -35,7 +35,8 @@ STORES = [
     pytest.param(HashList, True, id="hashlist-weighted"),
 ]
 MODES = ["mixer", "paper_compat"]
-FORMS = ["list", "int64", "uint64"]
+# uint32 is the parse kernel's value dtype for tokens of up to 9 digits.
+FORMS = ["list", "int64", "uint64", "uint32"]
 
 
 def state(store) -> dict:
@@ -71,10 +72,13 @@ def run_scalar(fn, *args):
 
 
 def shaped(ids: list[int], form: str):
-    """The same ids as a plain list, an int64 array or a uint64 array."""
+    """The same ids as a plain list or an int64, uint64 or uint32 array. A case whose
+    ids do not fit in uint32 skips that form."""
     if form == "list":
         return list(ids)
-    return np.array(ids, dtype=np.int64 if form == "int64" else np.uint64)
+    if form == "uint32" and not all(0 <= v <= 0xFFFFFFFF for v in ids):
+        pytest.skip("ids do not fit in uint32")
+    return np.array(ids, dtype=np.dtype(form))
 
 
 batch = st.lists(
@@ -88,7 +92,7 @@ batch = st.lists(
 @pytest.mark.parametrize("cls,weighted", STORES)
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 12), batches=st.lists(batch, max_size=6),
-       form=st.sampled_from(["list", "int64", "uint64"]))
+       form=st.sampled_from(FORMS))
 def test_bulk_matches_scalar(cls, weighted, hash_mode, n, batches, form):
     """Stores grow from expected_edges=1, so rebuilds fall inside batches."""
     cfg = StoreConfig(vertex_count=n, expected_edges=1, hash_mode=hash_mode, weighted=weighted)

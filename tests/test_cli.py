@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphstores import HashList, MultiList, StoreConfig, cli, parse_edge_list, scaling_sweep
 from graphstores.cli import _answer_queries, _build_query_store, _load_query_store, main
+from graphstores import formats
 from graphstores.formats import parse_query_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,6 +204,16 @@ class TestQueryErrors:
         assert (code, out) == (exit_code, "")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_oracle_over_its_cap_exit_3(self, tmp_path, capsys):
+        """A 5000-vertex file on the oracle: query refuses it before building, with the
+        exit 3 that test_huge_header_n_one_line_error pins; bench's refusal exits 1."""
+        g, q = tmp_path / "g.txt", tmp_path / "q.txt"
+        g.write_text("5000 1\n0 4999\n")
+        q.write_text("C 0 4999\n")
+        code, out, err = run_cli(capsys, "query", str(g), str(q), "--structure", "oracle")
+        assert (code, out) == (3, "")
+        assert "4096" in err and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("structure", ["hashlist", "multilist"])
     def test_memory_error_one_line_exit_1(self, tmp_path, capsys, monkeypatch, small_graph, structure):
         """A store that cannot be allocated (say, for a header n of 2**32) exits 1 in one line.
@@ -318,6 +330,27 @@ class TestQueryLoad:
             pairs = [(x, y) for x in range(50) for y in range(50)]
             assert [store.get_weight(x, y) for x, y in pairs] == [ref.get_weight(x, y) for x, y in pairs]
             assert [store.neighbors(v) for v in range(50)] == [ref.neighbors(v) for v in range(50)]
+
+
+class TestKernelColumns:
+    """The parse kernel's uint64 id columns go to the stores as they are; the stores that
+    keep ids as Python values hold and enumerate Python ints."""
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    @pytest.mark.parametrize("structure", ["hashlist", "multilist", "oracle"])
+    def test_neighbors_are_python_ints(self, structure, undirected):
+        text = "6 7\n0 1\n0 2 1.5\n3 4\n4 0\n5 5\n0 1\n2 0\n"
+        graph = parse_edge_list(text)
+        assert formats._bulk_edge_list(text) is not None  # the kernel parses this file
+        assert graph.xs.dtype == graph.ys.dtype == np.uint64
+        store = _build_query_store(structure, graph, "mixer", undirected)
+        _load_query_store(store, graph, undirected)
+        nbrs = [store.neighbors(v) for v in range(6)]
+        assert all(type(v) is int for vs in nbrs for v in vs)
+        assert nbrs[0] == ([4, 2, 1] if undirected else [2, 1])
+        queries = parse_query_file("C 0 1\nC 1 0\nN 0\n")
+        want = ["1", "1" if undirected else "0", " ".join(map(str, nbrs[0]))]
+        assert _answer_queries(store, queries) == want
 
 
 class TestQueryAnswers:

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from graphstores import ParseError, VertexRangeError, parse_edge_list, parse_queries
-from graphstores.formats import format_results
+from graphstores.formats import format_results, parse_query_file
 
 
 class TestEdgeListParsing:
@@ -76,3 +77,32 @@ class TestResults:
 
     def test_lines(self):
         assert format_results(["1", "0 2", ""]) == "1\n0 2\n\n"
+
+
+class TestColumns:
+    """Both parsers hand the ids over as uint64 arrays; the per-line parser falls back to
+    an object array of Python ints only for ids a uint64 cannot hold."""
+
+    @pytest.mark.parametrize("suffix", ["", "# the per-line parser\n"])
+    def test_id_columns_are_uint64(self, suffix):
+        graph = parse_edge_list("5 3\n0 1 2.5\n4 3\n2 2\n" + suffix)
+        queries = parse_query_file("C 0 1\nN 4\nC 3 2\n" + suffix)
+        for column, want in ((graph.xs, [0, 4, 2]), (graph.ys, [1, 3, 2]),
+                             (queries.cxs, [0, 3]), (queries.cys, [1, 2])):
+            assert isinstance(column, np.ndarray) and column.dtype == np.uint64
+            assert column.tolist() == want
+        assert graph.ws == [2.5, None, None]
+        assert queries.nvs == [4] and queries.is_c == [True, False, True]
+        assert type(queries.nvs[0]) is int
+
+    def test_empty_columns_are_uint64(self):
+        for queries in (parse_query_file(""), parse_query_file("N 1\n"), parse_query_file("#\n")):
+            assert queries.cxs.dtype == queries.cys.dtype == np.uint64 and len(queries.cxs) == 0
+
+    @pytest.mark.parametrize("x", [-1, 2**64, 10**30])
+    def test_ids_beyond_uint64_stay_python_ints(self, x):
+        queries = parse_query_file(f"C {x} 0\nC 1 2\n")
+        assert queries.cxs.dtype == object and queries.cxs.tolist() == [x, 1]
+        assert all(type(v) is int for v in queries.cxs)
+        assert queries.cys.dtype == np.uint64
+        assert parse_queries(f"C {x} 0\n") == [("C", x, 0)]

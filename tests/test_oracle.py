@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from graphstores import ConfigError, OracleGraph, VertexRangeError
+from graphstores import ORACLE_MAX_VERTICES, ConfigError, OracleGraph, VertexRangeError
 
 from _reference import EdgeSetOracle
 
@@ -30,6 +30,11 @@ class TestBasics:
     def test_rejects_zero_vertices(self):
         with pytest.raises(ConfigError):
             OracleGraph(0)
+
+    def test_refuses_more_than_its_cap(self):
+        assert OracleGraph(ORACLE_MAX_VERTICES).vertex_count == 4096
+        with pytest.raises(ConfigError, match="4096"):
+            OracleGraph(ORACLE_MAX_VERTICES + 1)
 
     def test_range_errors(self):
         o = OracleGraph(4)
