@@ -35,7 +35,7 @@ STORES = [
     pytest.param(HashList, True, id="hashlist-weighted"),
 ]
 MODES = ["mixer", "paper_compat"]
-# uint32 is the parse kernel's value dtype for tokens of up to 9 digits.
+# uint32 holds every id below 2**32; the parse kernel computes in it for tokens of up to 9 digits.
 FORMS = ["list", "int64", "uint64", "uint32"]
 
 
