@@ -41,10 +41,18 @@ for name, store in stores.items():
     except UnsupportedOperationError as exc:
         print(f"  {name:<9} unsupported ({exc})")
 
-print("\nself-loops are ordinary edges:")
-print("  hashlist contains(5,5) =", stores["hashlist"].contains(5, 5))
-
 hl = stores["hashlist"]
+asked = [1, 2, 0, 1]
+targets, ends = hl.neighbors_many(asked)
+print(f"\nneighbors_many({asked}) answers several vertices in one call, as one flat list")
+print(f"and the index where each vertex's run ends: targets={targets} ends={ends}")
+runs = [targets[a:b] for a, b in zip([0, *ends], ends)]
+print("  runs:", runs)
+print("  runs == [neighbors(v) for v in asked]:", runs == [hl.neighbors(v) for v in asked])
+
+print("\nself-loops are ordinary edges:")
+print("  hashlist contains(5,5) =", hl.contains(5, 5))
+
 print("\nweights ride in a side array on the fused store:")
 print("  set_weight(1, 3, 2.5) ->", hl.set_weight(1, 3, 2.5))
 print("  get_weight(1, 3)      ->", hl.get_weight(1, 3))

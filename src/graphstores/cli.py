@@ -142,14 +142,19 @@ def _answer_queries(store, queries: QueryFile) -> list[str]:
     The store no longer changes, so on a hash store ``contains_many``
     probes a batch of at least capacity / 8 C queries in numpy rounds over
     one copy of the slots, and a smaller one in a Python loop; both give
-    the answers and counters of asking one at a time. Each distinct N
-    vertex is enumerated and formatted once, in the order of its first N
-    query, and every later query of it reuses that line. The first bad N
-    vertex still raises first.
+    the answers and counters of asking one at a time. The distinct N
+    vertices, in the order of their first N query, are enumerated with one
+    ``neighbors_many`` call (on a HashList, all chains at once in numpy
+    rounds) and each is formatted once from its run of the flat result;
+    every later query of a vertex reuses its line. The first bad N vertex
+    still raises first.
     """
     hits = iter(store.contains_many(queries.cxs, queries.cys))
-    # EdgeHash.neighbors raises UnsupportedOperationError
-    lines = {v: " ".join(map(str, store.neighbors(v))) for v in dict.fromkeys(queries.nvs)}
+    # EdgeHash.neighbors_many raises UnsupportedOperationError on any vertex
+    vertices = list(dict.fromkeys(queries.nvs))
+    targets, ends = store.neighbors_many(vertices)
+    words = list(map(str, targets))
+    lines = {v: " ".join(words[a:b]) for v, a, b in zip(vertices, [0, *ends], ends)}
     nbrs = map(lines.__getitem__, queries.nvs)
     return [("1" if next(hits) else "0") if c else next(nbrs) for c in queries.is_c]
 

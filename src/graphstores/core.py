@@ -237,6 +237,22 @@ class EdgeStore(abc.ABC):
     def neighbors(self, x: int) -> list[int]:
         """Targets of x's outgoing edges, in the store's enumeration order."""
 
+    def neighbors_many(self, vs) -> tuple[list[int], list[int]]:
+        """``neighbors(v)`` for each v in ``vs``, in order, as one flat pair.
+
+        Returns ``(targets, ends)``: ``targets`` is the concatenation of the
+        lists, and ``vs[i]``'s run ends at ``ends[i]``, so it is
+        ``targets[ends[i - 1]:ends[i]]`` (from 0 for i = 0). An error at
+        vertex k leaves vertices 0..k-1 enumerated and counted, as the loop
+        of calls would.
+        """
+        targets: list[int] = []
+        ends = []
+        for v in _python_ids(vs):
+            targets += self.neighbors(v)
+            ends.append(len(targets))
+        return targets, ends
+
     @property
     @abc.abstractmethod
     def edge_count(self) -> int:

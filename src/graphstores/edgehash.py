@@ -31,12 +31,17 @@ per-code loop.
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a
 numpy range check, the packed codes, and the hash mode's 64-bit key
-(:data:`~graphstores.core.HASH_KEYS`) without its capacity mask. Then a
-Python loop walks the batch in order, masks each key with the current
-capacity, and probes, seats and threads exactly as the scalar calls
-would, so answers, slot layout, chain order, weights, rebuilds and
-counters all come out the same. A rebuild mid-batch changes only the
-mask, because in both modes the key does not depend on capacity.
+(:data:`~graphstores.core.HASH_KEYS`) without its capacity mask. The
+add batch then runs in growth segments, each ending at the seat that
+reaches the growth limit, so a rebuild falls only between two of them,
+and a rebuild changes only the mask, because in both modes the key does
+not depend on capacity. Within a segment a Python loop walks the pairs
+in order and only probes and seats: the order in which codes are seated
+fixes the layout. After the segment, numpy derives the rest from the
+slots the loop reached: the answers, the probe counts, the edge count
+and, on a HashList, the chains and weights. So answers, slot layout,
+chain order, weights, rebuilds and counters all come out as the scalar
+calls give them.
 
 ``contains_many`` has a second read path. When the batch holds at least
 capacity / 8 valid pairs and the store at most 2**31 vertices, it copies
@@ -44,9 +49,9 @@ the slots once into an int64 array and probes every query at once, one
 slot per numpy round, until each reads its code or NONE. Reads move
 nothing, so each query takes the same probes in rounds as alone; the
 copy costs in proportion to the capacity, which a smaller batch does
-not repay. Adds stay in the loop: the order in which codes are seated
-fixes the layout, and a round that seated them together would change it.
-Counters are recorded once per batch on either path. Input numpy cannot
+not repay. Adds stay in the loop: a round that seated codes together
+would change the layout. Counters are recorded once per batch on either
+read path, and once per segment of an add batch. Input numpy cannot
 hold exactly (floats, ids beyond 64 bits) goes through the scalar calls
 instead.
 """
@@ -73,6 +78,21 @@ from .core import (
 from .counters import OpCounters
 
 
+def _id_array(ids):
+    """``ids`` as a 1-D numpy integer array, or None when numpy cannot hold them
+    exactly as integers (floats, ids beyond 64 bits, an empty list)."""
+    try:
+        a = np.asarray(ids)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return a if a.ndim == 1 and a.dtype.kind in "iu" else None
+
+
+def _valid_prefix(bad: np.ndarray) -> int:
+    """Number of leading False entries of ``bad``."""
+    return int(bad.argmax()) if bad.any() else len(bad)
+
+
 def _bulk_codes(xs, ys, n: int, key):
     """The vectorized front end of the bulk methods.
 
@@ -84,15 +104,10 @@ def _bulk_codes(xs, ys, n: int, key):
     the scalar calls, which raise what they always raise.
     """
     check_lengths(xs, ys)
-    try:
-        ax = np.asarray(xs)
-        ay = np.asarray(ys)
-    except (OverflowError, TypeError, ValueError):
+    ax, ay = _id_array(xs), _id_array(ys)
+    if ax is None or ay is None:
         return None
-    if ax.ndim != 1 or ay.ndim != 1 or ax.dtype.kind not in "iu" or ay.dtype.kind not in "iu":
-        return None
-    bad = (ax < 0) | (ax >= n) | (ay < 0) | (ay >= n)
-    k = int(bad.argmax()) if bad.any() else len(bad)
+    k = _valid_prefix((ax < 0) | (ax >= n) | (ay < 0) | (ay >= n))
     codes = (ax[:k].astype(np.uint64) << np.uint64(32)) | ay[:k].astype(np.uint64)
     return codes, key(codes), k
 
@@ -240,59 +255,86 @@ class EdgeHash(EdgeStore):
         return self._add_batch(xs, ys, None)
 
     def _add_batch(self, xs, ys, weights) -> list[bool]:
-        """``add_edge`` per pair, and ``set_weight`` where ``weights`` holds a weight."""
+        """``add_edge`` per pair, and ``set_weight`` where ``weights`` holds a weight.
+
+        The batch runs in growth segments. A segment has room for
+        ``growth_limit - count`` seats and ends at the seat that fills it,
+        so no rebuild falls inside one. (Ending it after that many pairs
+        instead would give a batch of duplicates, into a store one seat
+        short of the limit, one segment per pair.) The Python loop only
+        probes and seats, and records for each pair the slot it reached:
+        the slot itself where it seated, its complement where it found the
+        code. ``_book`` derives the rest of the segment in numpy before the
+        next rebuild.
+        """
         front = _bulk_codes(xs, ys, self._n, self._key)
-        ws = repeat(None) if weights is None else weights
         if front is None:
             out = []
-            for x, y, w in zip(xs, ys, ws):
+            for x, y, w in zip(xs, ys, repeat(None) if weights is None else weights):
                 out.append(self.add_edge(x, y))
                 if w is not None:
                     self.set_weight(x, y, w)
             return out
         codes, keys, k = front
-        data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
-        mask = self._mask
-        limit = self._growth_limit
-        count = self._count
-        total = peak = 0
+        pairs = zip(codes.tolist(), keys.tolist())
         out = []
-        append = out.append
-        try:
-            for code, key, w in zip(codes.tolist(), keys.tolist(), ws):
-                if count >= limit:
-                    self._rebuild(self._cap * 2)
-                    data, heads, nxt, wts = self._data, self._heads, self._next, self._weights
-                    mask = self._mask
-                    limit = self._growth_limit
-                slot = key & mask
-                held = data[slot]
-                probes = 1
-                while held != code and held != NONE:
-                    slot = (slot + 1) & mask
+        start = 0
+        while start < k:
+            if self._count >= self._growth_limit:
+                self._rebuild(self._cap * 2)
+            data, mask = self._data, self._mask
+            room = self._growth_limit - self._count
+            reached = []
+            append = reached.append
+            try:
+                for code, key in pairs:
+                    slot = key & mask
                     held = data[slot]
-                    probes += 1
-                total += probes
-                if probes > peak:
-                    peak = probes
-                if held == NONE:
-                    data[slot] = code
-                    count += 1
-                    if heads is not None:
-                        x = code >> 32
-                        nxt[slot] = heads[x]
-                        heads[x] = slot
-                    append(True)
-                else:
-                    append(False)
-                if w is not None:
-                    wts[slot] = w
-        finally:
-            self._count = count
-            self.counters.add.record_batch(len(out), total, peak)
+                    while held != code and held != NONE:
+                        slot = (slot + 1) & mask
+                        held = data[slot]
+                    if held == NONE:
+                        data[slot] = code
+                        append(slot)
+                        room -= 1
+                        if not room:
+                            break
+                    else:
+                        append(~slot)
+            finally:
+                stop = start + len(reached)
+                ws = None if weights is None else weights[start:stop]
+                out += self._book(codes[start:stop], keys[start:stop], reached, ws)
+                start = stop
         if k < len(xs):
             self._check_pair(xs[k], ys[k])
         return out
+
+    def _book(self, codes, keys, reached: list, weights) -> list[bool]:
+        """Everything a segment of the add loop leaves out; returns its answers.
+
+        ``reached`` holds one entry per pair of ``codes`` (with their
+        ``keys``): the slot it seated at, or the complement of the slot
+        that held its code. A probe ends at its slot, and no table is ever
+        full, so it took ``((slot - home) & mask) + 1`` probes. The counts
+        go to the add channel in one ``record_batch``, and the seats to the
+        edge count; ``_link`` gets the seated codes, their slots and the
+        segment's ``weights``.
+        """
+        if not reached:
+            return []
+        got = np.array(reached, dtype=np.int64)
+        seated = got >= 0
+        slots = np.where(seated, got, ~got)
+        mask = self._mask
+        probes = ((slots - (keys & np.uint64(mask)).astype(np.int64)) & mask) + 1
+        self.counters.add.record_batch(len(got), int(probes.sum()), int(probes.max()))
+        self._count += int(np.count_nonzero(seated))
+        self._link(codes[seated], slots[seated], slots, weights)
+        return seated.tolist()
+
+    def _link(self, codes, new_slots, slots, weights) -> None:
+        """A segment's chains and weights; an edge hash keeps neither."""
 
     def contains_many(self, xs, ys) -> list[bool]:
         """``contains`` per pair; both read paths give the same answers and counters.

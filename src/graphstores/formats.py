@@ -38,7 +38,7 @@ object array of Python ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -63,8 +63,27 @@ def _id_column(ids: list[int]) -> np.ndarray:
         return np.array(ids, object)
 
 
-@dataclass(frozen=True)
-class GraphFile:
+def _same_column(a, b) -> bool:
+    """Array columns are equal in dtype, shape and values; any others by ``==``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and bool((a == b).all()))
+    return a == b
+
+
+class _Columns:
+    """``==`` for the parsed files: a bool, true when every field is the same column."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same_column(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    __hash__ = None  # the columns are mutable
+
+
+@dataclass(frozen=True, eq=False)
+class GraphFile(_Columns):
     """A parsed edge list as columns, one entry per edge line in file order.
 
     ``xs`` and ``ys`` are 1-D ``uint64`` arrays (object arrays of Python
@@ -85,8 +104,8 @@ class GraphFile:
         return list(zip(self.xs.tolist(), self.ys.tolist(), self.ws))
 
 
-@dataclass(frozen=True)
-class QueryFile:
+@dataclass(frozen=True, eq=False)
+class QueryFile(_Columns):
     """Parsed queries as columns: ``is_c``, a list of bools, per query in file
     order; the C queries' ids in ``cxs``/``cys``, typed as ``GraphFile.xs``;
     and the N queries' vertices in ``nvs``, a list of Python ints."""
@@ -156,6 +175,7 @@ def _scan(text: str, allowed: bytes) -> _Scan | None:
     value = np.zeros(len(starts), np.uint32 if longest <= 9 else np.uint64)
     digits = np.zeros(len(starts), np.uint8)
     scale = np.zeros(len(starts), np.uint8)
+    dots = b"." in allowed  # no token of a file without dots has a scale
     dotted = np.zeros(len(starts), dtype=bool)
     for p in range(longest):
         byte = padded[starts + (p + 1)]  # past a token's end: a separator, the next token or padding
@@ -165,10 +185,11 @@ def _scan(text: str, allowed: bytes) -> _Scan | None:
         value *= is_digit * np.uint8(9) + np.uint8(1)  # 10 at a digit, else 1
         value += digit * is_digit
         digits += is_digit
-        dot = (byte == ord(".")) & live
-        dotted |= dot
-        scale *= ~dot  # a dot restarts the count
-        scale += is_digit
+        if dots:
+            dot = (byte == ord(".")) & live
+            dotted |= dot
+            scale *= ~dot  # a dot restarts the count
+            scale += is_digit
     scale *= dotted
     return _Scan(first, width, buf[starts], length, digits, value.astype(np.uint64, copy=False), scale)
 

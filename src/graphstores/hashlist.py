@@ -8,7 +8,8 @@ Membership inherits the hash table's degree-independent cost; enumeration
 walks the chain and touches exactly deg(x) slots. Chains use the
 out-of-band NONE sentinel because slot 0 is a legitimate hash slot. This
 class adds only the chain arrays (``_allocate``), the rebuild's order and
-threading (``_rebuild``), enumeration, and the weight lookups.
+threading (``_rebuild``), the bulk add's threading (``_link``),
+enumeration, and the weight lookups.
 
 A rebuild finds the vertices that have edges with one numpy pass over
 ``_heads`` and walks only their chains, in Python, into the seat order:
@@ -21,10 +22,13 @@ Only then are the new slots, chains and weights installed, so a rebuild
 that fails on the way leaves the store as it was.
 
 The bulk ``add_edges`` and ``contains_many`` come from the edge hash's
-vectorized front end and batch paths; the add loop threads each new slot
-onto its chain as ``add_edge`` does, and takes an optional weight per pair,
-so a weighted batch probes each edge once rather than once more for
-``set_weight``.
+vectorized front end and batch paths. The add loop only probes and seats;
+after each of its growth segments, ``_link`` groups the new slots by
+source in arrival order and puts each group at the front of its chain,
+as ``add_edge`` would one slot at a time. ``add_edges`` takes
+an optional weight per pair, so a weighted batch probes each edge once
+rather than once more for ``set_weight``. ``neighbors_many`` walks all
+requested chains at once, one numpy step per live chain per round.
 
 The chain arrays hold only slot indices and NONE, so they are 4-byte
 cells (8-byte past 2**31 slots) in an ``array`` behind a ``memoryview``,
@@ -40,17 +44,28 @@ mean "unset"; a list holds None for that.
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 
 import numpy as np
 
 from .core import (NONE, U32_MASK, ConfigError, VertexRangeError, check_lengths, compat_hash,
                    mixer_hash, pack_edge)
-from .edgehash import EdgeHash
+from .edgehash import EdgeHash, _id_array, _valid_prefix
+
+#: ``neighbors_many`` walks its chains in numpy rounds while more than this
+#: many are live, and the rest in Python: a round costs about as much as this
+#: many scalar steps (the measured break-even of 2,000-step chains).
+_ROUND_MIN_CHAINS = 64
 
 
 def _chain_cells(length: int, cap: int) -> memoryview:
     """``length`` NONE cells, each wide enough for any slot index below ``cap``."""
     return memoryview(array("i" if cap <= 1 << 31 else "q", [NONE]) * length)
+
+
+def _cells(cells: memoryview) -> np.ndarray:
+    """A writable numpy view of chain cells."""
+    return np.frombuffer(cells, dtype=cells.format)
 
 
 class HashList(EdgeHash):
@@ -90,6 +105,36 @@ class HashList(EdgeHash):
             check_lengths(xs, weights)
         return self._add_batch(xs, ys, weights)
 
+    def _link(self, codes, new_slots, slots, weights) -> None:
+        """Thread a segment's new slots onto their chains and write its weights.
+
+        The new slots are grouped by source in arrival order: one sort of
+        the codes with each low half replaced by the arrival index, which a
+        segment far shorter than 2**32 pairs fits. Each group's first slot
+        links to its source's old head, every other slot to the one before
+        it, and its last slot becomes the head: the links ``add_edge``
+        makes one slot at a time. Then each pair's weight that is not None
+        goes to the slot the pair reached, in order, so the last one wins.
+        """
+        if len(codes):
+            keys = (codes >> np.uint64(32) << np.uint64(32)) | np.arange(len(codes), dtype=np.uint64)
+            keys.sort()
+            src = (keys >> np.uint64(32)).astype(np.intp)
+            new_slots = new_slots[(keys & np.uint64(U32_MASK)).astype(np.intp)]
+            firsts = np.flatnonzero(np.diff(src, prepend=-1))
+            lasts = np.append(firsts[1:], len(src)) - 1
+            heads, nxt = _cells(self._heads), _cells(self._next)
+            prev = np.empty_like(new_slots)
+            prev[1:] = new_slots[:-1]
+            prev[firsts] = heads[src[firsts]]
+            nxt[new_slots] = prev
+            heads[src[lasts]] = new_slots[lasts]
+        if weights is not None:
+            wts = self._weights
+            for slot, w in zip(slots.tolist(), weights):
+                if w is not None:
+                    wts[slot] = w
+
     def neighbors(self, x: int) -> list[int]:
         if x < 0 or x >= self._n:
             raise VertexRangeError(f"vertex {x} outside range [0, {self._n})")
@@ -107,6 +152,67 @@ class HashList(EdgeHash):
         if steps > channel.peak:
             channel.peak = steps
         return out
+
+    def neighbors_many(self, vs) -> tuple[list[int], list[int]]:
+        """``neighbors`` per vertex, as the flat pair of ``EdgeStore.neighbors_many``.
+
+        Every requested chain is walked at once: each numpy round over views
+        of ``_heads`` and ``_next`` takes one step on every chain still
+        live, until at most ``_ROUND_MIN_CHAINS`` are, and the scalar walk
+        finishes those (a star hub alone would otherwise take one round per
+        edge). The slots are placed by run and depth, one ``itemgetter``
+        over ``_data`` gathers their codes, and numpy masks the targets out.
+        The counters are recorded once; the first bad vertex is raised after
+        the ones before it are counted. Ids numpy cannot hold exactly go
+        through the scalar calls.
+        """
+        ids = _id_array(vs)
+        if ids is None:
+            return super().neighbors_many(vs)
+        k = _valid_prefix((ids < 0) | (ids >= self._n))
+        nxt = _cells(self._next)
+        req = np.arange(k)
+        cur = _cells(self._heads)[ids[:k]].astype(np.intp)
+        owners, steps = [], []
+        while True:
+            live = cur != NONE
+            req, cur = req[live], cur[live]
+            if len(cur) <= _ROUND_MIN_CHAINS:
+                break
+            owners.append(req)
+            steps.append(cur)
+            cur = nxt[cur]
+        rounds = len(owners)
+        tails = []
+        chain = self._next
+        for i in cur.tolist():
+            run = []
+            while i != NONE:
+                run.append(i)
+                i = chain[i]
+            tails.append(run)
+        # Place each slot at its run's start plus its depth in the chain; a
+        # chain still live after the rounds has taken a step in every one.
+        none = req[:0]
+        owner = np.concatenate([*owners, none])
+        counts = np.bincount(owner, minlength=k)
+        counts[req] += np.fromiter(map(len, tails), np.intp, len(tails))
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        slots = np.empty(int(ends[-1]) if k else 0, np.intp)
+        depth = np.repeat(np.arange(rounds), list(map(len, owners)))
+        slots[starts[owner] + depth] = np.concatenate([*steps, none])
+        for at, run in zip((starts[req] + rounds).tolist(), tails):
+            slots[at : at + len(run)] = run
+        at = slots.tolist()
+        data = self._data
+        codes = itemgetter(*at)(data) if len(at) > 1 else [data[i] for i in at]
+        targets = (np.array(codes, np.uint64) & np.uint64(U32_MASK)).tolist()
+        if k:
+            self.counters.enumerate.record_batch(k, len(targets), int(counts.max()))
+        if k < len(vs):
+            self.neighbors(vs[k])
+        return targets, ends.tolist()
 
     def _weight_slot(self, x: int, y: int) -> int:
         """Slot of (x, y) by an uncounted probe; NONE when the edge is absent."""
@@ -142,7 +248,7 @@ class HashList(EdgeHash):
         # the last one and reversing the whole walk gives the seat order:
         # vertex by vertex, each chain oldest-first.
         data, nxt, old_weights = self._data, self._next, self._weights
-        old_heads = np.frombuffer(self._heads, dtype=self._heads.format)
+        old_heads = _cells(self._heads)
         live = np.flatnonzero(old_heads != NONE)
         order = []
         append = order.append
@@ -160,8 +266,8 @@ class HashList(EdgeHash):
         # the seat order. heads[v] is the last slot of v's run, every other
         # slot links to the one seated before it, and each run's first slot
         # keeps NONE.
-        new_heads = np.frombuffer(heads, dtype=heads.format)
-        new_next = np.frombuffer(nxt, dtype=nxt.format)
+        new_heads = _cells(heads)
+        new_next = _cells(nxt)
         slots = np.array(seated, dtype=np.intp)
         last = len(order) - 1 - np.array(starts[::-1], dtype=np.intp)
         new_heads[live] = slots[last]

@@ -264,6 +264,113 @@ def test_mid_batch_rebuilds_in_one_call():
         assert state(bulk) == state(scalar)
 
 
+# --- growth segments: the add loop seats in segments that end at the growth limit ---
+
+NAN = float("nan")
+# 16 slots at expected_edges=1: growth_limit(16) = 11 seats fit before a rebuild.
+LIMIT16 = 11
+
+
+def weights_seen(store):
+    """The weight list with nan spelled out, so two nan weights compare equal."""
+    return None if store._weights is None else ["nan" if w != w else w for w in store._weights]
+
+
+def assert_same_segments(cls, weighted, hash_mode, n, before, batches):
+    """Twins grown from 16 slots: ``before`` added one pair at a time on both, then each
+    batch of (x, y, weight) triples through ``add_edges`` on one and the scalar calls
+    on the other. Answers, slots, chain-cell bytes, weights, counters and rebuilds
+    must agree after every batch."""
+    cfg = StoreConfig(vertex_count=n, expected_edges=1, hash_mode=hash_mode, weighted=weighted)
+    bulk, scalar = cls(cfg), cls(cfg)
+    for store in (bulk, scalar):
+        scalar_adds(store, [x for x, _ in before], [y for _, y in before])
+    for triples in batches:
+        xs, ys, ws = ([t[i] for t in triples] for i in range(3))
+        want = scalar_adds(scalar, xs, ys, ws if weighted else None)
+        got = bulk.add_edges(xs, ys, ws) if weighted else bulk.add_edges(xs, ys)
+        assert got == want
+        assert state(bulk) == {**state(scalar), "_weights": bulk._weights}
+        assert weights_seen(bulk) == weights_seen(scalar)
+        if cls is HashList:
+            assert bytes(bulk._heads) == bytes(scalar._heads)
+            assert bytes(bulk._next) == bytes(scalar._next)
+    return bulk
+
+
+def distinct_pairs(count: int, n: int, seed: int) -> list:
+    return np.random.default_rng(seed).permutation(n * n)[:count].tolist()
+
+
+def triples(codes, n: int, weights=None) -> list:
+    ws = weights if weights is not None else [None] * len(codes)
+    return [(c // n, c % n, w) for c, w in zip(codes, ws)]
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_batch_ending_exactly_at_the_growth_limit(cls, weighted, hash_mode):
+    """A batch whose last pair fills the table to the limit rebuilds nothing; the next
+    add, a duplicate here, rebuilds first, as ``add_edge`` does."""
+    codes = distinct_pairs(LIMIT16, 20, 1)
+    batch = triples(codes[:6] + codes[:2] + codes[6:], 20, [0.5, None] * 6 + [NAN])
+    bulk = assert_same_segments(cls, weighted, hash_mode, 20, [], [batch])
+    assert (bulk.rebuilds, bulk.edge_count, bulk.capacity) == (0, LIMIT16, 16)
+    bulk = assert_same_segments(cls, weighted, hash_mode, 20, [], [batch, triples(codes[3:4], 20)])
+    assert (bulk.rebuilds, bulk.edge_count) == (1, LIMIT16)
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_one_batch_across_several_rebuilds(cls, weighted, hash_mode):
+    codes = distinct_pairs(300, 40, 2)
+    weights = [None if k % 4 == 0 else k / 8 for k in range(300)]
+    bulk = assert_same_segments(cls, weighted, hash_mode, 40, [], [triples(codes, 40, weights)])
+    assert bulk.rebuilds >= 5
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_duplicate_of_a_code_from_an_earlier_segment(cls, weighted, hash_mode):
+    """The second half repeats codes seated before the batch's first rebuild (now moved
+    by it) and gives some of them new weights, some None."""
+    codes = distinct_pairs(40, 30, 3)
+    again = codes[:12][::-1]
+    weights = [1.0] * 40 + [None, 2.5, NAN, None] * 3
+    bulk = assert_same_segments(cls, weighted, hash_mode, 30, [],
+                                [triples(codes + again, 30, weights)])
+    assert bulk.rebuilds >= 2
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_batch_into_a_non_empty_store(cls, weighted, hash_mode):
+    """Seven edges are in before the batch, so its first segment has room for four
+    seats; the batch also repeats two of the seven and adds to their sources' chains."""
+    codes = distinct_pairs(60, 25, 4)
+    before = [(c // 25, c % 25) for c in codes[:7]]
+    batch = triples(codes[7:9] + codes[:2] + codes[9:], 25, [NAN, 3.0] * 30)
+    bulk = assert_same_segments(cls, weighted, hash_mode, 25, before, [batch, batch[:5]])
+    assert bulk.rebuilds >= 3
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_weights_with_none_gaps(cls, weighted, hash_mode):
+    """Per edge, the last weight that is not None wins, nan included; None keeps it."""
+    codes = distinct_pairs(8, 10, 5)
+    seq = codes + codes[:4] + codes[:4] + codes[2:6]
+    weights = ([None, 1.0, NAN, None, 4.0, None, 6.0, 7.0] + [NAN, None, 2.0, None]
+               + [None, None, 9.0, 0.0] + [None, 5.0, None, NAN])
+    bulk = assert_same_segments(cls, weighted, hash_mode, 10, [], [triples(seq, 10, weights)] * 2)
+    if weighted:
+        got = {(x, y): bulk.get_weight(x, y) for x, y, _ in triples(codes, 10)}
+        x, y = divmod(codes[2], 10)
+        assert got[x, y] == 9.0
+        x, y = divmod(codes[5], 10)
+        assert got[x, y] != got[x, y]  # nan, given last, after 6.0
+
+
 def test_all_ones_code_at_32_bit_vertex_count():
     """With 2**32 vertices, (2**32-1, 2**32-1) packs to 2**64-1 and is a legal edge."""
     top = (1 << 32) - 1

@@ -27,6 +27,9 @@ def test_demos_found():
 def test_demo_runs(path):
     done = run_demo(path)
     assert done.returncode == 0, done.stderr
+    if path.name == "01_store_tour.py":
+        checks = [line for line in done.stdout.splitlines() if "runs == [neighbors(v)" in line]
+        assert len(checks) == 1 and checks[0].endswith("True"), done.stdout
     if path.name == "03_growth_and_memory.py":
         checks = [line for line in done.stdout.splitlines() if line.startswith("memory check:")]
         assert len(checks) == 1 and checks[0].endswith("True"), done.stdout
