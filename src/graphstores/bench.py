@@ -242,15 +242,13 @@ class DifferentialMismatch(GraphStoreError):
         )
 
 
-def _new_store(name: str, n: int, edges: int, hash_mode: str, weighted: bool = False):
+def _new_store(name: str, n: int, edges: int, hash_mode: str):
     """The store called ``name`` over n vertices, sized for ``edges`` adds."""
     if name == "multilist":
         return MultiList(n, edges)
     if name == "oracle":
         return OracleGraph(n)
-    cfg = StoreConfig(
-        vertex_count=n, expected_edges=max(1, edges), hash_mode=hash_mode, weighted=weighted
-    )
+    cfg = StoreConfig(vertex_count=n, expected_edges=max(1, edges), hash_mode=hash_mode)
     return HashList(cfg) if name == "hashlist" else EdgeHash(cfg)
 
 
@@ -298,7 +296,8 @@ def _execute(ops, stores, wall=None):
 
     Returns None on full agreement, else (index, op, answers) for the first
     op on which the stores disagree, with ``answers`` as (name, answer)
-    pairs in store order; the bare edge hash takes no part in ``nbrs`` ops.
+    pairs in store order; a store whose ``enumerates`` is False (the bare
+    edge hash) takes no part in ``nbrs`` ops.
     A store that raises stops at that op, and the earliest op decides the
     outcome: at one op an exception beats a disagreement, and of two stores
     raising at the same op the first in store order wins, so the outcome is
@@ -306,7 +305,7 @@ def _execute(ops, stores, wall=None):
     per-(structure, class) nanoseconds spent inside the stores' calls.
     """
     bound = [
-        (name, store.add_edge, store.contains, None if name == "edgehash" else store.neighbors)
+        (name, store.add_edge, store.contains, store.neighbors if store.enumerates else None)
         for name, store in stores
     ]
     for start in range(0, len(ops), _CHUNK):
@@ -320,9 +319,9 @@ def _execute(ops, stores, wall=None):
                     wall[name, cls] += ns
             if exc is not None and len(pairs) + len(lists) < stop:
                 stop, error = len(pairs) + len(lists), exc
-            runs.append((name, pairs, lists))
+            runs.append((name, pairs, None if nbrs is None else lists))
         if error is None:
-            listed = [lists for name, _, lists in runs if name != "edgehash"]
+            listed = [lists for _, _, lists in runs if lists is not None]
             if all(pairs == runs[0][1] for _, pairs, _ in runs) and all(
                 lists == listed[0] for lists in listed
             ):
@@ -331,7 +330,7 @@ def _execute(ops, stores, wall=None):
         for i in range(stop):
             op = chunk[i]
             if op[0] == "nbrs":
-                answers = [(name, lists[q]) for name, _, lists in runs if name != "edgehash"]
+                answers = [(name, lists[q]) for name, _, lists in runs if lists is not None]
                 q += 1
             else:
                 answers = [(name, pairs[p]) for name, pairs, _ in runs]

@@ -38,8 +38,6 @@ from .formats import (
     parse_edge_list,
     parse_query_file,
 )
-from .hashlist import HashList
-from .oracle import ORACLE_MAX_VERTICES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,34 +104,23 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _build_query_store(structure: str, graph: GraphFile, hash_mode: str, undirected: bool):
-    # OracleGraph refuses this with ConfigError (exit 1, as in bench); query keeps its exit 3.
-    if structure == "oracle" and graph.n > ORACLE_MAX_VERTICES:
-        raise UnsupportedOperationError(
-            f"oracle is capped at {ORACLE_MAX_VERTICES} vertices, got n={graph.n}"
-        )
     # Sized from the lines parsed, not the header's m, which only bounds them.
     capacity = len(graph.xs) * (2 if undirected else 1)
-    weighted = structure == "hashlist" and graph.has_weights
-    return _new_store(structure, graph.n, capacity, hash_mode, weighted)
+    return _new_store(structure, graph.n, capacity, hash_mode)
 
 
 def _load_query_store(store, graph: GraphFile, undirected: bool) -> None:
     """Add every edge line in file order with one ``add_edges`` call.
 
-    The id columns go to the store as the parser's arrays. ``--undirected``
-    interleaves (x, y), (y, x) per line in numpy, and each line's weight
-    twice in the list. A weighted HashList takes each line's weight in the
-    same call, so the last weighted line for an edge wins and a line
-    without a weight keeps it.
+    The id columns go to the store as the parser's arrays; ``--undirected``
+    interleaves (x, y), (y, x) per line in numpy. Weights are not stored:
+    no result line reads one, so the store is the plain one for every
+    structure.
     """
-    xs, ys, ws = graph.xs, graph.ys, graph.ws
+    xs, ys = graph.xs, graph.ys
     if undirected:
         xs, ys = np.column_stack((xs, ys)).ravel(), np.column_stack((ys, xs)).ravel()
-        ws = [w for w in ws for _ in (0, 1)]
-    if isinstance(store, HashList) and store.config.weighted:
-        store.add_edges(xs, ys, ws)
-    else:
-        store.add_edges(xs, ys)
+    store.add_edges(xs, ys)
 
 
 def _answer_queries(store, queries: QueryFile) -> list[str]:
@@ -174,8 +161,10 @@ def cmd_query(args) -> int:
     Both files are parsed into columns (see ``formats``). The edge ids and
     the C queries' ids are ``uint64`` arrays, which ``add_edges`` and
     ``contains_many`` read without a copy; the stores that loop in Python
-    turn them into Python ints first. The store is sized from the
-    edge lines parsed, not from the header's ``m``. The adds run in file
+    turn them into Python ints first. Weight tokens are checked by the
+    parser but not stored, since no answer reads them. The store is sized
+    from the edge lines parsed, not from the header's ``m``; a header ``n``
+    the oracle refuses is a configuration error. The adds run in file
     order, since the order fixes a hash store's layout; the C queries may
     be probed all at once in numpy rounds, since reads move nothing. Each
     distinct N vertex is enumerated and formatted once, however often it

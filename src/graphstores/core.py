@@ -205,6 +205,9 @@ class EdgeStore(abc.ABC):
 
     __slots__ = ()
 
+    #: Whether ``neighbors`` answers; the bare edge hash refuses it.
+    enumerates = True
+
     def _check_pair(self, x: int, y: int) -> None:
         """Raise VertexRangeError unless both ids lie in [0, n); stores keep n in ``_n``."""
         n = self._n

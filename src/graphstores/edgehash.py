@@ -162,6 +162,8 @@ class EdgeHash(EdgeStore):
         "_growth_limit",
     )
 
+    enumerates = False
+
     # HashList's chain arrays; its slots shadow these, so on an EdgeHash the
     # scalar and bulk adds see None and skip the threading.
     _heads = _next = _weights = None

@@ -86,6 +86,8 @@ class HashList(EdgeHash):
 
     __slots__ = ("_heads", "_next", "_weights")
 
+    enumerates = True
+
     def _allocate(self, cap: int) -> None:
         super()._allocate(cap)
         self._heads = _chain_cells(self._n, cap)

@@ -195,7 +195,7 @@ class TestQueryErrors:
         assert err.startswith(f"parse error: line {line}: ") and f"{bad}.txt is not UTF-8" in err
 
     @pytest.mark.parametrize("structure,exit_code",
-                             [("hashlist", 1), ("edgehash", 1), ("multilist", 1), ("oracle", 3)])
+                             [("hashlist", 1), ("edgehash", 1), ("multilist", 1), ("oracle", 1)])
     def test_huge_header_n_one_line_error(self, tmp_path, capsys, structure, exit_code):
         g, q = tmp_path / "g.txt", tmp_path / "q.txt"
         g.write_text("1000000000000 1\n0 1\n")
@@ -204,14 +204,14 @@ class TestQueryErrors:
         assert (code, out) == (exit_code, "")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_oracle_over_its_cap_exit_3(self, tmp_path, capsys):
-        """A 5000-vertex file on the oracle: query refuses it before building, with the
-        exit 3 that test_huge_header_n_one_line_error pins; bench's refusal exits 1."""
+    def test_oracle_over_its_cap_exit_1(self, tmp_path, capsys):
+        """A 5000-vertex file on the oracle: OracleGraph refuses it with ConfigError,
+        exit 1 in one line, as bench's refusal does."""
         g, q = tmp_path / "g.txt", tmp_path / "q.txt"
         g.write_text("5000 1\n0 4999\n")
         q.write_text("C 0 4999\n")
         code, out, err = run_cli(capsys, "query", str(g), str(q), "--structure", "oracle")
-        assert (code, out) == (3, "")
+        assert (code, out) == (1, "")
         assert "4096" in err and err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("structure", ["hashlist", "multilist"])
@@ -283,7 +283,9 @@ class TestQuerySizing:
 
 
 class TestQueryLoad:
-    """The CLI's bulk load against add_edge + set_weight, line by line."""
+    """A weighted HashList's bulk load of the parsed columns against add_edge +
+    set_weight, line by line. The CLI stores no weights (see TestQueryWeights);
+    these are the library's invariants for a caller that does."""
 
     TEXT = "\n".join(
         ["6 40", "0 1 0.5", "0 1", "1 2 2.0", "# comment", "0 1 0.75", "0 1", "2 2 3",
@@ -291,8 +293,9 @@ class TestQueryLoad:
     )
 
     @staticmethod
-    def reference(graph, undirected):
-        store = HashList(StoreConfig(vertex_count=graph.n, expected_edges=1, weighted=True))
+    def reference(graph, undirected, hash_mode="mixer"):
+        store = HashList(StoreConfig(vertex_count=graph.n, expected_edges=1, hash_mode=hash_mode,
+                                     weighted=True))
         for x, y, w in graph.edges:
             for a, b in ((x, y), (y, x)) if undirected else ((x, y),):
                 store.add_edge(a, b)
@@ -300,12 +303,23 @@ class TestQueryLoad:
                     store.set_weight(a, b, w)
         return store
 
+    @staticmethod
+    def bulk(graph, undirected, hash_mode="mixer"):
+        """One weighted ``add_edges`` call over the parsed columns; undirected input is
+        interleaved (x, y), (y, x) per line, with the line's weight on both."""
+        xs, ys, ws = graph.xs, graph.ys, graph.ws
+        if undirected:
+            xs, ys = np.column_stack((xs, ys)).ravel(), np.column_stack((ys, xs)).ravel()
+            ws = [w for w in ws for _ in (0, 1)]
+        store = HashList(StoreConfig(vertex_count=graph.n, expected_edges=len(xs),
+                                     hash_mode=hash_mode, weighted=True))
+        store.add_edges(xs, ys, ws)
+        return store
+
     @pytest.mark.parametrize("undirected", [False, True])
     def test_weights_match_line_by_line(self, undirected):
         graph = parse_edge_list(self.TEXT)
-        store = _build_query_store("hashlist", graph, "mixer", undirected)
-        assert store.config.weighted
-        _load_query_store(store, graph, undirected)
+        store = self.bulk(graph, undirected)
         ref = self.reference(graph, undirected)
         pairs = [(x, y) for x in range(graph.n) for y in range(graph.n)]
         assert [store.get_weight(x, y) for x, y in pairs] == [ref.get_weight(x, y) for x, y in pairs]
@@ -324,12 +338,79 @@ class TestQueryLoad:
             lines.append(f"{x} {y} {rnd.randrange(1000) / 8}" if rnd.random() < 0.7 else f"{x} {y}")
         graph = parse_edge_list("\n".join(lines) + "\n")
         for undirected in (False, True):
-            store = _build_query_store("hashlist", graph, "paper_compat", undirected)
-            _load_query_store(store, graph, undirected)
-            ref = self.reference(graph, undirected)
+            store = self.bulk(graph, undirected, "paper_compat")
+            ref = self.reference(graph, undirected, "paper_compat")
             pairs = [(x, y) for x in range(50) for y in range(50)]
             assert [store.get_weight(x, y) for x, y in pairs] == [ref.get_weight(x, y) for x, y in pairs]
             assert [store.neighbors(v) for v in range(50)] == [ref.neighbors(v) for v in range(50)]
+
+
+class TestQueryWeights:
+    """Weight tokens are checked by the parser and then dropped: the CLI builds the plain
+    store, and its result bytes are those of the same file without the weights."""
+
+    @staticmethod
+    def weighted_text(seed, kernel=True):
+        """300 edge lines on 40 vertices, 70% with a weight. With ``kernel`` the weights
+        are plain decimals the parse kernel takes; without it, signs, exponents and a
+        comment send the file to the per-line parser."""
+        import random
+
+        rnd = random.Random(seed)
+        tokens = ["0.5", "4.25", "7", "0.125"] + ([] if kernel else ["-2", "1e3", ".5", "-0.0"])
+        lines = ["40 300"] + ([] if kernel else ["# a comment", ""])
+        for _ in range(300):
+            x, y = rnd.randrange(40), rnd.randrange(40)
+            lines.append(f"{x} {y} {rnd.choice(tokens)}" if rnd.random() < 0.7 else f"{x} {y}")
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def strip_weights(text):
+        return "".join(
+            " ".join(line.split()[:2]) + "\n" if not line.startswith("#") else line + "\n"
+            for line in text.splitlines()
+        )
+
+    def result_bytes(self, tmp_path, capsys, text, queries, *flags):
+        g, q, out = tmp_path / "g.txt", tmp_path / "q.txt", tmp_path / "out.txt"
+        g.write_text(text)
+        q.write_text(queries)
+        assert run_cli(capsys, "query", str(g), str(q), "--out", str(out), *flags) == (0, "", "")
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("kernel", [True, False])
+    @pytest.mark.parametrize("undirected", [False, True])
+    @pytest.mark.parametrize("structure", ["hashlist", "multilist", "oracle"])
+    def test_weights_do_not_change_the_result_bytes(self, tmp_path, capsys, structure, undirected,
+                                                    kernel):
+        text = self.weighted_text(11, kernel)
+        plain = self.strip_weights(text)
+        assert (formats._bulk_edge_list(text) is not None) == kernel
+        assert parse_edge_list(text).has_weights and not parse_edge_list(plain).has_weights
+        assert len(parse_edge_list(plain).edges) == 300
+        queries = "".join([f"N {v}\n" for v in range(40)] + [f"C {v} {(v * 7) % 40}\n" for v in range(40)])
+        flags = ["--structure", structure] + (["--undirected"] if undirected else [])
+        weighted = self.result_bytes(tmp_path, capsys, text, queries, *flags)
+        assert weighted == self.result_bytes(tmp_path, capsys, plain, queries, *flags)
+        assert weighted.count(b"\n") == 80
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_hashlist_is_built_unweighted(self, undirected):
+        graph = parse_edge_list(self.weighted_text(12))
+        store = _build_query_store("hashlist", graph, "mixer", undirected)
+        _load_query_store(store, graph, undirected)
+        assert not store.config.weighted
+        assert store.counters.add.ops == len(graph.edges) * (2 if undirected else 1)
+
+    @pytest.mark.parametrize("bad, line", [("0 1 1.2.3", 4), ("0 1 abc", 3)])
+    def test_malformed_weight_exit_2(self, tmp_path, capsys, bad, line):
+        g, q = tmp_path / "g.txt", tmp_path / "q.txt"
+        g.write_text("3 3\n1 2 0.5\n" + ("# comment\n" if line == 4 else "") + bad + "\n")
+        q.write_text("C 0 1\n")
+        code, out, err = run_cli(capsys, "query", str(g), str(q))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: line {line}: ") and err.count("\n") == 1
+        assert bad.split()[2] in err
 
 
 class TestKernelColumns:
