@@ -293,9 +293,8 @@ class TestQueryLoad:
     )
 
     @staticmethod
-    def reference(graph, undirected, hash_mode="mixer"):
-        store = HashList(StoreConfig(vertex_count=graph.n, expected_edges=1, hash_mode=hash_mode,
-                                     weighted=True))
+    def reference(graph, undirected):
+        store = HashList(StoreConfig(vertex_count=graph.n, expected_edges=1, weighted=True))
         for x, y, w in graph.edges:
             for a, b in ((x, y), (y, x)) if undirected else ((x, y),):
                 store.add_edge(a, b)
@@ -339,7 +338,7 @@ class TestQueryLoad:
         graph = parse_edge_list("\n".join(lines) + "\n")
         for undirected in (False, True):
             store = self.bulk(graph, undirected, "paper_compat")
-            ref = self.reference(graph, undirected, "paper_compat")
+            ref = self.reference(graph, undirected)
             pairs = [(x, y) for x in range(50) for y in range(50)]
             assert [store.get_weight(x, y) for x, y in pairs] == [ref.get_weight(x, y) for x, y in pairs]
             assert [store.neighbors(v) for v in range(50)] == [ref.neighbors(v) for v in range(50)]

@@ -1,0 +1,138 @@
+"""Build a ``BENCH_<pr>.json`` record from paired perfbench runs.
+
+Run ``perfbench/run.py`` in two checkouts, the parent commit and the
+change, once per (workload, seed) on each side, alternating which side
+runs first. Each run leaves ``.bench_out/<workload>-seed<seed>-trace0.json``
+in its checkout. Then, from the repository root::
+
+    python3 tools/bench_record.py --pr 18 --parent ../parent --change ../change \\
+        --claim uniform-presized:query_s --held-out 18101,18102,18103 --out BENCH_18.json
+
+A pair is a (workload, seed) present on both sides; the side whose detail
+file is older ran first. The record holds each side's provenance, every
+pair's end-to-end metrics and check tallies, and per workload and metric
+the two medians, the parent's interquartile range and the change's wins.
+Held-out seeds are summarised apart from the others. The claim rule is
+the one the benchmark applies: at least nine wins in ten pairs, and a gap
+between the medians wider than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+from pathlib import Path
+from statistics import median, quantiles
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def end_to_end_metrics(benchmark: Path) -> dict[str, str]:
+    """Metric name -> "higher" or "lower", the end-to-end list of BENCHMARK.json."""
+    spec = json.loads(benchmark.read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def detail_files(checkout: Path) -> dict[tuple[str, int], Path]:
+    """(workload, seed) -> the untraced detail file perfbench wrote in ``checkout``."""
+    out = {}
+    for path in (checkout / ".bench_out").glob("*-seed*-trace0.json"):
+        workload, _, seed = path.name[: -len("-trace0.json")].rpartition("-seed")
+        out[workload, int(seed)] = path
+    return out
+
+
+def run_entry(path: Path, metrics: dict[str, str]) -> dict:
+    detail = json.loads(path.read_text(encoding="utf-8"))
+    return {
+        "metrics": {k: detail["metrics"][k]["value"] for k in metrics if k in detail["metrics"]},
+        "repetitions": detail["repetitions"],
+        "attempted": detail["attempted"],
+        "failed": detail["failed"],
+    }
+
+
+def summarise(pairs: list[dict], metrics: dict[str, str]) -> dict:
+    """Per metric: medians, the parent's IQR, wins and ties of the change, over ``pairs``."""
+    out = {}
+    for name, better in metrics.items():
+        both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
+                if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+        if not both:
+            continue
+        before, after = [b for b, _ in both], [a for _, a in both]
+        sign = 1 if better == "higher" else -1
+        q1, _, q3 = quantiles(before, n=4) if len(before) > 1 else (before[0],) * 3
+        gap = median(after) - median(before)
+        out[name] = {
+            "better": better,
+            "parent_median": median(before),
+            "change_median": median(after),
+            "change_frac": gap / median(before) if median(before) else None,
+            "parent_iqr": q3 - q1,
+            "gap_exceeds_iqr": abs(gap) > q3 - q1,
+            "wins": sum(sign * (a - b) > 0 for b, a in both),
+            "ties": sum(a == b for b, a in both),
+            "pairs": len(both),
+        }
+    return out
+
+
+def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
+          held_out: set[int]) -> dict:
+    metrics = end_to_end_metrics(ROOT / "BENCHMARK.json")
+    before, after = detail_files(parent), detail_files(change)
+    record = {"pr": pr, "provenance": {}, "claim": None, "workloads": {}}
+    for key in sorted(before.keys() & after.keys()):
+        workload, seed = key
+        entry = {
+            "seed": seed,
+            "held_out": seed in held_out,
+            "first": "parent" if before[key].stat().st_mtime < after[key].stat().st_mtime else "change",
+            "parent": run_entry(before[key], metrics),
+            "change": run_entry(after[key], metrics),
+        }
+        record["workloads"].setdefault(workload, {"pairs": []})["pairs"].append(entry)
+        for side, path in (("parent", before[key]), ("change", after[key])):
+            prov = json.loads(path.read_text(encoding="utf-8"))["provenance"]
+            kept = {k: prov[k] for k in ("git_commit", "python", "numpy", "cpu", "nproc")}
+            record["provenance"].setdefault(side, kept)
+    for block in record["workloads"].values():
+        pairs = block["pairs"]
+        block["summary"] = summarise([p for p in pairs if not p["held_out"]], metrics)
+        if any(p["held_out"] for p in pairs):
+            block["held_out_summary"] = summarise([p for p in pairs if p["held_out"]], metrics)
+    if claim is not None:
+        workload, name = claim
+        s = record["workloads"][workload]["summary"][name]
+        gain = s["change_median"] - s["parent_median"]
+        if s["better"] == "lower":
+            gain = -gain
+        record["claim"] = {
+            "workload": workload, "metric": name,
+            "holds": s["wins"] * 10 >= 9 * s["pairs"] and gain > s["parent_iqr"],
+        }
+        if "held_out_summary" in record["workloads"][workload]:
+            h = record["workloads"][workload]["held_out_summary"][name]
+            record["claim"]["held_out_wins"] = f'{h["wins"]}/{h["pairs"]}'
+    return record
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
+    parser.add_argument("--held-out", default="", help="comma-separated seeds kept out of the claim")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    claim = tuple(args.claim.split(":", 1)) if args.claim else None
+    held_out = {int(s) for s in args.held_out.split(",") if s}
+    record = build(args.pr, args.parent, args.change, claim, held_out)
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
