@@ -154,6 +154,8 @@ class StoreConfig:
     table grows: an add that finds GROWTH_THRESHOLD occupancy reached first
     doubles the table, so a table always keeps an empty slot, at which
     every probe ends. Both fractions are fixed policy, not fields.
+    ``weighted`` is HashList-only: it gives the store a weight per slot,
+    set with ``set_weight``; an EdgeHash ignores it.
     """
 
     vertex_count: int

@@ -24,9 +24,8 @@ it is None on an EdgeHash. HashList extends ``_allocate`` and
 ``_rebuild``: it walks the chains of its live vertices, and only those,
 into the order ``_reseat`` seats its codes in. The seat is one pass: one
 array key call for every home, then each code is seated, and on a
-HashList its weight carried and its slot recorded. HashList then threads
-its chains from the recorded slots in a few numpy operations, outside the
-per-code loop.
+HashList its slot recorded. HashList then threads its chains from the
+recorded slots in a few numpy operations, outside the per-code loop.
 
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a
@@ -39,9 +38,8 @@ not depend on capacity. Within a segment a Python loop walks the pairs
 in order and only probes and seats: the order in which codes are seated
 fixes the layout. After the segment, numpy derives the rest from the
 slots the loop reached: the answers, the probe counts, the edge count
-and, on a HashList, the chains and weights. So answers, slot layout,
-chain order, weights, rebuilds and counters all come out as the scalar
-calls give them.
+and, on a HashList, the chains. So answers, slot layout, chain order,
+rebuilds and counters all come out as the scalar calls give them.
 
 ``contains_many`` has a second read path. When the batch holds at least
 capacity / 8 valid pairs and the store at most 2**31 vertices, it copies
@@ -57,8 +55,6 @@ instead.
 """
 
 from __future__ import annotations
-
-from itertools import repeat
 
 import numpy as np
 
@@ -166,7 +162,7 @@ class EdgeHash(EdgeStore):
 
     # HashList's chain arrays; its slots shadow these, so on an EdgeHash the
     # scalar and bulk adds see None and skip the threading.
-    _heads = _next = _weights = None
+    _heads = _next = None
 
     def __init__(self, config: StoreConfig) -> None:
         self.config = config
@@ -254,10 +250,7 @@ class EdgeHash(EdgeStore):
         return held == code
 
     def add_edges(self, xs, ys) -> list[bool]:
-        return self._add_batch(xs, ys, None)
-
-    def _add_batch(self, xs, ys, weights) -> list[bool]:
-        """``add_edge`` per pair, and ``set_weight`` where ``weights`` holds a weight.
+        """``add_edge`` per pair; the answers and counters are those of the scalar calls.
 
         The batch runs in growth segments. A segment has room for
         ``growth_limit - count`` seats and ends at the seat that fills it,
@@ -271,12 +264,7 @@ class EdgeHash(EdgeStore):
         """
         front = _bulk_codes(xs, ys, self._n, self._key)
         if front is None:
-            out = []
-            for x, y, w in zip(xs, ys, repeat(None) if weights is None else weights):
-                out.append(self.add_edge(x, y))
-                if w is not None:
-                    self.set_weight(x, y, w)
-            return out
+            return super().add_edges(xs, ys)
         codes, keys, k = front
         pairs = zip(codes.tolist(), keys.tolist())
         out = []
@@ -305,23 +293,21 @@ class EdgeHash(EdgeStore):
                         append(~slot)
             finally:
                 stop = start + len(reached)
-                ws = None if weights is None else weights[start:stop]
-                out += self._book(codes[start:stop], keys[start:stop], reached, ws)
+                out += self._book(codes[start:stop], keys[start:stop], reached)
                 start = stop
         if k < len(xs):
             self._check_pair(xs[k], ys[k])
         return out
 
-    def _book(self, codes, keys, reached: list, weights) -> list[bool]:
+    def _book(self, codes, keys, reached: list) -> list[bool]:
         """Everything a segment of the add loop leaves out; returns its answers.
 
         ``reached`` holds one entry per pair of ``codes`` (with their
         ``keys``): the slot it seated at, or the complement of the slot
         that held its code. A probe ends at its slot, and no table is ever
         full, so it took ``((slot - home) & mask) + 1`` probes. The counts
-        go to the add channel in one ``record_batch``, and the seats to the
-        edge count; ``_link`` gets the seated codes, their slots and the
-        segment's ``weights``.
+        go to the add channel in one ``record_batch``, the seats to the
+        edge count, and the seated codes with their slots to ``_link``.
         """
         if not reached:
             return []
@@ -332,11 +318,11 @@ class EdgeHash(EdgeStore):
         probes = ((slots - (keys & np.uint64(mask)).astype(np.int64)) & mask) + 1
         self.counters.add.record_batch(len(got), int(probes.sum()), int(probes.max()))
         self._count += int(np.count_nonzero(seated))
-        self._link(codes[seated], slots[seated], slots, weights)
+        self._link(codes[seated], slots[seated])
         return seated.tolist()
 
-    def _link(self, codes, new_slots, slots, weights) -> None:
-        """A segment's chains and weights; an edge hash keeps neither."""
+    def _link(self, codes, new_slots) -> None:
+        """A segment's chains; an edge hash keeps none."""
 
     def contains_many(self, xs, ys) -> list[bool]:
         """``contains`` per pair; both read paths give the same answers and counters.
@@ -389,38 +375,32 @@ class EdgeHash(EdgeStore):
         self._rebuild(self._cap * 2)
 
     def _rebuild(self, new_cap: int) -> None:
-        data, _, _ = self._reseat(new_cap, [code for code in self._data if code != NONE], None)
+        data, _ = self._reseat(new_cap, [code for code in self._data if code != NONE])
         self._install(new_cap, data)
         self.rebuilds += 1
 
-    def _reseat(self, new_cap: int, codes: list[int], weights: list | None) -> tuple:
+    def _reseat(self, new_cap: int, codes: list[int]) -> tuple:
         """Seat ``codes``, in that order, in a fresh slot list of ``new_cap`` slots.
 
         Linear probing is order-dependent, so the order fixes the layout.
         Every home is the hash mode's key, from one array call, masked to
         the new capacity; the probe is inline, since a rebuild re-seats
-        every edge. Returns ``(data, weights, seated)`` for the caller to
-        install, and changes nothing in the store. When ``_heads`` is set,
-        the same pass carries each code's weight from ``weights`` (aligned
-        with ``codes``, or None) into a fresh weight list and records the
-        seated slots in seat order, from which the caller threads the
-        chains; otherwise both are None.
+        every edge. Returns ``(data, seated)`` for the caller to install,
+        and changes nothing in the store. When ``_heads`` is set, the same
+        pass records the seated slots in seat order, from which the caller
+        threads the chains; otherwise ``seated`` is None.
         """
         mask = new_cap - 1
         homes = (self._key(codes) & np.uint64(mask)).tolist()
         data = [NONE] * new_cap
-        wts = None if weights is None else [None] * new_cap
         seated = None if self._heads is None else []
-        ws = repeat(None) if weights is None else weights
-        for code, slot, w in zip(codes, homes, ws):
+        for code, slot in zip(codes, homes):
             while data[slot] != NONE:
                 slot = (slot + 1) & mask
             data[slot] = code
             if seated is not None:
                 seated.append(slot)
-                if w is not None:
-                    wts[slot] = w
-        return data, wts, seated
+        return data, seated
 
     @property
     def edge_count(self) -> int:

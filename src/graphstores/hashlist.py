@@ -7,28 +7,28 @@ source vertex's chain (``next[slot] = heads[x]; heads[x] = slot``).
 Membership inherits the hash table's degree-independent cost; enumeration
 walks the chain and touches exactly deg(x) slots. Chains use the
 out-of-band NONE sentinel because slot 0 is a legitimate hash slot. This
-class adds only the chain arrays (``_allocate``), the rebuild's order and
-threading (``_rebuild``), the bulk add's threading (``_link``),
-enumeration, and the weight lookups.
+class adds only the chain arrays (``_allocate``), the rebuild's order,
+threading and weights (``_rebuild``), the bulk add's threading
+(``_link``), enumeration, and the weight lookups.
 
 A rebuild finds the vertices that have edges with one numpy pass over
 ``_heads`` and walks only their chains, in Python, into the seat order:
 vertex by vertex, each chain oldest-first as one run. The edge hash's
-seat pass places the codes, carries the weights and returns the seated
-slots. The chains are then threaded with numpy over views of the fresh
-chain arrays: ``heads[v]`` is the last slot of v's run, every other slot
-links to the one seated before it, and each run's first slot keeps NONE.
-Only then are the new slots, chains and weights installed, so a rebuild
-that fails on the way leaves the store as it was.
+seat pass places the codes and returns the seated slots. On a weighted
+store each weight then moves from its old slot to its new one. The
+chains are threaded with numpy over views of the fresh chain arrays:
+``heads[v]`` is the last slot of v's run, every other slot links to the
+one seated before it, and each run's first slot keeps NONE. Only then
+are the new slots, chains and weights installed, so a rebuild that fails
+on the way leaves the store as it was.
 
 The bulk ``add_edges`` and ``contains_many`` come from the edge hash's
 vectorized front end and batch paths. The add loop only probes and seats;
 after each of its growth segments, ``_link`` groups the new slots by
 source in arrival order and puts each group at the front of its chain,
-as ``add_edge`` would one slot at a time. ``add_edges`` takes
-an optional weight per pair, so a weighted batch probes each edge once
-rather than once more for ``set_weight``. ``neighbors_many`` walks all
-requested chains at once, one numpy step per live chain per round.
+as ``add_edge`` would one slot at a time. Weights are set one edge at a
+time with ``set_weight``. ``neighbors_many`` walks all requested chains
+at once, one numpy step per live chain per round.
 
 The chain arrays hold only slot indices and NONE, so they are 4-byte
 cells (8-byte past 2**31 slots) in an ``array`` behind a ``memoryview``,
@@ -48,8 +48,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import (NONE, U32_MASK, ConfigError, VertexRangeError, check_lengths, compat_hash,
-                   mixer_hash, pack_edge)
+from .core import NONE, U32_MASK, ConfigError, VertexRangeError, compat_hash, mixer_hash, pack_edge
 from .edgehash import EdgeHash, _id_array, _valid_prefix
 
 #: ``neighbors_many`` walks its chains in numpy rounds while more than this
@@ -94,29 +93,15 @@ class HashList(EdgeHash):
         self._next = _chain_cells(cap, cap)
         self._weights: list | None = [None] * cap if self.config.weighted else None
 
-    def add_edges(self, xs, ys, weights=None) -> list[bool]:
-        """``add_edge`` per pair in order; then, where ``weights[i]`` is not None,
-        ``set_weight`` with it, so the last weight given for an edge wins.
-
-        Weights need a weighted store: passing them to any other raises
-        ConfigError before any pair is added.
-        """
-        if weights is not None:
-            if self._weights is None:
-                raise ConfigError("weights are not enabled (StoreConfig.weighted)")
-            check_lengths(xs, weights)
-        return self._add_batch(xs, ys, weights)
-
-    def _link(self, codes, new_slots, slots, weights) -> None:
-        """Thread a segment's new slots onto their chains and write its weights.
+    def _link(self, codes, new_slots) -> None:
+        """Thread a segment's new slots onto their chains.
 
         The new slots are grouped by source in arrival order: one sort of
         the codes with each low half replaced by the arrival index, which a
         segment far shorter than 2**32 pairs fits. Each group's first slot
         links to its source's old head, every other slot to the one before
         it, and its last slot becomes the head: the links ``add_edge``
-        makes one slot at a time. Then each pair's weight that is not None
-        goes to the slot the pair reached, in order, so the last one wins.
+        makes one slot at a time.
         """
         if len(codes):
             keys = (codes >> np.uint64(32) << np.uint64(32)) | np.arange(len(codes), dtype=np.uint64)
@@ -131,11 +116,6 @@ class HashList(EdgeHash):
             prev[firsts] = heads[src[firsts]]
             nxt[new_slots] = prev
             heads[src[lasts]] = new_slots[lasts]
-        if weights is not None:
-            wts = self._weights
-            for slot, w in zip(slots.tolist(), weights):
-                if w is not None:
-                    wts[slot] = w
 
     def neighbors(self, x: int) -> list[int]:
         if x < 0 or x >= self._n:
@@ -261,8 +241,12 @@ class HashList(EdgeHash):
                 append(i)
                 i = nxt[i]
         order.reverse()
-        weights = None if old_weights is None else [old_weights[s] for s in order]
-        data, weights, seated = self._reseat(new_cap, [data[s] for s in order], weights)
+        data, seated = self._reseat(new_cap, [data[s] for s in order])
+        weights = None
+        if old_weights is not None:
+            weights = [None] * new_cap
+            for old, new in zip(order, seated):
+                weights[new] = old_weights[old]
         heads, nxt = _chain_cells(self._n, new_cap), _chain_cells(new_cap, new_cap)
         # A run that starts at k in the walk ends at len(order) - 1 - k in
         # the seat order. heads[v] is the last slot of v's run, every other

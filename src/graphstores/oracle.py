@@ -1,14 +1,14 @@
 """Ground-truth reference store for differential testing.
 
-A dense boolean adjacency matrix answers membership by direct indexing,
-and per-vertex insertion logs keep the exact order in which targets
-arrived. It exists to be obviously correct, not fast, and its n-squared
-matrix is the memory cost the compact stores avoid.
+A dense adjacency matrix, one ``bytearray`` row per source, answers
+membership by direct indexing, and per-vertex insertion logs keep the
+exact order in which targets arrived. It exists to be obviously correct,
+not fast, and its n-squared matrix is the memory cost the compact stores
+avoid. Rows are indexed as lists are, so a bool id reads as 0 or 1 and a
+float id raises TypeError, as on the other stores.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .core import ConfigError, EdgeStore, VertexRangeError
 from .counters import OpCounters
@@ -33,7 +33,7 @@ class OracleGraph(EdgeStore):
                 f"oracle is capped at {ORACLE_MAX_VERTICES} vertices, got n={vertex_count}"
             )
         self._n = vertex_count
-        self._matrix = np.zeros((vertex_count, vertex_count), dtype=bool)
+        self._matrix = [bytearray(vertex_count) for _ in range(vertex_count)]
         self._logs: list[list[int]] = [[] for _ in range(vertex_count)]
         self._count = 0
         self.counters = OpCounters()
@@ -41,9 +41,10 @@ class OracleGraph(EdgeStore):
     def add_edge(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
         self.counters.add.record(1)
-        if self._matrix[x, y]:
+        row = self._matrix[x]
+        if row[y]:
             return False
-        self._matrix[x, y] = True
+        row[y] = 1
         self._logs[x].append(y)
         self._count += 1
         return True
@@ -51,7 +52,7 @@ class OracleGraph(EdgeStore):
     def contains(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
         self.counters.contains.record(1)
-        return bool(self._matrix[x, y])
+        return bool(self._matrix[x][y])
 
     def neighbors(self, x: int) -> list[int]:
         """Reversed log: newest first, like the head-insertion stores."""

@@ -15,7 +15,8 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def write_detail(checkout: Path, workload: str, seed: int, query_s: float, mtime: int) -> None:
+def write_detail(checkout: Path, workload: str, seed: int, query_s: float, mtime: int,
+                 add_ops_s: float = 1e6) -> None:
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     detail = {
@@ -23,7 +24,8 @@ def write_detail(checkout: Path, workload: str, seed: int, query_s: float, mtime
                        "nproc": 2, "workload": workload, "seed": seed},
         "repetitions": 5, "attempted": 10, "failed": 0,
         "metrics": {"query_s": {"value": query_s, "unit": "s"},
-                    "hashlist.bytes_per_edge": {"value": 40.0, "unit": "B/edge"}},
+                    "hashlist.bytes_per_edge": {"value": 40.0, "unit": "B/edge"},
+                    "hashlist.add_ops_s": {"value": add_ops_s, "unit": "ops/s"}},
     }
     path = out / f"{workload}-seed{seed}-trace0.json"
     path.write_text(json.dumps(detail))
@@ -57,6 +59,7 @@ def test_pairs_wins_and_claim(sides):
     assert block["held_out_summary"]["query_s"]["wins"] == 2
     assert record["claim"] == {"workload": "w", "metric": "query_s", "holds": True,
                                "held_out_wins": "2/2"}
+    assert record["regressions"] == []
     assert record["provenance"] == {
         side: {"git_commit": side, "python": "3", "numpy": "2", "cpu": "x", "nproc": 2}
         for side in ("parent", "change")
@@ -69,3 +72,39 @@ def test_claim_fails_on_eight_wins(sides):
     record = bench_record.build(18, parent, change, ("w", "query_s"), {20, 21})
     assert record["workloads"]["w"]["summary"]["query_s"]["wins"] == 8
     assert record["claim"]["holds"] is False
+
+
+def test_bound_flags_and_regressions(tmp_path):
+    """query_s has bound 0.25 in BENCHMARK.json. On tight runs 30% worse is flagged
+    and 10% worse is not; runs whose parent IQR is wider than the bound are
+    unresolved unless every change run beats every parent run. A throughput 30% lower
+    is worse, as its ``better`` is "higher"."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    runs = {  # workload -> (parent query_s, change query_s) per seed
+        "worse30": ([1.00, 1.01, 0.99, 1.02, 0.98], [1.30, 1.31, 1.29, 1.32, 1.28]),
+        "worse10": ([1.00, 1.01, 0.99, 1.02, 0.98], [1.10, 1.11, 1.09, 1.12, 1.08]),
+        "noisy": ([0.5, 1.5, 1.0, 0.6, 1.4], [1.4, 0.6, 1.0, 1.5, 0.5]),
+        "noisy-but-clear": ([0.5, 1.5, 1.0, 0.6, 1.4], [0.40, 0.30, 0.35, 0.45, 0.25]),
+    }
+    for workload, (before, after) in runs.items():
+        for seed, (b, a) in enumerate(zip(before, after)):
+            write_detail(parent, workload, seed, b, 1000 + 2 * seed)
+            write_detail(change, workload, seed, a, 1001 + 2 * seed,
+                         add_ops_s=7e5 if workload == "worse30" else 1.1e6)
+    record = bench_record.build(19, parent, change, None, set())
+    flags = {w: {k: record["workloads"][w]["summary"]["query_s"][k]
+                 for k in ("bound", "worse_beyond_bound", "unresolved")} for w in runs}
+    assert flags == {
+        "worse30": {"bound": 0.25, "worse_beyond_bound": True, "unresolved": False},
+        "worse10": {"bound": 0.25, "worse_beyond_bound": False, "unresolved": False},
+        "noisy": {"bound": 0.25, "worse_beyond_bound": False, "unresolved": True},
+        "noisy-but-clear": {"bound": 0.25, "worse_beyond_bound": False, "unresolved": False},
+    }
+    assert record["claim"] is None
+    assert record["regressions"] == [
+        {"workload": "noisy", "metric": "query_s", "held_out": False, "flags": ["unresolved"]},
+        {"workload": "worse30", "metric": "hashlist.add_ops_s", "held_out": False,
+         "flags": ["worse_beyond_bound"]},
+        {"workload": "worse30", "metric": "query_s", "held_out": False,
+         "flags": ["worse_beyond_bound"]},
+    ]

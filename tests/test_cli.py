@@ -282,68 +282,6 @@ class TestQuerySizing:
         assert run_cli(capsys, "query", str(g), str(q)) == (0, "1\n2\n", "")
 
 
-class TestQueryLoad:
-    """A weighted HashList's bulk load of the parsed columns against add_edge +
-    set_weight, line by line. The CLI stores no weights (see TestQueryWeights);
-    these are the library's invariants for a caller that does."""
-
-    TEXT = "\n".join(
-        ["6 40", "0 1 0.5", "0 1", "1 2 2.0", "# comment", "0 1 0.75", "0 1", "2 2 3",
-         "3 4", "4 3 1.5", "3 4 -2", "3 4", "5 0 1e3", "0 5", "1 2", "2 1 4.25", ""]
-    )
-
-    @staticmethod
-    def reference(graph, undirected):
-        store = HashList(StoreConfig(vertex_count=graph.n, expected_edges=1, weighted=True))
-        for x, y, w in graph.edges:
-            for a, b in ((x, y), (y, x)) if undirected else ((x, y),):
-                store.add_edge(a, b)
-                if w is not None:
-                    store.set_weight(a, b, w)
-        return store
-
-    @staticmethod
-    def bulk(graph, undirected, hash_mode="mixer"):
-        """One weighted ``add_edges`` call over the parsed columns; undirected input is
-        interleaved (x, y), (y, x) per line, with the line's weight on both."""
-        xs, ys, ws = graph.xs, graph.ys, graph.ws
-        if undirected:
-            xs, ys = np.column_stack((xs, ys)).ravel(), np.column_stack((ys, xs)).ravel()
-            ws = [w for w in ws for _ in (0, 1)]
-        store = HashList(StoreConfig(vertex_count=graph.n, expected_edges=len(xs),
-                                     hash_mode=hash_mode, weighted=True))
-        store.add_edges(xs, ys, ws)
-        return store
-
-    @pytest.mark.parametrize("undirected", [False, True])
-    def test_weights_match_line_by_line(self, undirected):
-        graph = parse_edge_list(self.TEXT)
-        store = self.bulk(graph, undirected)
-        ref = self.reference(graph, undirected)
-        pairs = [(x, y) for x in range(graph.n) for y in range(graph.n)]
-        assert [store.get_weight(x, y) for x, y in pairs] == [ref.get_weight(x, y) for x, y in pairs]
-        assert store.get_weight(0, 1) == 0.75  # the last weighted line wins
-        assert store.get_weight(3, 4) == -2.0  # a line without a weight keeps it
-        assert store.get_weight(0, 5) == (1e3 if undirected else None)
-        assert store.counters.add.ops == len(graph.edges) * (2 if undirected else 1)
-
-    def test_random_file_matches_line_by_line(self):
-        import random
-
-        rnd = random.Random(7)
-        lines = ["50 600"]
-        for _ in range(600):
-            x, y = rnd.randrange(50), rnd.randrange(50)
-            lines.append(f"{x} {y} {rnd.randrange(1000) / 8}" if rnd.random() < 0.7 else f"{x} {y}")
-        graph = parse_edge_list("\n".join(lines) + "\n")
-        for undirected in (False, True):
-            store = self.bulk(graph, undirected, "paper_compat")
-            ref = self.reference(graph, undirected)
-            pairs = [(x, y) for x in range(50) for y in range(50)]
-            assert [store.get_weight(x, y) for x, y in pairs] == [ref.get_weight(x, y) for x, y in pairs]
-            assert [store.neighbors(v) for v in range(50)] == [ref.neighbors(v) for v in range(50)]
-
-
 class TestQueryWeights:
     """Weight tokens are checked by the parser and then dropped: the CLI builds the plain
     store, and its result bytes are those of the same file without the weights."""

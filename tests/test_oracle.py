@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from graphstores import ORACLE_MAX_VERTICES, ConfigError, OracleGraph, VertexRangeError
+from graphstores import (ORACLE_MAX_VERTICES, ConfigError, EdgeHash, HashList, MultiList, OracleGraph,
+                         StoreConfig, VertexRangeError)
 
 from _reference import EdgeSetOracle
 
@@ -81,3 +82,36 @@ class TestConsistency:
     def test_quadratic_footprint(self):
         o = OracleGraph(128)
         assert o.slots_allocated == 128 * 128
+
+
+BOOL_STORES = {
+    "oracle": lambda: OracleGraph(5),
+    "multilist": lambda: MultiList(5, 10),
+    "edgehash": lambda: EdgeHash(StoreConfig(vertex_count=5, expected_edges=4)),
+    "hashlist": lambda: HashList(StoreConfig(vertex_count=5, expected_edges=4)),
+}
+
+
+def bool_calls(store) -> list:
+    """A bool id reads as vertex 0 or 1, as a list index does."""
+    return [store.add_edge(True, 3), store.contains(True, 3), store.add_edges([True], [2]),
+            store.contains_many([True, False], [2, True]), store.add_edge(1, 3),
+            store.contains(1, 2), store.contains(False, 3), store.edge_count]
+
+
+def test_bool_ids_answer_alike_on_every_store():
+    stores = {name: make() for name, make in BOOL_STORES.items()}
+    got = {name: bool_calls(store) for name, store in stores.items()}
+    assert got == dict.fromkeys(stores, [True, True, [True], [True, False], False, True, False, 2])
+    del stores["edgehash"]  # it does not enumerate
+    assert {name: s.neighbors(True) for name, s in stores.items()} == dict.fromkeys(stores, [2, 3])
+
+
+@pytest.mark.parametrize("name", BOOL_STORES)
+def test_float_source_raises_type_error(name):
+    """Unlike a bool, a float id is no index; the rest of the float rule is open."""
+    store = BOOL_STORES[name]()
+    with pytest.raises(TypeError):
+        store.add_edge(1.0, 3)
+    with pytest.raises(TypeError):
+        store.contains(1.0, 3)

@@ -5,7 +5,9 @@ Each test raises MemoryError inside a rebuild: from the store's array key
 (``hashlist._chain_cells``, heads first, then links). The failed store is
 compared with a twin that never failed and stopped at the same pair: the
 raw arrays, counters, answers, neighbor lists and weights must match, and
-so must everything after both go on with the real key.
+so must everything after both go on with the real key. Weights are set with
+``set_weight`` on both, so on a weighted store the failed rebuild must keep
+them and the rebuild that then succeeds must carry them.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ CASES = [
 N = 100
 # 16 slots: the 12th distinct edge finds 11 = growth_limit(16) and rebuilds.
 LIMIT = 11
+# Edges added and weighted one at a time before the failing batch.
+PRE = 4
 EDGES = random.Random(3).sample([(x, y) for x in range(N) for y in range(N)], 20)
 WEIGHTS = [None if k % 3 == 0 else k / 4 for k in range(len(EDGES))]
 
@@ -78,8 +82,15 @@ def seen(store) -> dict:
 def add(store, pairs, weights) -> None:
     for (x, y), w in zip(pairs, weights):
         store.add_edge(x, y)
-        if w is not None and store._weights is not None:
-            store.set_weight(x, y, w)
+        weigh(store, [(x, y)], [w])
+
+
+def weigh(store, pairs, weights) -> None:
+    """``set_weight`` per pair whose weight is not None, on a weighted store."""
+    if getattr(store, "_weights", None) is not None:
+        for (x, y), w in zip(pairs, weights):
+            if w is not None:
+                store.set_weight(x, y, w)
 
 
 def stores(cls, weighted, hash_mode):
@@ -106,17 +117,21 @@ def test_failed_scalar_rebuild_keeps_the_store(cls, weighted, where, hash_mode):
 @pytest.mark.parametrize("hash_mode", MODES)
 @pytest.mark.parametrize("cls,weighted,where", CASES)
 def test_failed_batch_rebuild_keeps_the_pairs_before_it(cls, weighted, where, hash_mode):
+    """The first PRE edges are in and weighted before the batch; the batch repeats
+    them, seats the rest up to the limit, and fails at the rebuild after."""
     store, twin = stores(cls, weighted, hash_mode)
+    for s in (store, twin):
+        add(s, EDGES[:PRE], WEIGHTS)
     xs, ys = [x for x, _ in EDGES], [y for _, y in EDGES]
-    ws = (WEIGHTS,) if weighted else ()
     # The batch's front end calls the key once before the rebuild does.
     with failing(store, where, 1), pytest.raises(MemoryError):
-        store.add_edges(xs, ys, *ws)
-    add(twin, EDGES[:LIMIT], WEIGHTS)
+        store.add_edges(xs, ys)
+    add(twin, EDGES[:LIMIT], [None] * LIMIT)
     assert seen(store) == seen(twin)
-    assert store.counters.add.ops == LIMIT
-    rest = (WEIGHTS[LIMIT:],) if weighted else ()
+    assert store.counters.add.ops == PRE + LIMIT
     for s in (store, twin):
-        s.add_edges(xs[LIMIT:], ys[LIMIT:], *rest)
+        weigh(s, EDGES[PRE:LIMIT], WEIGHTS[PRE:LIMIT])
+        s.add_edges(xs[LIMIT:], ys[LIMIT:])
+        weigh(s, EDGES[LIMIT:], WEIGHTS[LIMIT:])
     assert store.rebuilds == 1
     assert seen(store) == seen(twin)

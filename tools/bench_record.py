@@ -15,6 +15,14 @@ the two medians, the parent's interquartile range and the change's wins.
 Held-out seeds are summarised apart from the others. The claim rule is
 the one the benchmark applies: at least nine wins in ten pairs, and a gap
 between the medians wider than the parent's interquartile range.
+
+Each metric's ``bound`` in BENCHMARK.json is a fraction of the parent
+median. A metric is ``worse_beyond_bound`` when the change median is worse
+than the parent median by more than that, and ``unresolved`` when the
+parent's interquartile range is wider than it and not every change run
+beats every parent run: the runs then spread too widely to tell. The
+top-level ``regressions`` list names every workload and metric with
+either flag, so a record of a change that claims nothing reads at a glance.
 """
 
 from __future__ import annotations
@@ -27,10 +35,11 @@ from statistics import median, quantiles
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def end_to_end_metrics(benchmark: Path) -> dict[str, str]:
-    """Metric name -> "higher" or "lower", the end-to-end list of BENCHMARK.json."""
+def end_to_end_metrics(benchmark: Path) -> dict[str, dict]:
+    """Metric name -> its entry (``better``, ``bound``, ...) in the end-to-end list of
+    BENCHMARK.json."""
     spec = json.loads(benchmark.read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def detail_files(checkout: Path) -> dict[tuple[str, int], Path]:
@@ -42,7 +51,7 @@ def detail_files(checkout: Path) -> dict[tuple[str, int], Path]:
     return out
 
 
-def run_entry(path: Path, metrics: dict[str, str]) -> dict:
+def run_entry(path: Path, metrics: dict[str, dict]) -> dict:
     detail = json.loads(path.read_text(encoding="utf-8"))
     return {
         "metrics": {k: detail["metrics"][k]["value"] for k in metrics if k in detail["metrics"]},
@@ -52,10 +61,12 @@ def run_entry(path: Path, metrics: dict[str, str]) -> dict:
     }
 
 
-def summarise(pairs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per metric: medians, the parent's IQR, wins and ties of the change, over ``pairs``."""
+def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric: medians, the parent's IQR, wins and ties of the change, and the two
+    bound flags, over ``pairs``."""
     out = {}
-    for name, better in metrics.items():
+    for name, spec in metrics.items():
+        better, bound = spec["better"], spec.get("bound")
         both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
                 if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
         if not both:
@@ -64,6 +75,9 @@ def summarise(pairs: list[dict], metrics: dict[str, str]) -> dict:
         sign = 1 if better == "higher" else -1
         q1, _, q3 = quantiles(before, n=4) if len(before) > 1 else (before[0],) * 3
         gap = median(after) - median(before)
+        # Worse and spread beyond the bound, both as fractions of the parent median.
+        limit = None if bound is None else bound * abs(median(before))
+        beats_all = min(sign * a for a in after) > max(sign * b for b in before)
         out[name] = {
             "better": better,
             "parent_median": median(before),
@@ -74,6 +88,9 @@ def summarise(pairs: list[dict], metrics: dict[str, str]) -> dict:
             "wins": sum(sign * (a - b) > 0 for b, a in both),
             "ties": sum(a == b for b, a in both),
             "pairs": len(both),
+            "bound": bound,
+            "worse_beyond_bound": limit is not None and -sign * gap > limit,
+            "unresolved": limit is not None and q3 - q1 > limit and not beats_all,
         }
     return out
 
@@ -82,7 +99,7 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
           held_out: set[int]) -> dict:
     metrics = end_to_end_metrics(ROOT / "BENCHMARK.json")
     before, after = detail_files(parent), detail_files(change)
-    record = {"pr": pr, "provenance": {}, "claim": None, "workloads": {}}
+    record = {"pr": pr, "provenance": {}, "claim": None, "regressions": [], "workloads": {}}
     for key in sorted(before.keys() & after.keys()):
         workload, seed = key
         entry = {
@@ -97,11 +114,17 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
             prov = json.loads(path.read_text(encoding="utf-8"))["provenance"]
             kept = {k: prov[k] for k in ("git_commit", "python", "numpy", "cpu", "nproc")}
             record["provenance"].setdefault(side, kept)
-    for block in record["workloads"].values():
+    for workload, block in record["workloads"].items():
         pairs = block["pairs"]
         block["summary"] = summarise([p for p in pairs if not p["held_out"]], metrics)
         if any(p["held_out"] for p in pairs):
             block["held_out_summary"] = summarise([p for p in pairs if p["held_out"]], metrics)
+        for held_out, key in ((False, "summary"), (True, "held_out_summary")):
+            for name, s in block.get(key, {}).items():
+                flags = [f for f in ("worse_beyond_bound", "unresolved") if s[f]]
+                if flags:
+                    record["regressions"].append({"workload": workload, "metric": name,
+                                                  "held_out": held_out, "flags": flags})
     if claim is not None:
         workload, name = claim
         s = record["workloads"][workload]["summary"][name]
