@@ -4,8 +4,8 @@ A dense adjacency matrix, one ``bytearray`` row per source, answers
 membership by direct indexing, and per-vertex insertion logs keep the
 exact order in which targets arrived. It exists to be obviously correct,
 not fast, and its n-squared matrix is the memory cost the compact stores
-avoid. Rows are indexed as lists are, so a bool id reads as 0 or 1 and a
-float id raises TypeError, as on the other stores.
+avoid. Rows are indexed as lists are, so a bool id reads as 0 or 1, as
+on the hash stores, and a float id raises TypeError.
 """
 
 from __future__ import annotations

@@ -112,6 +112,8 @@ def test_failed_scalar_rebuild_keeps_the_store(cls, weighted, where, hash_mode):
         add(s, EDGES[LIMIT:], WEIGHTS[LIMIT:])
     assert store.rebuilds == 1
     assert seen(store) == seen(twin)
+    if weighted:  # the rebuild that succeeded carried every weight
+        assert [store.get_weight(x, y) for x, y in EDGES] == WEIGHTS
 
 
 @pytest.mark.parametrize("hash_mode", MODES)
@@ -135,3 +137,5 @@ def test_failed_batch_rebuild_keeps_the_pairs_before_it(cls, weighted, where, ha
         weigh(s, EDGES[LIMIT:], WEIGHTS[LIMIT:])
     assert store.rebuilds == 1
     assert seen(store) == seen(twin)
+    if weighted:  # the rebuild that succeeded carried every weight
+        assert [store.get_weight(x, y) for x, y in EDGES] == WEIGHTS
