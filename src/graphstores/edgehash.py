@@ -21,11 +21,11 @@ standalone functions. This is also the probe core of
 :class:`~graphstores.hashlist.HashList`, which inherits both bodies: they
 thread a new slot onto its source's chain whenever ``_heads`` is set, and
 it is None on an EdgeHash. HashList extends ``_allocate`` and
-``_rebuild``: it walks the chains of its live vertices, and only those,
+``_rebuild``: it walks its live chains, as its ``neighbors_many`` does,
 into the order ``_reseat`` seats its codes in. The seat is one pass: one
 array key call for every home, then each code is seated, and on a
 HashList its slot recorded. HashList then threads its chains from the
-recorded slots in a few numpy operations, outside the per-code loop.
+recorded slots in numpy, as after a segment of its bulk add.
 
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a

@@ -7,28 +7,22 @@ source vertex's chain (``next[slot] = heads[x]; heads[x] = slot``).
 Membership inherits the hash table's degree-independent cost; enumeration
 walks the chain and touches exactly deg(x) slots. Chains use the
 out-of-band NONE sentinel because slot 0 is a legitimate hash slot. This
-class adds only the chain arrays (``_allocate``), the rebuild's order,
-threading and weights (``_rebuild``), the bulk add's threading
-(``_link``), enumeration, and the weight lookups.
+class adds only the chain arrays, one walk of many chains (``_walk``), one
+threading of many new slots (``_thread``), enumeration, the rebuild's
+order and weights, and the weight lookups.
 
-A rebuild finds the vertices that have edges with one numpy pass over
-``_heads`` and walks only their chains, in Python, into the seat order:
-vertex by vertex, each chain oldest-first as one run. The edge hash's
-seat pass places the codes and returns the seated slots. On a weighted
-store each weight then moves from its old slot to its new one. The
-chains are threaded with numpy over views of the fresh chain arrays:
-``heads[v]`` is the last slot of v's run, every other slot links to the
-one seated before it, and each run's first slot keeps NONE. Only then
-are the new slots, chains and weights installed, so a rebuild that fails
-on the way leaves the store as it was.
-
-The bulk ``add_edges`` and ``contains_many`` come from the edge hash's
-vectorized front end and batch paths. The add loop only probes and seats;
-after each of its growth segments, ``_link`` groups the new slots by
-source in arrival order and puts each group at the front of its chain,
-as ``add_edge`` would one slot at a time. Weights are set one edge at a
-time with ``set_weight``. ``neighbors_many`` walks all requested chains
-at once, one numpy step per live chain per round.
+``_walk`` takes one numpy step on every live chain per round, until few
+are live, and a scalar walk finishes those. ``_thread`` groups new slots
+by source in arrival order and puts each group at the front of its chain,
+as ``add_edge`` would one slot at a time. The edge hash's bulk add
+threads each growth segment with it (``_link``), and ``neighbors_many``
+walks with ``_walk``. So does a rebuild: it walks the chains of the
+vertices that have edges from the last one, and reversed, that walk is
+the seat order: vertex by vertex, each chain oldest-first. After the seat
+each weight moves from its old slot to its new one, and ``_thread``
+threads fresh chain arrays. Only then are the new slots, chains and
+weights installed, so a rebuild that fails on the way leaves the store as
+it was. Weights are set one edge at a time with ``set_weight``.
 
 The chain arrays hold only slot indices and NONE, so they are 4-byte
 cells (8-byte past 2**31 slots) in an ``array`` behind a ``memoryview``,
@@ -51,7 +45,7 @@ import numpy as np
 from .core import NONE, U32_MASK, ConfigError, VertexRangeError, compat_hash, mixer_hash, pack_edge
 from .edgehash import EdgeHash, _id_array, _valid_prefix
 
-#: ``neighbors_many`` walks its chains in numpy rounds while more than this
+#: ``_walk`` walks its chains in numpy rounds while more than this
 #: many are live, and the rest in Python: a round costs about as much as this
 #: many scalar steps (the measured break-even of 2,000-step chains).
 _ROUND_MIN_CHAINS = 64
@@ -65,6 +59,36 @@ def _chain_cells(length: int, cap: int) -> memoryview:
 def _cells(cells: memoryview) -> np.ndarray:
     """A writable numpy view of chain cells."""
     return np.frombuffer(cells, dtype=cells.format)
+
+
+def _gather(data: list, slots: list):
+    """``data[i]`` for each i in ``slots``, in order, as a sequence."""
+    return itemgetter(*slots)(data) if len(slots) > 1 else [data[i] for i in slots]
+
+
+def _thread(heads: np.ndarray, nxt: np.ndarray, codes, slots) -> None:
+    """Thread new ``slots``, seated in that order for ``codes``, onto their chains.
+
+    ``heads`` and ``nxt`` are views of chain cells. The slots are grouped
+    by source in arrival order: one sort of the codes with each low half
+    replaced by the arrival index, which fits while there are fewer than
+    2**32 slots. Each group's first slot links to its source's old head,
+    every other slot to the one before it, and its last slot becomes the
+    head: the links ``add_edge`` makes one slot at a time.
+    """
+    if not len(codes):
+        return
+    keys = (codes >> np.uint64(32) << np.uint64(32)) | np.arange(len(codes), dtype=np.uint64)
+    keys.sort()
+    src = (keys >> np.uint64(32)).astype(np.intp)
+    slots = slots[(keys & np.uint64(U32_MASK)).astype(np.intp)]
+    firsts = np.flatnonzero(np.diff(src, prepend=-1))
+    lasts = np.append(firsts[1:], len(src)) - 1
+    prev = np.empty_like(slots)
+    prev[1:] = slots[:-1]
+    prev[firsts] = heads[src[firsts]]
+    nxt[slots] = prev
+    heads[src[lasts]] = slots[lasts]
 
 
 class HashList(EdgeHash):
@@ -94,28 +118,8 @@ class HashList(EdgeHash):
         self._weights: list | None = [None] * cap if self.config.weighted else None
 
     def _link(self, codes, new_slots) -> None:
-        """Thread a segment's new slots onto their chains.
-
-        The new slots are grouped by source in arrival order: one sort of
-        the codes with each low half replaced by the arrival index, which a
-        segment far shorter than 2**32 pairs fits. Each group's first slot
-        links to its source's old head, every other slot to the one before
-        it, and its last slot becomes the head: the links ``add_edge``
-        makes one slot at a time.
-        """
-        if len(codes):
-            keys = (codes >> np.uint64(32) << np.uint64(32)) | np.arange(len(codes), dtype=np.uint64)
-            keys.sort()
-            src = (keys >> np.uint64(32)).astype(np.intp)
-            new_slots = new_slots[(keys & np.uint64(U32_MASK)).astype(np.intp)]
-            firsts = np.flatnonzero(np.diff(src, prepend=-1))
-            lasts = np.append(firsts[1:], len(src)) - 1
-            heads, nxt = _cells(self._heads), _cells(self._next)
-            prev = np.empty_like(new_slots)
-            prev[1:] = new_slots[:-1]
-            prev[firsts] = heads[src[firsts]]
-            nxt[new_slots] = prev
-            heads[src[lasts]] = new_slots[lasts]
+        """Thread a segment's new slots onto the store's chains."""
+        _thread(_cells(self._heads), _cells(self._next), codes, new_slots)
 
     def neighbors(self, x: int) -> list[int]:
         if x < 0 or x >= self._n:
@@ -135,26 +139,19 @@ class HashList(EdgeHash):
             channel.peak = steps
         return out
 
-    def neighbors_many(self, vs) -> tuple[list[int], list[int]]:
-        """``neighbors`` per vertex, as the flat pair of ``EdgeStore.neighbors_many``.
+    def _walk(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The chains of the vertices ``vs``, uncounted: ``(slots, counts)``.
 
-        Every requested chain is walked at once: each numpy round over views
-        of ``_heads`` and ``_next`` takes one step on every chain still
-        live, until at most ``_ROUND_MIN_CHAINS`` are, and the scalar walk
-        finishes those (a star hub alone would otherwise take one round per
-        edge). The slots are placed by run and depth, one ``itemgetter``
-        over ``_data`` gathers their codes, and numpy masks the targets out.
-        The counters are recorded once; the first bad vertex is raised after
-        the ones before it are counted. Ids numpy cannot hold exactly go
-        through the scalar calls.
+        ``slots`` holds each chain's slots newest-first, chain after chain
+        in the order of ``vs``, and ``counts`` each chain's length. Every
+        chain is walked at once: each numpy round over views of ``_heads``
+        and ``_next`` takes one step on every chain still live, until at
+        most ``_ROUND_MIN_CHAINS`` are, and the scalar walk finishes those
+        (a star hub alone would otherwise take one round per edge).
         """
-        ids = _id_array(vs)
-        if ids is None:
-            return super().neighbors_many(vs)
-        k = _valid_prefix((ids < 0) | (ids >= self._n))
         nxt = _cells(self._next)
-        req = np.arange(k)
-        cur = _cells(self._heads)[ids[:k]].astype(np.intp)
+        req = np.arange(len(vs))
+        cur = _cells(self._heads)[vs].astype(np.intp)
         owners, steps = [], []
         while True:
             live = cur != NONE
@@ -177,24 +174,37 @@ class HashList(EdgeHash):
         # chain still live after the rounds has taken a step in every one.
         none = req[:0]
         owner = np.concatenate([*owners, none])
-        counts = np.bincount(owner, minlength=k)
+        counts = np.bincount(owner, minlength=len(vs))
         counts[req] += np.fromiter(map(len, tails), np.intp, len(tails))
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        slots = np.empty(int(ends[-1]) if k else 0, np.intp)
+        starts = np.cumsum(counts) - counts
+        slots = np.empty(int(counts.sum()), np.intp)
         depth = np.repeat(np.arange(rounds), list(map(len, owners)))
         slots[starts[owner] + depth] = np.concatenate([*steps, none])
         for at, run in zip((starts[req] + rounds).tolist(), tails):
             slots[at : at + len(run)] = run
-        at = slots.tolist()
-        data = self._data
-        codes = itemgetter(*at)(data) if len(at) > 1 else [data[i] for i in at]
+        return slots, counts
+
+    def neighbors_many(self, vs) -> tuple[list[int], list[int]]:
+        """``neighbors`` per vertex, as the flat pair of ``EdgeStore.neighbors_many``.
+
+        ``_walk`` finds the slots of every requested chain at once, one
+        gather over ``_data`` takes their codes, and numpy masks the
+        targets out. The counters are recorded once; the first bad vertex
+        is raised after the ones before it are counted. Ids numpy cannot
+        hold exactly go through the scalar calls.
+        """
+        ids = _id_array(vs)
+        if ids is None:
+            return super().neighbors_many(vs)
+        k = _valid_prefix((ids < 0) | (ids >= self._n))
+        slots, counts = self._walk(ids[:k])
+        codes = _gather(self._data, slots.tolist())
         targets = (np.array(codes, np.uint64) & np.uint64(U32_MASK)).tolist()
         if k:
             self.counters.enumerate.record_batch(k, len(targets), int(counts.max()))
         if k < len(vs):
             self.neighbors(vs[k])
-        return targets, ends.tolist()
+        return targets, np.cumsum(counts).tolist()
 
     def _weight_slot(self, x: int, y: int) -> int:
         """Slot of (x, y) by an uncounted probe; NONE when the edge is absent."""
@@ -229,36 +239,17 @@ class HashList(EdgeHash):
         # Chains enumerate newest-first, so walking the live vertices from
         # the last one and reversing the whole walk gives the seat order:
         # vertex by vertex, each chain oldest-first.
-        data, nxt, old_weights = self._data, self._next, self._weights
-        old_heads = _cells(self._heads)
-        live = np.flatnonzero(old_heads != NONE)
-        order = []
-        append = order.append
-        starts = []
-        for i in reversed(old_heads[live].tolist()):
-            starts.append(len(order))
-            while i != NONE:
-                append(i)
-                i = nxt[i]
-        order.reverse()
-        data, seated = self._reseat(new_cap, [data[s] for s in order])
-        weights = None
+        live = np.flatnonzero(_cells(self._heads) != NONE)
+        order = self._walk(live[::-1])[0][::-1].tolist()
+        codes = _gather(self._data, order)
+        data, seated = self._reseat(new_cap, codes)
+        weights, old_weights = None, self._weights
         if old_weights is not None:
             weights = [None] * new_cap
             for old, new in zip(order, seated):
                 weights[new] = old_weights[old]
         heads, nxt = _chain_cells(self._n, new_cap), _chain_cells(new_cap, new_cap)
-        # A run that starts at k in the walk ends at len(order) - 1 - k in
-        # the seat order. heads[v] is the last slot of v's run, every other
-        # slot links to the one seated before it, and each run's first slot
-        # keeps NONE.
-        new_heads = _cells(heads)
-        new_next = _cells(nxt)
-        slots = np.array(seated, dtype=np.intp)
-        last = len(order) - 1 - np.array(starts[::-1], dtype=np.intp)
-        new_heads[live] = slots[last]
-        new_next[slots[1:]] = slots[:-1]
-        new_next[slots[last[:-1] + 1]] = NONE
+        _thread(_cells(heads), _cells(nxt), np.array(codes, np.uint64), np.array(seated, np.intp))
         self._install(new_cap, data)
         self._heads, self._next, self._weights = heads, nxt, weights
         self.rebuilds += 1

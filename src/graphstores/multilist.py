@@ -4,10 +4,13 @@
 chains cells together, ``data`` holds the target vertex. Index 0 is the
 end-of-chain sentinel, so cell 0 is never handed out; the edge count
 doubles as the allocator (next free cell is ``count + 1``). Insertion
-prepends, so enumeration yields targets newest first.
+prepends, so enumeration yields targets newest first. A new target is
+stored as ``operator.index`` gives it, so a float one raises TypeError.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .core import CapacityError, ConfigError, EdgeStore, VertexRangeError
 from .counters import OpCounters
@@ -55,6 +58,7 @@ class MultiList(EdgeStore):
                 break
             i = nxt[i]
         else:
+            y = index(y)
             if self._count >= self._m:
                 raise CapacityError(f"all {self._m} cells are in use")
             self._count += 1

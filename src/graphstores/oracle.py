@@ -5,10 +5,12 @@ membership by direct indexing, and per-vertex insertion logs keep the
 exact order in which targets arrived. It exists to be obviously correct,
 not fast, and its n-squared matrix is the memory cost the compact stores
 avoid. Rows are indexed as lists are, so a bool id reads as 0 or 1, as
-on the hash stores, and a float id raises TypeError.
+on the hash stores, and a float id raises TypeError. Logs hold plain ints.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .core import ConfigError, EdgeStore, VertexRangeError
 from .counters import OpCounters
@@ -45,7 +47,7 @@ class OracleGraph(EdgeStore):
         if row[y]:
             return False
         row[y] = 1
-        self._logs[x].append(y)
+        self._logs[x].append(index(y))
         self._count += 1
         return True
 

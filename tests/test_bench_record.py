@@ -16,11 +16,11 @@ _spec.loader.exec_module(bench_record)
 
 
 def write_detail(checkout: Path, workload: str, seed: int, query_s: float, mtime: int,
-                 add_ops_s: float = 1e6) -> None:
+                 add_ops_s: float = 1e6, commit: str | None = None) -> None:
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     detail = {
-        "provenance": {"git_commit": checkout.name, "python": "3", "numpy": "2", "cpu": "x",
+        "provenance": {"git_commit": commit or checkout.name, "python": "3", "numpy": "2", "cpu": "x",
                        "nproc": 2, "workload": workload, "seed": seed},
         "repetitions": 5, "attempted": 10, "failed": 0,
         "metrics": {"query_s": {"value": query_s, "unit": "s"},
@@ -72,6 +72,31 @@ def test_claim_fails_on_eight_wins(sides):
     record = bench_record.build(18, parent, change, ("w", "query_s"), {20, 21})
     assert record["workloads"]["w"]["summary"]["query_s"]["wins"] == 8
     assert record["claim"]["holds"] is False
+
+
+def test_claim_needs_ten_pairs(tmp_path):
+    """Five clear wins in five pairs are too few to hold; held-out pairs do not count."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(1, 6):
+        write_detail(parent, "w", seed, 1.0 + seed / 100, 1000 + 2 * seed)
+        write_detail(change, "w", seed, 0.5 + seed / 100, 1001 + 2 * seed)
+    for seed in range(20, 25):
+        write_detail(parent, "w", seed, 1.0, 2000)
+        write_detail(change, "w", seed, 0.5, 2001)
+    record = bench_record.build(20, parent, change, ("w", "query_s"), set(range(20, 25)))
+    q = record["workloads"]["w"]["summary"]["query_s"]
+    assert (q["wins"], q["pairs"]) == (5, 5) and q["gap_exceeds_iqr"]
+    assert record["claim"]["holds"] is False
+    assert record["claim"]["held_out_wins"] == "5/5"
+
+
+def test_mixed_commits_are_flagged(sides):
+    """A side whose detail files name two commits lists both; a side with one does not."""
+    parent, change = sides
+    write_detail(change, "w", 7, 0.96, 5000, commit="stale")
+    record = bench_record.build(20, parent, change, None, set())
+    assert record["provenance"]["change"]["mixed_commits"] == ["change", "stale"]
+    assert "mixed_commits" not in record["provenance"]["parent"]
 
 
 def test_bound_flags_and_regressions(tmp_path):

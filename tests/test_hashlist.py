@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -14,6 +15,7 @@ from graphstores import (
     OracleGraph,
     StoreConfig,
     VertexRangeError,
+    hashlist,
     mixer_hash,
 )
 
@@ -307,3 +309,51 @@ class TestMemory:
         assert cells.itemsize == 4 and list(cells) == [NONE, NONE]
         cells[1] = (1 << 31) - 1
         assert list(cells) == [NONE, (1 << 31) - 1]
+
+
+WALK_HALVES = {"rounds": 0, "scalar": 2**31}
+
+
+@pytest.mark.parametrize("cells", ["4-byte", "8-byte"])
+@pytest.mark.parametrize("mode", ["mixer", "paper_compat"])
+@pytest.mark.parametrize("half", WALK_HALVES)
+def test_rebuild_through_each_half_of_the_walk(half, mode, cells):
+    """A rebuild seats vertex by vertex, each chain oldest-first, and threads
+    the chains as ``add_edge`` does, so a grown weighted store equals a twin
+    grown while empty and then given the same edges by scalar calls in that
+    seat order. The rebuild's walk runs in numpy rounds alone, or in
+    the scalar tail alone."""
+    n = 1000
+    rnd = random.Random(17)
+    pairs = [(hub, rnd.randrange(n)) for hub in (3, 500, 999) for _ in range(150)]
+    pairs += [(rnd.randrange(n), rnd.randrange(n)) for _ in range(400)]
+    rnd.shuffle(pairs)
+    edges = list(dict.fromkeys(pairs))
+    weights = [None if k % 3 == 0 else float(k) for k in range(len(edges))]
+    seat_order = sorted(range(len(edges)), key=lambda k: edges[k][0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hashlist, "_ROUND_MIN_CHAINS", WALK_HALVES[half])
+        if cells == "8-byte":
+            patch.setattr(hashlist, "_chain_cells",
+                          lambda length, cap: memoryview(array("q", [NONE]) * length))
+        store, twin = (make(n=n, expected=len(edges), weighted=True, hash_mode=mode)
+                       for _ in range(2))
+        for k, (x, y) in enumerate(edges):
+            assert store.add_edge(x, y)
+            if weights[k] is not None:
+                store.set_weight(x, y, weights[k])
+        assert store.rebuilds == 0
+        store.grow()
+        twin.grow()
+        for k in seat_order:
+            twin.add_edge(*edges[k])
+            if weights[k] is not None:
+                twin.set_weight(*edges[k], weights[k])
+        assert store._heads.format == twin._heads.format == ("q" if cells == "8-byte" else "i")
+        assert (store.capacity, store._data) == (twin.capacity, twin._data)
+        assert (store._heads.tolist(), store._next.tolist()) == (twin._heads.tolist(), twin._next.tolist())
+        assert store._weights == twin._weights
+        everyone = list(range(n))
+        scalar = [twin.neighbors(v) for v in everyone]
+        targets, ends = store.neighbors_many(everyone)
+        assert [targets[a:b] for a, b in zip([0] + ends, ends)] == scalar

@@ -115,3 +115,23 @@ def test_float_source_raises_type_error(name):
         store.add_edge(1.0, 3)
     with pytest.raises(TypeError):
         store.contains(1.0, 3)
+
+
+@pytest.mark.parametrize("name", BOOL_STORES)
+def test_float_target_raises_type_error(name):
+    """A float target is refused on insert, and the store is left as it was."""
+    store = BOOL_STORES[name]()
+    with pytest.raises(TypeError):
+        store.add_edge(1, 2.0)
+    assert store.edge_count == 0
+    if store.enumerates:
+        assert store.neighbors(1) == []
+
+
+@pytest.mark.parametrize("name", [name for name in BOOL_STORES if name != "edgehash"])
+def test_bool_target_enumerates_as_an_int(name):
+    store = BOOL_STORES[name]()
+    store.add_edge(1, True)
+    store.add_edges([1], [False])
+    assert [(v, type(v)) for v in store.neighbors(1)] == [(0, int), (1, int)]
+    assert store.neighbors_many([1]) == ([0, 1], [2])

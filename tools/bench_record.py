@@ -13,8 +13,12 @@ file is older ran first. The record holds each side's provenance, every
 pair's end-to-end metrics and check tallies, and per workload and metric
 the two medians, the parent's interquartile range and the change's wins.
 Held-out seeds are summarised apart from the others. The claim rule is
-the one the benchmark applies: at least nine wins in ten pairs, and a gap
-between the medians wider than the parent's interquartile range.
+the one the benchmark applies: at least nine wins in ten pairs, over at
+least ten pairs that are not held out, and a gap between the medians wider
+than the parent's interquartile range. A side's provenance is that of its
+first detail file; when its files name more than one ``git_commit``, it
+also lists them all under ``mixed_commits``, since its runs then measured
+more than one tree.
 
 Each metric's ``bound`` in BENCHMARK.json is a fraction of the parent
 median. A metric is ``worse_beyond_bound`` when the change median is worse
@@ -33,6 +37,9 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Fewest pairs, held-out seeds not counted, on which a claim can hold.
+MIN_CLAIM_PAIRS = 10
 
 
 def end_to_end_metrics(benchmark: Path) -> dict[str, dict]:
@@ -100,6 +107,7 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
     metrics = end_to_end_metrics(ROOT / "BENCHMARK.json")
     before, after = detail_files(parent), detail_files(change)
     record = {"pr": pr, "provenance": {}, "claim": None, "regressions": [], "workloads": {}}
+    commits: dict[str, set] = {}
     for key in sorted(before.keys() & after.keys()):
         workload, seed = key
         entry = {
@@ -114,6 +122,10 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
             prov = json.loads(path.read_text(encoding="utf-8"))["provenance"]
             kept = {k: prov[k] for k in ("git_commit", "python", "numpy", "cpu", "nproc")}
             record["provenance"].setdefault(side, kept)
+            commits.setdefault(side, set()).add(prov["git_commit"])
+    for side, seen in commits.items():
+        if len(seen) > 1:
+            record["provenance"][side]["mixed_commits"] = sorted(seen)
     for workload, block in record["workloads"].items():
         pairs = block["pairs"]
         block["summary"] = summarise([p for p in pairs if not p["held_out"]], metrics)
@@ -133,7 +145,8 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
             gain = -gain
         record["claim"] = {
             "workload": workload, "metric": name,
-            "holds": s["wins"] * 10 >= 9 * s["pairs"] and gain > s["parent_iqr"],
+            "holds": (s["pairs"] >= MIN_CLAIM_PAIRS and s["wins"] * 10 >= 9 * s["pairs"]
+                      and gain > s["parent_iqr"]),
         }
         if "held_out_summary" in record["workloads"][workload]:
             h = record["workloads"][workload]["held_out_summary"][name]
