@@ -20,8 +20,8 @@ def write_detail(checkout: Path, workload: str, seed: int, query_s: float, mtime
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     detail = {
-        "provenance": {"git_commit": commit or checkout.name, "python": "3", "numpy": "2", "cpu": "x",
-                       "nproc": 2, "workload": workload, "seed": seed},
+        "provenance": {"git_commit": commit or checkout.name, "python": "3", "numpy": "2",
+                       "cpu": "x", "nproc": 2, "workload": workload, "seed": seed},
         "repetitions": 5, "attempted": 10, "failed": 0,
         "metrics": {"query_s": {"value": query_s, "unit": "s"},
                     "hashlist.bytes_per_edge": {"value": 40.0, "unit": "B/edge"},

@@ -351,7 +351,8 @@ def test_rebuild_through_each_half_of_the_walk(half, mode, cells):
                 twin.set_weight(*edges[k], weights[k])
         assert store._heads.format == twin._heads.format == ("q" if cells == "8-byte" else "i")
         assert (store.capacity, store._data) == (twin.capacity, twin._data)
-        assert (store._heads.tolist(), store._next.tolist()) == (twin._heads.tolist(), twin._next.tolist())
+        assert store._heads.tolist() == twin._heads.tolist()
+        assert store._next.tolist() == twin._next.tolist()
         assert store._weights == twin._weights
         everyone = list(range(n))
         scalar = [twin.neighbors(v) for v in everyone]

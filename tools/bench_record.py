@@ -125,7 +125,7 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
             commits.setdefault(side, set()).add(prov["git_commit"])
     for side, seen in commits.items():
         if len(seen) > 1:
-            record["provenance"][side]["mixed_commits"] = sorted(seen)
+            record["provenance"][side]["mixed_commits"] = sorted(seen, key=str)
     for workload, block in record["workloads"].items():
         pairs = block["pairs"]
         block["summary"] = summarise([p for p in pairs if not p["held_out"]], metrics)
