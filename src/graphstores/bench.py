@@ -9,7 +9,9 @@ platform or language:
     state' = state * 6364136223846793005 + 1442695040888963407  (mod 2**64)
 
 with the high 32 bits of the state as each draw, and bounded draws taken by
-the multiply-shift reduction ``(u64 * n) >> 64``.
+the multiply-shift reduction ``(u64 * n) >> 64``. ``Lcg64`` is the scalar
+reference; ``generate_ops`` draws the same states a numpy block at a time,
+by jump-ahead from the last state of the previous block.
 
 Every structure in a run executes the same operation stream. Each store
 runs one chunk of the stream on its own before the chunk's answers are
@@ -18,15 +20,20 @@ its bound methods and working set at hand, rather than taking turns with
 the other stores op by op; and only one chunk of answers is held, whatever
 the stream length. The outcome is still that of op-by-op agreement: the
 earliest disagreeing op, or the earliest exception, decides, and any
-disagreement aborts with a bisection-minimized failing stream.
+disagreement aborts with a bisection-minimized failing stream. A store's
+wall time per class sums its runs of same-class calls, with the clock read
+only where the class changes, not around every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from time import perf_counter_ns
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .core import ConfigError, GraphStoreError, StoreConfig, U64_MASK
 from .counters import OP_CLASSES
@@ -49,6 +56,9 @@ _MISS_TRIES = 256
 #: Ops each store runs before the answers are compared; answers are held for
 #: one chunk at a time, so memory stays bounded whatever the stream length.
 _CHUNK = 4096
+
+#: LCG states drawn per numpy block by ``generate_ops``.
+_LCG_BLOCK = 4096
 
 
 class Lcg64:
@@ -106,6 +116,30 @@ class WorkloadSpec:
             raise ConfigError("seed must fit in 64 bits")
 
 
+def _lcg_block_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Jump-ahead tables for ``_LCG_BLOCK`` steps: Aʲ and C·(1 + A + … + Aʲ⁻¹).
+
+    Row j - 1 holds the pair for j steps, so state sⱼ = Aʲ·s₀ + C·(1 + … + Aʲ⁻¹)
+    mod 2**64 (F. Brown, "Random Number Generation with Arbitrary Strides",
+    1994). uint64 array arithmetic wraps modulo 2**64 without a warning.
+    """
+    powers = np.multiply.accumulate(np.full(_LCG_BLOCK, LCG_MULTIPLIER, dtype=np.uint64))
+    sums = np.cumsum(np.concatenate((np.ones(1, np.uint64), powers[:-1])), dtype=np.uint64)
+    return powers, sums * np.uint64(LCG_INCREMENT)
+
+
+_LCG_POWERS, _LCG_SUMS = _lcg_block_tables()
+
+
+def _lcg_blocks(seed: int) -> Iterator[list[int]]:
+    """``Lcg64(seed).next_u64()``'s states, ``_LCG_BLOCK`` at a time, as ints."""
+    state = np.uint64(seed)
+    while True:
+        block = _LCG_POWERS * state + _LCG_SUMS
+        state = block[-1]
+        yield block.tolist()
+
+
 def generate_ops(spec: WorkloadSpec) -> list[tuple]:
     """The deterministic operation stream for a spec.
 
@@ -113,80 +147,76 @@ def generate_ops(spec: WorkloadSpec) -> list[tuple]:
     contains-hit drawn before any edge exists degrades to a miss, and a
     miss that cannot find an absent pair within the rejection budget
     degrades to an enumerate, so every stream is well-formed for any mix.
+
+    The draws are ``Lcg64(spec.seed).next_u64()``'s, computed a block of
+    states at a time by jump-ahead and refilled whenever a block runs out,
+    since the miss rejection loop makes the draw count depend on the data.
+    A state is compared with ``cut << 32`` rather than shifted to its high
+    32 bits, and a bounded draw is ``(state * n) >> 64`` as in ``next_below``.
     """
-    rng = Lcg64(spec.seed)
+    draw = chain.from_iterable(_lcg_blocks(spec.seed)).__next__
     n = spec.n
+    star = spec.generator == "star"
 
     acc = 0.0
     cut = []
     for frac in spec.mix:
         acc += frac
-        cut.append(min(int(round(acc * (1 << 32))), 1 << 32))
-    cut[-1] = 1 << 32
+        cut.append(min(int(round(acc * (1 << 32))), 1 << 32) << 32)
+    cut_add, cut_hit, cut_miss = cut[:3]
 
     if spec.generator == "uniform":
         def sample_add() -> tuple[int, int]:
-            return rng.next_below(n), rng.next_below(n)
-    elif spec.generator == "star":
+            return (draw() * n) >> 64, (draw() * n) >> 64
+    elif star:
         def sample_add() -> tuple[int, int]:
-            return 0, 1 + rng.next_below(n - 1)
+            return 0, 1 + ((draw() * (n - 1)) >> 64)
     else:  # grid: torus with right/down neighbors, vertices 0..side*side-1
         side = math.isqrt(n)
 
         def sample_add() -> tuple[int, int]:
-            v = rng.next_below(side * side)
+            v = (draw() * (side * side)) >> 64
             row, col = divmod(v, side)
-            if rng.next_below(2):
+            if draw() >> 63:
                 return v, row * side + (col + 1) % side
             return v, ((row + 1) % side) * side + col
 
     def sample_miss() -> tuple[int, int] | None:
         for _ in range(_MISS_TRIES):
-            if spec.generator == "star":
-                pair = 0, 1 + rng.next_below(n - 1)
+            if star:
+                pair = 0, 1 + ((draw() * (n - 1)) >> 64)
             else:
-                pair = rng.next_below(n), rng.next_below(n)
+                pair = (draw() * n) >> 64, (draw() * n) >> 64
             if pair not in present_set:
                 return pair
-        if spec.generator == "star" and n >= 2:
-            return 1 + rng.next_below(n - 1), 0  # star never adds edges out of spokes
+        if star:
+            return 1 + ((draw() * (n - 1)) >> 64), 0  # star never adds edges out of spokes
         return None
 
     present_list: list[tuple[int, int]] = []
     present_set: set[tuple[int, int]] = set()
     ops: list[tuple] = []
+    append = ops.append
 
     for _ in range(spec.m):
-        r = rng.next_u32()
-        if r < cut[0]:
-            kind = 0
-        elif r < cut[1]:
-            kind = 1
-        elif r < cut[2]:
-            kind = 2
-        else:
-            kind = 3
-
-        if kind == 1 and not present_list:
-            kind = 2
-        if kind == 2:
-            pair = sample_miss()
-            if pair is None:
-                kind = 3
-
-        if kind == 0:
+        r = draw()
+        if r < cut_add:
             pair = sample_add()
-            ops.append(("add", pair[0], pair[1]))
+            append(("add", pair[0], pair[1]))
             if pair not in present_set:
                 present_set.add(pair)
                 present_list.append(pair)
-        elif kind == 1:
-            pair = present_list[rng.next_below(len(present_list))]
-            ops.append(("has", pair[0], pair[1]))
-        elif kind == 2:
-            ops.append(("has", pair[0], pair[1]))
-        else:
-            ops.append(("nbrs", rng.next_below(n)))
+            continue
+        if r < cut_hit and present_list:
+            pair = present_list[(draw() * len(present_list)) >> 64]
+            append(("has", pair[0], pair[1]))
+            continue
+        if r < cut_miss:  # a miss, or a hit drawn before any edge exists
+            pair = sample_miss()
+            if pair is not None:
+                append(("has", pair[0], pair[1]))
+                continue
+        append(("nbrs", (draw() * n) >> 64))
 
     return ops
 
@@ -260,35 +290,43 @@ def _run_chunk(chunk, add, has, nbrs):
     """One store over one chunk of ops.
 
     Returns the answers to the pair ops, the answers to the ``nbrs`` ops
-    (None each when ``nbrs`` is None), the ns spent inside the add / contains
-    / enumerate calls, and the exception that stopped the store, if any.
+    (None each when ``nbrs`` is None), the ns spent in the add / contains /
+    enumerate classes, and the exception that stopped the store, if any.
+    The clock is read only where the class of the store's calls changes, so
+    each class's time is the sum over its maximal runs of same-class calls;
+    an ``nbrs`` op the store does not run neither ends nor starts a run.
     """
     pairs, lists = [], []
-    t_add = t_has = t_enum = 0
+    spent = [0, 0, 0, 0]  # add, contains, enumerate; the last slot precedes the first call
+    last, t = 3, 0
     error = None
     try:
         for op in chunk:
             kind = op[0]
             if kind == "add":
-                t0 = perf_counter_ns()
-                ans = add(op[1], op[2])
-                t_add += perf_counter_ns() - t0
-                pairs.append(ans)
+                if last:
+                    now = perf_counter_ns()
+                    spent[last] += now - t
+                    last, t = 0, now
+                pairs.append(add(op[1], op[2]))
             elif kind == "has":
-                t0 = perf_counter_ns()
-                ans = has(op[1], op[2])
-                t_has += perf_counter_ns() - t0
-                pairs.append(ans)
+                if last != 1:
+                    now = perf_counter_ns()
+                    spent[last] += now - t
+                    last, t = 1, now
+                pairs.append(has(op[1], op[2]))
             elif nbrs is None:
                 lists.append(None)
             else:
-                t0 = perf_counter_ns()
-                ans = nbrs(op[1])
-                t_enum += perf_counter_ns() - t0
-                lists.append(ans)
+                if last != 2:
+                    now = perf_counter_ns()
+                    spent[last] += now - t
+                    last, t = 2, now
+                lists.append(nbrs(op[1]))
     except Exception as exc:
         error = exc
-    return pairs, lists, (t_add, t_has, t_enum), error
+    spent[last] += perf_counter_ns() - t
+    return pairs, lists, spent[:3], error
 
 
 def _execute(ops, stores, wall=None):
@@ -302,7 +340,8 @@ def _execute(ops, stores, wall=None):
     outcome: at one op an exception beats a disagreement, and of two stores
     raising at the same op the first in store order wins, so the outcome is
     the one an op-by-op run gives. ``wall`` optionally accumulates
-    per-(structure, class) nanoseconds spent inside the stores' calls.
+    per-(structure, class) nanoseconds spent in the stores' runs of
+    same-class calls (see ``_run_chunk``).
     """
     bound = [
         (name, store.add_edge, store.contains, store.neighbors if store.enumerates else None)

@@ -42,9 +42,10 @@ class OracleGraph(EdgeStore):
 
     def add_edge(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
-        self.counters.add.record(1)
         row = self._matrix[x]
-        if row[y]:
+        present = row[y]  # a float id raises TypeError here, before the op is counted
+        self.counters.add.record(1)
+        if present:
             return False
         row[y] = 1
         self._logs[x].append(index(y))
@@ -53,8 +54,9 @@ class OracleGraph(EdgeStore):
 
     def contains(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
+        present = self._matrix[x][y]
         self.counters.contains.record(1)
-        return bool(self._matrix[x][y])
+        return bool(present)
 
     def neighbors(self, x: int) -> list[int]:
         """Reversed log: newest first, like the head-insertion stores."""

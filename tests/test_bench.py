@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,17 @@ class TestLcg64:
         draws = [rng.next_below(13) for _ in range(5000)]
         assert set(draws) == set(range(13))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_block_draws_are_the_scalar_stream(self, seed):
+        # generate_ops draws its states a numpy block at a time; they must be
+        # next_u64's draw for draw, across block boundaries, as plain ints.
+        blocks = bench_module._lcg_blocks(seed)
+        drawn = [state for _ in range(3) for state in next(blocks)] + next(blocks)[:5]
+        assert len(drawn) == 3 * bench_module._LCG_BLOCK + 5
+        rng = Lcg64(seed)
+        assert drawn == [rng.next_u64() for _ in drawn]
+        assert all(type(state) is int for state in drawn)
+
 
 class TestWorkloadSpec:
     def test_valid(self):
@@ -259,6 +271,27 @@ def test_generate_ops_stream_pinned(name, seed):
         assert ("has", 1, 0) in ops  # star never adds (1, 0); only the fallback asks it
     if name == "uniform-miss-heavy":
         assert any(op[0] == "nbrs" for op in ops)  # the mix has no enumerates
+
+
+#: Streams long enough to draw many blocks of LCG states: the selftest spec
+#: (about 276,000 draws) and a grid spec (about 55,000), with the leading 32 hex
+#: digits of sha256(repr(generate_ops(spec))) as the scalar ``Lcg64`` gave them.
+LONG_STREAMS = [
+    (dict(generator="uniform", n=1000, m=100_000, seed=0xC0FFEE), "55e53c5cd734a8cd345b6efba0418116"),
+    (dict(generator="grid", n=400, m=20_000, seed=7), "f62c9390b0054e11f1f1e7ec72517266"),
+]
+
+
+@pytest.mark.parametrize("kwargs,digest", LONG_STREAMS, ids=["selftest", "grid"])
+def test_long_stream_pinned(kwargs, digest):
+    ops = generate_ops(WorkloadSpec(**kwargs))
+    assert hashlib.sha256(repr(ops).encode()).hexdigest()[:32] == digest
+
+
+def test_selftest_spec_is_the_pinned_long_stream():
+    from graphstores.cli import SELFTEST_SPEC
+
+    assert SELFTEST_SPEC == WorkloadSpec(**LONG_STREAMS[0][0])
 
 
 class TestRunWorkload:
@@ -401,12 +434,27 @@ class TestExecuteMatchesOpByOp:
             assert (row.wall_ns > 0) == (row.count_ops > 0), row
 
     def test_wall_time_is_summed_per_store_and_class(self, monkeypatch):
-        # A clock that ticks once per read times every store call at 1 ns.
+        # A clock that ticks once per read times every maximal run of one store's
+        # same-class calls within a chunk at 1 ns; the bare edge hash runs no nbrs
+        # op, so its runs are those of the stream without them.
         ticks = iter(range(10**9))
         monkeypatch.setattr(bench_module, "perf_counter_ns", lambda: next(ticks))
         spec = WorkloadSpec("uniform", n=64, m=2 * CHUNK + 500, seed=24)
+        ops = generate_ops(spec)
         report = run_workload(spec, STRUCTURE_NAMES)
-        assert [row.wall_ns for row in report.rows] == [row.count_ops for row in report.rows]
+        op_class = {"add": "add", "has": "contains", "nbrs": "enumerate"}
+        for row in report.rows:
+            runs = 0
+            for start in range(0, len(ops), CHUNK):
+                calls = [
+                    op_class[op[0]]
+                    for op in ops[start:start + CHUNK]
+                    if op[0] != "nbrs" or row.structure != "edgehash"
+                ]
+                runs += sum(1 for cls, _ in groupby(calls) if cls == row.operation)
+            assert row.wall_ns == runs, row
+        assert report.find("edgehash", "enumerate").wall_ns == 0
+        assert sum(row.wall_ns for row in report.rows) < sum(row.count_ops for row in report.rows)
 
 
 def nth_op_index(ops, kind: str, k: int) -> int:

@@ -135,3 +135,17 @@ def test_bool_target_enumerates_as_an_int(name):
     store.add_edges([1], [False])
     assert [(v, type(v)) for v in store.neighbors(1)] == [(0, int), (1, int)]
     assert store.neighbors_many([1]) == ([0, 1], [2])
+
+
+def test_refused_float_calls_are_not_counted():
+    """A call that raises TypeError counts no op, on any store."""
+    stores = {name: make() for name, make in BOOL_STORES.items()}
+    for store in stores.values():
+        store.add_edge(1, 2)
+        store.contains(1, 2)
+        for call in (lambda: store.add_edge(1.0, 2), lambda: store.contains(1.0, 2),
+                     lambda: store.add_edge(1, 2.5), lambda: store.add_edge(1, 3.0)):
+            with pytest.raises(TypeError):
+                call()
+    ops = {name: (s.counters.add.ops, s.counters.contains.ops) for name, s in stores.items()}
+    assert ops == dict.fromkeys(stores, (1, 1))
