@@ -1,11 +1,13 @@
-"""Adjacency lists over three flat int arrays with a shared cell pool.
+"""Adjacency lists as one Python list of targets per vertex, newest first.
 
-``heads[x]`` holds the index of the newest cell in x's list, ``next``
-chains cells together, ``data`` holds the target vertex. Index 0 is the
-end-of-chain sentinel, so cell 0 is never handed out; the edge count
-doubles as the allocator (next free cell is ``count + 1``). Insertion
-prepends, so enumeration yields targets newest first. A new target is
-stored as ``operator.index`` gives it, so a float one raises TypeError.
+``_lists[x]`` holds x's targets in reverse order of arrival, so
+enumeration yields them newest first. Every vertex without an edge shares
+the immutable ``()``, and its first edge gives it a list of its own.
+Membership, the duplicate check and enumeration run as list operations in
+C. The counters still count the entries a chain walk would visit: the
+list is newest first, so ``list.index`` compares exactly those. A target
+is taken through ``operator.index`` before the scan, so a float one
+raises TypeError, as on the other stores.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class MultiList(EdgeStore):
     any number of threads may read concurrently.
     """
 
-    __slots__ = ("_n", "_m", "_heads", "_next", "_data", "_count", "counters")
+    __slots__ = ("_n", "_m", "_lists", "_count", "counters")
 
     def __init__(self, vertex_count: int, edge_capacity: int) -> None:
         if vertex_count < 1:
@@ -38,9 +40,7 @@ class MultiList(EdgeStore):
             raise ConfigError("edge_capacity must be nonnegative")
         self._n = vertex_count
         self._m = edge_capacity
-        self._heads = [0] * vertex_count
-        self._next = [0] * (edge_capacity + 1)
-        self._data = [0] * (edge_capacity + 1)
+        self._lists = [()] * vertex_count
         self._count = 0
         self.counters = OpCounters()
 
@@ -48,63 +48,47 @@ class MultiList(EdgeStore):
         n = self._n
         if x < 0 or x >= n or y < 0 or y >= n:
             raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
-        nxt = self._next
-        data = self._data
-        steps = 0
-        i = self._heads[x]
-        while i:
-            steps += 1
-            if data[i] == y:
-                break
-            i = nxt[i]
-        else:
-            y = index(y)
+        y = index(y)
+        lists = self._lists
+        targets = lists[x]
+        new = y not in targets
+        if new:
             if self._count >= self._m:
                 raise CapacityError(f"all {self._m} cells are in use")
             self._count += 1
-            cell = self._count
-            data[cell] = y
-            nxt[cell] = self._heads[x]
-            self._heads[x] = cell
-            steps += 1
+            steps = len(targets) + 1
+            if targets:
+                targets.insert(0, y)
+            else:
+                lists[x] = [y]
+        else:
+            steps = targets.index(y) + 1
         channel = self.counters.add
         channel.ops += 1
         channel.total += steps
         if steps > channel.peak:
             channel.peak = steps
-        # i is still the duplicate's cell, or 0 when the scan ran out and the edge went in.
-        return i == 0
+        return new
 
     def contains(self, x: int, y: int) -> bool:
         n = self._n
         if x < 0 or x >= n or y < 0 or y >= n:
             raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
-        nxt = self._next
-        data = self._data
-        steps = 0
-        i = self._heads[x]
-        while i:
-            steps += 1
-            if data[i] == y:
-                break
-            i = nxt[i]
+        y = index(y)
+        targets = self._lists[x]
+        found = y in targets
+        steps = targets.index(y) + 1 if found else len(targets)
         channel = self.counters.contains
         channel.ops += 1
         channel.total += steps
         if steps > channel.peak:
             channel.peak = steps
-        return i != 0
+        return found
 
     def neighbors(self, x: int) -> list[int]:
         if x < 0 or x >= self._n:
             raise VertexRangeError(f"vertex {x} outside range [0, {self._n})")
-        nxt = self._next
-        data = self._data
-        out = []
-        i = self._heads[x]
-        while i:
-            out.append(data[i])
-            i = nxt[i]
+        out = list(self._lists[x])
         steps = len(out)
         channel = self.counters.enumerate
         channel.ops += 1
@@ -127,9 +111,9 @@ class MultiList(EdgeStore):
 
     @property
     def slots_allocated(self) -> int:
-        """Cells in the shared pool, including the reserved sentinel cell 0."""
+        """The fixed edge budget plus one, m + 1, as the bench CSV has always reported it."""
         return self._m + 1
 
     def memory_ints(self) -> int:
-        """Cells, not bytes, across heads/next/data: n + 2*(m + 1)."""
-        return self._n + 2 * (self._m + 1)
+        """Cells, not bytes: one per vertex plus one per stored target, n + edge_count."""
+        return self._n + self._count

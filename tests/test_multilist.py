@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphstores import CapacityError, ConfigError, MultiList, OracleGraph, VertexRangeError
+from graphstores.counters import OP_CLASSES
 
 from _reference import EdgeSetOracle
 
@@ -145,44 +148,58 @@ class TestInvariants:
         g = self._random_graph()
         assert sum(len(g.neighbors(x)) for x in range(g.vertex_count)) == g.edge_count
 
-    def test_sentinel_discipline(self):
-        g = self._random_graph()
-        for x in range(g.vertex_count):
-            empty = g.neighbors(x) == []
-            assert (g._heads[x] == 0) == empty
-        # the last cell of every chain points at the sentinel
-        for x in range(g.vertex_count):
-            i = g._heads[x]
-            while i and g._next[i]:
-                i = g._next[i]
-            if i:
-                assert g._next[i] == 0
+    def test_edgeless_vertex_holds_no_list(self):
+        g = self._random_graph(n=200, ops=300)
+        degrees = [len(g.neighbors(x)) for x in range(g.vertex_count)]
+        assert 0 in degrees and max(degrees) > 0
+        for x, degree in enumerate(degrees):
+            assert isinstance(g._lists[x], list) == (degree > 0)
+            assert degree or g._lists[x] == ()
 
-    def test_cell_zero_never_used(self):
-        g = self._random_graph()
-        for x in range(g.vertex_count):
-            i = g._heads[x]
-            steps = 0
-            while i:
-                assert i != 0
-                i = g._next[i]
-                steps += 1
-                assert steps <= g.edge_count  # acyclic: terminates within used cells
+    def test_no_two_vertices_share_a_list(self):
+        g = self._random_graph(n=200, ops=300)
+        owned = [id(t) for t in g._lists if isinstance(t, list)]
+        assert len(owned) == len(set(owned))
 
-    def test_every_cell_reachable_once(self):
-        g = self._random_graph()
-        seen = set()
-        for x in range(g.vertex_count):
-            i = g._heads[x]
-            while i:
-                assert i not in seen
-                seen.add(i)
-                i = g._next[i]
-        assert seen == set(range(1, g.edge_count + 1))
+    def test_lists_are_newest_first_and_sum_to_edge_count(self):
+        import random
+
+        rnd = random.Random(9)
+        n = 50
+        g = MultiList(n, 3000)
+        naive = EdgeSetOracle(n)
+        for _ in range(3000):
+            x, y = rnd.randrange(n), rnd.randrange(n)
+            g.add_edge(x, y)
+            naive.add(x, y)
+        for x in range(n):
+            assert list(g._lists[x]) == naive.newest_first(x)
+            assert len(set(g._lists[x])) == len(g._lists[x])
+        assert sum(map(len, g._lists)) == g.edge_count
+
+    def test_neighbors_returns_a_copy(self):
+        g = MultiList(4, 8)
+        g.add_edge(0, 1)
+        g.add_edge(0, 2)
+        g.neighbors(0).clear()
+        g.neighbors(0).append(3)
+        g.neighbors(3).append(2)  # an edgeless vertex
+        assert g.neighbors(0) == [2, 1]
+        assert g.neighbors(3) == []
+        assert g.contains(0, 1) and not g.contains(0, 3) and not g.contains(3, 2)
+        assert g.add_edge(0, 3) is True
+        assert g.add_edge(3, 2) is True
+        assert g.neighbors(0) == [3, 2, 1]
+        assert g.neighbors(3) == [2]
 
     def test_memory_accounting(self):
         g = MultiList(100, 5000)
-        assert g.memory_ints() == 100 + 2 * 5001
+        assert g.memory_ints() == 100
+        assert g.slots_allocated == 5001
+        for y in range(40):
+            g.add_edge(y % 7, y)
+        g.add_edge(0, 0)  # a duplicate stores nothing
+        assert g.memory_ints() == 100 + 40
         assert g.slots_allocated == 5001
 
 
@@ -207,3 +224,45 @@ class TestInstrumentation:
         assert g.counters.contains.total == 1
         g.contains(0, 1)  # oldest: full scan
         assert g.counters.contains.total == 1 + 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.sampled_from(OP_CLASSES), st.integers(0, 7),
+                              st.one_of(st.integers(0, 7), st.integers(0, 4095))), max_size=200))
+    def test_counters_follow_a_newest_first_model(self, seed, ops):
+        """Every op's counter delta is what a walk over its newest-first list costs.
+
+        The model keeps each vertex's targets with their arrival numbers, so a
+        target's position newest first is degree - 1 - arrival. A hit costs
+        its position + 1, a contains miss the degree, an insert the degree + 1
+        and an enumerate the degree. Vertex 0 starts as a hub of degree 2048.
+        """
+        import random
+
+        n, hub_degree = 4096, 2048
+        g = MultiList(n, hub_degree + len(ops))
+        arrivals = [{} for _ in range(8)]  # per vertex: target -> arrival number
+        hub = [("add", 0, y) for y in random.Random(seed).sample(range(n), hub_degree)]
+        for op, x, y in hub + ops:
+            seen = arrivals[x]
+            degree = len(seen)
+            if op == "enumerate":
+                cost, answer = degree, sorted(seen, key=seen.get, reverse=True)
+            else:
+                hit = y in seen
+                cost = degree - seen[y] if hit else degree + (op == "add")
+                answer = hit if op == "contains" else not hit
+                if op == "add" and not hit:
+                    seen[y] = degree
+            before = {c: astuple(g.counters.channel(c)) for c in OP_CLASSES}
+            if op == "enumerate":
+                got = g.neighbors(x)
+            else:
+                got = g.add_edge(x, y) if op == "add" else g.contains(x, y)
+            assert got == answer, (op, x, y)
+            for c in OP_CLASSES:
+                count, total, peak = before[c]
+                if c == op:
+                    count, total, peak = count + 1, total + cost, max(peak, cost)
+                assert astuple(g.counters.channel(c)) == (count, total, peak), (op, x, y)
+        assert g.counters.add.peak >= hub_degree

@@ -149,3 +149,19 @@ def test_refused_float_calls_are_not_counted():
                 call()
     ops = {name: (s.counters.add.ops, s.counters.contains.ops) for name, s in stores.items()}
     assert ops == dict.fromkeys(stores, (1, 1))
+
+
+@pytest.mark.parametrize("name", BOOL_STORES)
+def test_float_query_of_a_present_edge_raises_type_error(name):
+    """A float target is refused before the lookup, even where it equals a stored one."""
+    store = BOOL_STORES[name]()
+    store.add_edge(1, 2)
+    add_total = store.counters.add.total
+    for call in (lambda: store.contains(1, 2.0), lambda: store.contains(1, 3.5),
+                 lambda: store.contains(1, float("nan")), lambda: store.add_edge(1, 2.0)):
+        with pytest.raises(TypeError):
+            call()
+    counters = store.counters
+    assert (counters.add.ops, counters.add.total) == (1, add_total)
+    assert (counters.contains.ops, counters.contains.total) == (0, 0)
+    assert store.edge_count == 1
