@@ -50,7 +50,7 @@ mlf = MAX_LOAD_FACTOR
 bound = 2 * store.edge_count * mlf.denominator // mlf.numerator
 print(f"\nmemory check: capacity {store.capacity} <= 2*E/max_load = {bound}:",
       store.capacity <= bound)
-print("total cells allocated (heads + 2 slot arrays + weights):", store.memory_ints())
+print("slots allocated (the capacity):", store.slots_allocated)
 
 
 def traced_bytes_per_edge(make):

@@ -1,11 +1,12 @@
 """Directed-graph edge stores behind one contract.
 
-Three compact structures: :class:`MultiList` (array-backed adjacency
-lists), :class:`EdgeHash` (open-addressing table of packed edges), and
-:class:`HashList` (their fusion, where every hash slot is also a list
-node). :class:`OracleGraph` is the dense ground-truth reference, and the
-:mod:`graphstores.bench` module replays identical operation streams
-against any selection of them while counting probes and traversals.
+Three compact structures: :class:`MultiList` (one Python list of
+targets per vertex), :class:`EdgeHash` (open-addressing table of packed
+edges), and :class:`HashList` (their fusion, where every hash slot is
+also a list node). :class:`OracleGraph` is the dense ground-truth
+reference, and the :mod:`graphstores.bench` module replays identical
+operation streams against any selection of them while counting probes
+and traversals.
 """
 
 from .bench import (

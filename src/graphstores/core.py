@@ -12,8 +12,11 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 import numpy as np
+
+from .counters import OpCounters
 
 U32_MASK = 0xFFFFFFFF
 U64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -128,6 +131,29 @@ def compat_finalize_array(codes: np.ndarray) -> np.ndarray:
     return np.abs(x * y).view(np.uint64)
 
 
+def _checked_size(name: str, value, least: int) -> int:
+    """``value`` as a plain int of at least ``least`` (0 or 1), else ConfigError.
+
+    Sizes go through ``operator.index``, so numpy integers and bools count
+    as the ints they stand for, and 1.5, "5" or None are refused.
+    """
+    try:
+        size = index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if size < least:
+        raise ConfigError(f"{name} must be {'positive' if least else 'nonnegative'}")
+    return size
+
+
+def _vertex_count(value) -> int:
+    """A checked vertex count: a positive int, at most 2**32 so ids fit in 32 bits."""
+    n = _checked_size("vertex_count", value, 1)
+    if n > 1 << 32:
+        raise ConfigError("vertex ids are limited to 32 bits")
+    return n
+
+
 def ceil_pow2(value: int) -> int:
     """Smallest power of two >= value (value >= 1)."""
     return 1 << (value - 1).bit_length()
@@ -155,7 +181,8 @@ class StoreConfig:
     doubles the table, so a table always keeps an empty slot, at which
     every probe ends. Both fractions are fixed policy, not fields.
     ``weighted`` is HashList-only: it gives the store a weight per slot,
-    set with ``set_weight``; an EdgeHash ignores it.
+    set with ``set_weight``; an EdgeHash ignores it. Both sizes are kept
+    as the plain ints they stand for.
     """
 
     vertex_count: int
@@ -164,12 +191,9 @@ class StoreConfig:
     weighted: bool = False
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
-            raise ConfigError("vertex_count must be positive")
-        if self.vertex_count > 1 << 32:
-            raise ConfigError("vertex ids are limited to 32 bits")
-        if self.expected_edges < 1:
-            raise ConfigError("expected_edges must be positive")
+        object.__setattr__(self, "vertex_count", _vertex_count(self.vertex_count))
+        object.__setattr__(self, "expected_edges",
+                           _checked_size("expected_edges", self.expected_edges, 1))
         if self.hash_mode not in HASH_MODES:
             raise ConfigError(f"hash_mode must be one of {HASH_MODES}, got {self.hash_mode!r}")
 
@@ -203,18 +227,34 @@ class EdgeStore(abc.ABC):
 
     After any operation sequence, ``contains(x, y)`` is true iff some
     ``add_edge(x, y)`` occurred. There is no removal.
+
+    Every store keeps its vertex count n in ``_n``, its edge count in
+    ``_count`` and its operation counters in ``counters``. The flat hot
+    paths test their ids inline and raise the errors built here, so the
+    messages are the same on every store.
     """
 
-    __slots__ = ()
+    __slots__ = ("_n", "_count", "counters")
 
     #: Whether ``neighbors`` answers; the bare edge hash refuses it.
     enumerates = True
 
+    def __init__(self, vertex_count: int) -> None:
+        self._n = _vertex_count(vertex_count)
+        self._count = 0
+        self.counters = OpCounters()
+
+    def _pair_error(self, x: int, y: int) -> VertexRangeError:
+        return VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {self._n})")
+
+    def _vertex_error(self, x: int) -> VertexRangeError:
+        return VertexRangeError(f"vertex {x} outside range [0, {self._n})")
+
     def _check_pair(self, x: int, y: int) -> None:
-        """Raise VertexRangeError unless both ids lie in [0, n); stores keep n in ``_n``."""
+        """Raise VertexRangeError unless both ids lie in [0, n)."""
         n = self._n
         if x < 0 or x >= n or y < 0 or y >= n:
-            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
+            raise self._pair_error(x, y)
 
     @abc.abstractmethod
     def add_edge(self, x: int, y: int) -> bool:
@@ -259,11 +299,11 @@ class EdgeStore(abc.ABC):
         return targets, ends
 
     @property
-    @abc.abstractmethod
     def edge_count(self) -> int:
         """Number of distinct edges accepted so far."""
+        return self._count
 
     @property
-    @abc.abstractmethod
     def vertex_count(self) -> int:
         """Declared vertex count n; valid ids are 0..n-1."""
+        return self._n

@@ -67,11 +67,9 @@ from .core import (
     EdgeStore,
     StoreConfig,
     UnsupportedOperationError,
-    VertexRangeError,
     check_lengths,
     compat_hash,
 )
-from .counters import OpCounters
 
 
 def _id_array(ids):
@@ -144,19 +142,7 @@ class EdgeHash(EdgeStore):
     any number of threads may read concurrently.
     """
 
-    __slots__ = (
-        "config",
-        "counters",
-        "rebuilds",
-        "_n",
-        "_cap",
-        "_mask",
-        "_data",
-        "_count",
-        "_mixer",
-        "_key",
-        "_growth_limit",
-    )
+    __slots__ = ("config", "rebuilds", "_cap", "_mask", "_data", "_mixer", "_key", "_growth_limit")
 
     enumerates = False
 
@@ -165,13 +151,11 @@ class EdgeHash(EdgeStore):
     _heads = _next = None
 
     def __init__(self, config: StoreConfig) -> None:
+        super().__init__(config.vertex_count)
         self.config = config
-        self._n = config.vertex_count
-        self._count = 0
         self._mixer = config.hash_mode == "mixer"
         self._key = HASH_KEYS[config.hash_mode]
         self.rebuilds = 0
-        self.counters = OpCounters()
         self._allocate(config.initial_capacity)
 
     def _allocate(self, cap: int) -> None:
@@ -188,7 +172,7 @@ class EdgeHash(EdgeStore):
     def add_edge(self, x: int, y: int) -> bool:
         n = self._n
         if x < 0 or x >= n or y < 0 or y >= n:
-            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
+            raise self._pair_error(x, y)
         if self._count >= self._growth_limit:
             self._rebuild(self._cap * 2)
         code = (x << 32) | y
@@ -225,7 +209,7 @@ class EdgeHash(EdgeStore):
     def contains(self, x: int, y: int) -> bool:
         n = self._n
         if x < 0 or x >= n or y < 0 or y >= n:
-            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
+            raise self._pair_error(x, y)
         code = (x << 32) | y
         mask = self._mask
         if self._mixer:
@@ -403,14 +387,6 @@ class EdgeHash(EdgeStore):
         return data, seated
 
     @property
-    def edge_count(self) -> int:
-        return self._count
-
-    @property
-    def vertex_count(self) -> int:
-        return self._n
-
-    @property
     def capacity(self) -> int:
         return self._cap
 
@@ -420,8 +396,4 @@ class EdgeHash(EdgeStore):
 
     @property
     def slots_allocated(self) -> int:
-        return self._cap
-
-    def memory_ints(self) -> int:
-        """Cells, not bytes, in the data array: capacity."""
         return self._cap

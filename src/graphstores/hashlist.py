@@ -42,7 +42,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import NONE, U32_MASK, ConfigError, VertexRangeError, compat_hash, mixer_hash, pack_edge
+from .core import NONE, U32_MASK, ConfigError, compat_hash, mixer_hash, pack_edge
 from .edgehash import EdgeHash, _id_array, _valid_prefix
 
 #: ``_walk`` walks its chains in numpy rounds while more than this
@@ -123,7 +123,7 @@ class HashList(EdgeHash):
 
     def neighbors(self, x: int) -> list[int]:
         if x < 0 or x >= self._n:
-            raise VertexRangeError(f"vertex {x} outside range [0, {self._n})")
+            raise self._vertex_error(x)
         nxt = self._next
         data = self._data
         out = []
@@ -253,10 +253,3 @@ class HashList(EdgeHash):
         self._install(new_cap, data)
         self._heads, self._next, self._weights = heads, nxt, weights
         self.rebuilds += 1
-
-    def memory_ints(self) -> int:
-        """Cells, not bytes: n heads + data/next slot arrays (+ weights): n + 2*cap (+ cap)."""
-        total = self._n + 2 * self._cap
-        if self._weights is not None:
-            total += self._cap
-        return total

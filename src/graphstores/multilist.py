@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from operator import index
 
-from .core import CapacityError, ConfigError, EdgeStore, VertexRangeError
-from .counters import OpCounters
+from .core import CapacityError, EdgeStore, _checked_size
 
 
 class MultiList(EdgeStore):
@@ -29,25 +28,17 @@ class MultiList(EdgeStore):
     any number of threads may read concurrently.
     """
 
-    __slots__ = ("_n", "_m", "_lists", "_count", "counters")
+    __slots__ = ("_m", "_lists")
 
     def __init__(self, vertex_count: int, edge_capacity: int) -> None:
-        if vertex_count < 1:
-            raise ConfigError("vertex_count must be positive")
-        if vertex_count > 1 << 32:
-            raise ConfigError("vertex ids are limited to 32 bits")
-        if edge_capacity < 0:
-            raise ConfigError("edge_capacity must be nonnegative")
-        self._n = vertex_count
-        self._m = edge_capacity
-        self._lists = [()] * vertex_count
-        self._count = 0
-        self.counters = OpCounters()
+        super().__init__(vertex_count)
+        self._m = _checked_size("edge_capacity", edge_capacity, 0)
+        self._lists = [()] * self._n
 
     def add_edge(self, x: int, y: int) -> bool:
         n = self._n
         if x < 0 or x >= n or y < 0 or y >= n:
-            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
+            raise self._pair_error(x, y)
         y = index(y)
         lists = self._lists
         targets = lists[x]
@@ -73,7 +64,7 @@ class MultiList(EdgeStore):
     def contains(self, x: int, y: int) -> bool:
         n = self._n
         if x < 0 or x >= n or y < 0 or y >= n:
-            raise VertexRangeError(f"edge ({x}, {y}) outside vertex range [0, {n})")
+            raise self._pair_error(x, y)
         y = index(y)
         targets = self._lists[x]
         found = y in targets
@@ -87,7 +78,7 @@ class MultiList(EdgeStore):
 
     def neighbors(self, x: int) -> list[int]:
         if x < 0 or x >= self._n:
-            raise VertexRangeError(f"vertex {x} outside range [0, {self._n})")
+            raise self._vertex_error(x)
         out = list(self._lists[x])
         steps = len(out)
         channel = self.counters.enumerate
@@ -98,14 +89,6 @@ class MultiList(EdgeStore):
         return out
 
     @property
-    def edge_count(self) -> int:
-        return self._count
-
-    @property
-    def vertex_count(self) -> int:
-        return self._n
-
-    @property
     def edge_capacity(self) -> int:
         return self._m
 
@@ -113,7 +96,3 @@ class MultiList(EdgeStore):
     def slots_allocated(self) -> int:
         """The fixed edge budget plus one, m + 1, as the bench CSV has always reported it."""
         return self._m + 1
-
-    def memory_ints(self) -> int:
-        """Cells, not bytes: one per vertex plus one per stored target, n + edge_count."""
-        return self._n + self._count

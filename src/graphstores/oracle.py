@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from operator import index
 
-from .core import ConfigError, EdgeStore, VertexRangeError
-from .counters import OpCounters
+from .core import ConfigError, EdgeStore
 
 #: Matrix stores are kept at desk scale; 4096 vertices is a 16 MiB matrix.
 ORACLE_MAX_VERTICES = 4096
@@ -25,20 +24,15 @@ class OracleGraph(EdgeStore):
     Refuses more than :data:`ORACLE_MAX_VERTICES` vertices with ConfigError.
     """
 
-    __slots__ = ("_n", "_matrix", "_logs", "_count", "counters")
+    __slots__ = ("_matrix", "_logs")
 
     def __init__(self, vertex_count: int) -> None:
-        if vertex_count < 1:
-            raise ConfigError("vertex_count must be positive")
-        if vertex_count > ORACLE_MAX_VERTICES:
-            raise ConfigError(
-                f"oracle is capped at {ORACLE_MAX_VERTICES} vertices, got n={vertex_count}"
-            )
-        self._n = vertex_count
-        self._matrix = [bytearray(vertex_count) for _ in range(vertex_count)]
-        self._logs: list[list[int]] = [[] for _ in range(vertex_count)]
-        self._count = 0
-        self.counters = OpCounters()
+        super().__init__(vertex_count)
+        n = self._n
+        if n > ORACLE_MAX_VERTICES:
+            raise ConfigError(f"oracle is capped at {ORACLE_MAX_VERTICES} vertices, got n={n}")
+        self._matrix = [bytearray(n) for _ in range(n)]
+        self._logs: list[list[int]] = [[] for _ in range(n)]
 
     def add_edge(self, x: int, y: int) -> bool:
         self._check_pair(x, y)
@@ -61,18 +55,10 @@ class OracleGraph(EdgeStore):
     def neighbors(self, x: int) -> list[int]:
         """Reversed log: newest first, like the head-insertion stores."""
         if x < 0 or x >= self._n:
-            raise VertexRangeError(f"vertex {x} outside range [0, {self._n})")
+            raise self._vertex_error(x)
         log = self._logs[x]
         self.counters.enumerate.record(len(log))
         return log[::-1]
-
-    @property
-    def edge_count(self) -> int:
-        return self._count
-
-    @property
-    def vertex_count(self) -> int:
-        return self._n
 
     @property
     def slots_allocated(self) -> int:

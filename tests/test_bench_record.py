@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -133,3 +134,23 @@ def test_bound_flags_and_regressions(tmp_path):
         {"workload": "worse30", "metric": "query_s", "held_out": False,
          "flags": ["worse_beyond_bound"]},
     ]
+
+
+def test_src_lines_and_delta(sides):
+    """Each side records the lines of its src/**/*.py; the delta is change minus parent.
+    Files outside src, or not Python, do not count, and a side without src records none."""
+    parent, change = sides
+    for checkout, bodies in ((parent, ["a\nb\nc\n", "d\n"]), (change, ["a\nb\n"])):
+        (checkout / "src" / "pkg").mkdir(parents=True)
+        for i, body in enumerate(bodies):
+            (checkout / "src" / "pkg" / f"m{i}.py").write_text(body)
+        (checkout / "src" / "notes.txt").write_text("x\n" * 50)
+        (checkout / "setup.py").write_text("x\n" * 50)
+    record = bench_record.build(23, parent, change, None, set())
+    assert record["provenance"]["parent"]["src_lines"] == 4
+    assert record["provenance"]["change"]["src_lines"] == 2
+    assert record["src_line_delta"] == -2
+    shutil.rmtree(change / "src")
+    record = bench_record.build(23, parent, change, None, set())
+    assert "src_lines" not in record["provenance"]["change"]
+    assert record["src_line_delta"] is None

@@ -210,4 +210,3 @@ class TestInvariants:
     def test_memory_accounting(self):
         t = make(expected=100)
         assert t.slots_allocated == 256
-        assert t.memory_ints() == 256

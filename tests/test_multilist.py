@@ -194,12 +194,10 @@ class TestInvariants:
 
     def test_memory_accounting(self):
         g = MultiList(100, 5000)
-        assert g.memory_ints() == 100
         assert g.slots_allocated == 5001
         for y in range(40):
             g.add_edge(y % 7, y)
         g.add_edge(0, 0)  # a duplicate stores nothing
-        assert g.memory_ints() == 100 + 40
         assert g.slots_allocated == 5001
 
 

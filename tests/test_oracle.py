@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from graphstores import (ORACLE_MAX_VERTICES, ConfigError, EdgeHash, HashList, MultiList, OracleGraph,
@@ -165,3 +166,93 @@ def test_float_query_of_a_present_edge_raises_type_error(name):
     assert (counters.add.ops, counters.add.total) == (1, add_total)
     assert (counters.contains.ops, counters.contains.total) == (0, 0)
     assert store.edge_count == 1
+
+
+@pytest.mark.parametrize("name", BOOL_STORES)
+@pytest.mark.parametrize("x, y", [(1, 5), (5, 1), (-1, 2), (7, -3)])
+def test_range_errors_read_alike_on_every_store(name, x, y):
+    """A bad pair gives one message from the scalar calls and from the bulk tail,
+    with list or array input, on every store; so does a bad vertex to enumerate."""
+    store = BOOL_STORES[name]()
+    calls = [lambda: store.add_edge(x, y), lambda: store.contains(x, y)]
+    for wrap in (list, np.array):
+        xs, ys = wrap([0, 2, x]), wrap([1, 3, y])
+        calls += [lambda xs=xs, ys=ys: store.add_edges(xs, ys),
+                  lambda xs=xs, ys=ys: store.contains_many(xs, ys)]
+    messages = []
+    for call in calls:
+        with pytest.raises(VertexRangeError) as err:
+            call()
+        messages.append(str(err.value))
+    assert messages == [f"edge ({x}, {y}) outside vertex range [0, 5)"] * len(calls)
+    if not store.enumerates:
+        return
+    bad = x if not 0 <= x < 5 else y
+    messages = []
+    for call in (lambda: store.neighbors(bad), lambda: store.neighbors_many([0, bad]),
+                 lambda: store.neighbors_many(np.array([0, bad]))):
+        with pytest.raises(VertexRangeError) as err:
+            call()
+        messages.append(str(err.value))
+    assert messages == [f"vertex {bad} outside range [0, 5)"] * 3
+
+
+#: Every sized constructor, from a vertex count n and an edge size m: the
+#: expected edges of a StoreConfig, or MultiList's edge capacity.
+SIZED = {
+    "config": StoreConfig,
+    "oracle": lambda n, m: OracleGraph(n),
+    "multilist": MultiList,
+    "edgehash": lambda n, m: EdgeHash(StoreConfig(n, m)),
+    "hashlist": lambda n, m: HashList(StoreConfig(n, m)),
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+@pytest.mark.parametrize("n", [1.5, "5", None, 5.0])
+def test_non_integer_vertex_count_is_a_config_error(name, n):
+    with pytest.raises(ConfigError, match="^vertex_count must be an integer, got "):
+        SIZED[name](n, 4)
+
+
+@pytest.mark.parametrize("name", [name for name in SIZED if name != "oracle"])
+@pytest.mark.parametrize("m", [2.5, "4", None])
+def test_non_integer_edge_size_is_a_config_error(name, m):
+    field = "edge_capacity" if name == "multilist" else "expected_edges"
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+        SIZED[name](5, m)
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_size_messages(name):
+    """The too-small and too-large messages, one per rule, on every constructor."""
+    make = SIZED[name]
+    cases = [((0, 4), "vertex_count must be positive"),
+             ((1 << 33, 4), "vertex ids are limited to 32 bits")]
+    if name == "multilist":
+        cases.append(((5, -1), "edge_capacity must be nonnegative"))
+    elif name != "oracle":
+        cases.append(((5, 0), "expected_edges must be positive"))
+    for args, message in cases:
+        with pytest.raises(ConfigError) as err:
+            make(*args)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n, m", [(np.int64(5), np.int64(4)), (np.uint8(5), True),
+                                  (True, np.int32(1))])
+def test_numpy_and_bool_sizes_read_back_as_ints(n, m):
+    config = StoreConfig(n, m)
+    multi = MultiList(n, m)
+    sizes = [config.vertex_count, OracleGraph(n).vertex_count, multi.vertex_count,
+             EdgeHash(config).vertex_count, HashList(config).vertex_count]
+    assert [(v, type(v)) for v in sizes] == [(int(n), int)] * 5
+    edges = [config.expected_edges, multi.edge_capacity, EdgeHash(config).config.expected_edges]
+    assert [(v, type(v)) for v in edges] == [(int(m), int)] * 3
+
+
+def test_numpy_expected_edges_size_a_hash_store():
+    assert EdgeHash(StoreConfig(5, np.int64(4))).capacity == 16
+    assert HashList(StoreConfig(5, np.int64(40))).capacity == 128
+    store = HashList(StoreConfig(np.int64(5), np.int64(4)))
+    assert store.add_edge(4, 0) is True and store.neighbors(4) == [0]

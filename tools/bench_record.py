@@ -18,7 +18,10 @@ least ten pairs that are not held out, and a gap between the medians wider
 than the parent's interquartile range. A side's provenance is that of its
 first detail file; when its files name more than one ``git_commit``, it
 also lists them all under ``mixed_commits``, since its runs then measured
-more than one tree.
+more than one tree. Each side's provenance also holds ``src_lines``, the
+lines of its checkout's ``src/**/*.py``, and the top-level
+``src_line_delta`` is the change's count minus the parent's; a checkout
+with no ``src`` directory records neither.
 
 Each metric's ``bound`` in BENCHMARK.json is a fraction of the parent
 median. A metric is ``worse_beyond_bound`` when the change median is worse
@@ -56,6 +59,15 @@ def detail_files(checkout: Path) -> dict[tuple[str, int], Path]:
         workload, _, seed = path.name[: -len("-trace0.json")].rpartition("-seed")
         out[workload, int(seed)] = path
     return out
+
+
+def src_lines(checkout: Path) -> int | None:
+    """Lines of ``src/**/*.py`` in ``checkout``, as ``wc -l`` counts them; None
+    when it has no ``src`` directory."""
+    src = checkout / "src"
+    if not src.is_dir():
+        return None
+    return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
 
 
 def run_entry(path: Path, metrics: dict[str, dict]) -> dict:
@@ -106,7 +118,8 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
           held_out: set[int]) -> dict:
     metrics = end_to_end_metrics(ROOT / "BENCHMARK.json")
     before, after = detail_files(parent), detail_files(change)
-    record = {"pr": pr, "provenance": {}, "claim": None, "regressions": [], "workloads": {}}
+    record = {"pr": pr, "provenance": {}, "src_line_delta": None, "claim": None,
+              "regressions": [], "workloads": {}}
     commits: dict[str, set] = {}
     for key in sorted(before.keys() & after.keys()):
         workload, seed = key
@@ -126,6 +139,12 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
     for side, seen in commits.items():
         if len(seen) > 1:
             record["provenance"][side]["mixed_commits"] = sorted(seen, key=str)
+    lines = {"parent": src_lines(parent), "change": src_lines(change)}
+    for side, count in lines.items():
+        if count is not None:
+            record["provenance"].setdefault(side, {})["src_lines"] = count
+    if None not in lines.values():
+        record["src_line_delta"] = lines["change"] - lines["parent"]
     for workload, block in record["workloads"].items():
         pairs = block["pairs"]
         block["summary"] = summarise([p for p in pairs if not p["held_out"]], metrics)
