@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, GraphStoreError, StoreConfig, U64_MASK
+from .core import ConfigError, GraphStoreError, StoreConfig, U64_MASK, _checked_int, _checked_size
 from .counters import OP_CLASSES
 from .edgehash import EdgeHash
 from .hashlist import HashList
@@ -87,7 +87,8 @@ class WorkloadSpec:
 
     ``m`` is the total operation budget; the add fraction of the mix decides
     how many of those are insertions. mix = (add, contains-hit,
-    contains-miss, enumerate) fractions, summing to 1.
+    contains-miss, enumerate) fractions, summing to 1. ``n``, ``m`` and
+    ``seed`` are kept as the plain ints they stand for.
     """
 
     generator: str
@@ -99,19 +100,18 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.generator not in GENERATORS:
             raise ConfigError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
-        if self.n < 1:
-            raise ConfigError("n must be positive")
+        object.__setattr__(self, "n", _checked_size("n", self.n, 1))
         if self.generator == "star" and self.n < 2:
             raise ConfigError("star workloads need at least 2 vertices")
         if self.generator == "grid" and math.isqrt(self.n) < 2:
             raise ConfigError("grid workloads need at least 4 vertices")
-        if self.m < 0:
-            raise ConfigError("m must be nonnegative")
+        object.__setattr__(self, "m", _checked_size("m", self.m, 0))
         # NaN >= 0 is False, so a NaN fraction fails this; it would pass "f < 0".
         if len(self.mix) != 4 or not all(f >= 0 for f in self.mix):
             raise ConfigError("mix must be four nonnegative fractions")
         if abs(sum(self.mix) - 1.0) > 1e-9:
             raise ConfigError(f"mix fractions must sum to 1, got {sum(self.mix)}")
+        object.__setattr__(self, "seed", _checked_int("seed", self.seed))
         if not 0 <= self.seed <= U64_MASK:
             raise ConfigError("seed must fit in 64 bits")
 

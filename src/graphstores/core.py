@@ -131,16 +131,19 @@ def compat_finalize_array(codes: np.ndarray) -> np.ndarray:
     return np.abs(x * y).view(np.uint64)
 
 
-def _checked_size(name: str, value, least: int) -> int:
-    """``value`` as a plain int of at least ``least`` (0 or 1), else ConfigError.
-
-    Sizes go through ``operator.index``, so numpy integers and bools count
-    as the ints they stand for, and 1.5, "5" or None are refused.
-    """
+def _checked_int(name: str, value) -> int:
+    """``value`` through ``operator.index``, so numpy integers and bools count as
+    the ints they stand for, and 1.5, "5" or None are a ConfigError."""
     try:
-        size = index(value)
+        return index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _checked_size(name: str, value, least: int) -> int:
+    """``value`` as a plain int (see ``_checked_int``) of at least ``least`` (0 or 1),
+    else ConfigError."""
+    size = _checked_int(name, value)
     if size < least:
         raise ConfigError(f"{name} must be {'positive' if least else 'nonnegative'}")
     return size

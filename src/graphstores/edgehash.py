@@ -24,8 +24,9 @@ it is None on an EdgeHash. HashList extends ``_allocate`` and
 ``_rebuild``: it walks its live chains, as its ``neighbors_many`` does,
 into the order ``_reseat`` seats its codes in. The seat is one pass: one
 array key call for every home, then each code is seated, and on a
-HashList its slot recorded. HashList then threads its chains from the
-recorded slots in numpy, as after a segment of its bulk add.
+HashList its slot recorded. HashList then threads its chains in numpy,
+as after a segment of its bulk add, from the recorded slots and their
+sources, which the walk's chain lengths give already grouped.
 
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a

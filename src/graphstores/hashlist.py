@@ -13,16 +13,18 @@ order and weights, and the weight lookups.
 
 ``_walk`` takes one numpy step on every live chain per round, until few
 are live, and a scalar walk finishes those. ``_thread`` groups new slots
-by source in arrival order and puts each group at the front of its chain,
-as ``add_edge`` would one slot at a time. The edge hash's bulk add
-threads each growth segment with it (``_link``), and ``neighbors_many``
-walks with ``_walk``. So does a rebuild: it walks the chains of the
-vertices that have edges from the last one, and reversed, that walk is
-the seat order: vertex by vertex, each chain oldest-first. After the seat
-each weight moves from its old slot to its new one, and ``_thread``
-threads fresh chain arrays. Only then are the new slots, chains and
-weights installed, so a rebuild that fails on the way leaves the store as
-it was. Weights are set one edge at a time with ``set_weight``.
+by source in arrival order, by one sort unless the sources come grouped,
+and puts each group at the front of its chain, as ``add_edge`` would one
+slot at a time. The edge hash's bulk add threads each growth segment with
+it (``_link``), and ``neighbors_many`` walks with ``_walk``. So does a
+rebuild: it walks the chains of the vertices that have edges from the
+last one, and reversed, that walk is the seat order: vertex by vertex,
+each chain oldest-first, and each live vertex repeated by its chain length
+gives the sources, grouped. After the seat each weight moves from its old
+slot to its new one, and ``_thread`` threads fresh chain arrays. Only then
+are the new slots, chains and weights installed, so a rebuild that fails
+on the way leaves the store as it was. Weights are set one edge at a time
+with ``set_weight``.
 
 The chain arrays hold only slot indices and NONE, so they are 4-byte
 cells (8-byte past 2**31 slots) in an ``array`` behind a ``memoryview``,
@@ -66,22 +68,24 @@ def _gather(data: list, slots: list):
     return itemgetter(*slots)(data) if len(slots) > 1 else [data[i] for i in slots]
 
 
-def _thread(heads: np.ndarray, nxt: np.ndarray, codes, slots) -> None:
-    """Thread new ``slots``, seated in that order for ``codes``, onto their chains.
+def _thread(heads: np.ndarray, nxt: np.ndarray, src: np.ndarray, slots) -> None:
+    """Thread new ``slots``, seated in that order for sources ``src``, onto their chains.
 
-    ``heads`` and ``nxt`` are views of chain cells. The slots are grouped
-    by source in arrival order: one sort of the codes with each low half
-    replaced by the arrival index, which fits while there are fewer than
-    2**32 slots. Each group's first slot links to its source's old head,
-    every other slot to the one before it, and its last slot becomes the
-    head: the links ``add_edge`` makes one slot at a time.
+    ``heads`` and ``nxt`` are views of chain cells, ``src`` an int64 array.
+    The slots are grouped by source in arrival order: as they come when
+    ``src`` never decreases (as in a rebuild), else by one sort of each
+    source shifted over its arrival index, which fits while there are fewer
+    than 2**32 slots. Each group's first slot links to its source's old
+    head, every other slot to the one before it, and its last slot becomes
+    the head: the links ``add_edge`` makes one slot at a time.
     """
-    if not len(codes):
+    if not len(src):
         return
-    keys = (codes >> np.uint64(32) << np.uint64(32)) | np.arange(len(codes), dtype=np.uint64)
-    keys.sort()
-    src = (keys >> np.uint64(32)).astype(np.intp)
-    slots = slots[(keys & np.uint64(U32_MASK)).astype(np.intp)]
+    if (src[1:] < src[:-1]).any():
+        keys = (src.view(np.uint64) << np.uint64(32)) | np.arange(len(src), dtype=np.uint64)
+        keys.sort()
+        src = (keys >> np.uint64(32)).view(np.int64)
+        slots = slots[(keys & np.uint64(U32_MASK)).view(np.int64)]
     firsts = np.flatnonzero(np.diff(src, prepend=-1))
     lasts = np.append(firsts[1:], len(src)) - 1
     prev = np.empty_like(slots)
@@ -119,7 +123,8 @@ class HashList(EdgeHash):
 
     def _link(self, codes, new_slots) -> None:
         """Thread a segment's new slots onto the store's chains."""
-        _thread(_cells(self._heads), _cells(self._next), codes, new_slots)
+        src = (codes >> np.uint64(32)).view(np.int64)
+        _thread(_cells(self._heads), _cells(self._next), src, new_slots)
 
     def neighbors(self, x: int) -> list[int]:
         if x < 0 or x >= self._n:
@@ -240,7 +245,8 @@ class HashList(EdgeHash):
         # the last one and reversing the whole walk gives the seat order:
         # vertex by vertex, each chain oldest-first.
         live = np.flatnonzero(_cells(self._heads) != NONE)
-        order = self._walk(live[::-1])[0][::-1].tolist()
+        walked, counts = self._walk(live[::-1])
+        order = walked[::-1].tolist()
         codes = _gather(self._data, order)
         data, seated = self._reseat(new_cap, codes)
         weights, old_weights = None, self._weights
@@ -249,7 +255,8 @@ class HashList(EdgeHash):
             for old, new in zip(order, seated):
                 weights[new] = old_weights[old]
         heads, nxt = _chain_cells(self._n, new_cap), _chain_cells(new_cap, new_cap)
-        _thread(_cells(heads), _cells(nxt), np.array(codes, np.uint64), np.array(seated, np.intp))
+        src = live.repeat(counts[::-1])
+        _thread(_cells(heads), _cells(nxt), src, np.fromiter(seated, np.intp, len(seated)))
         self._install(new_cap, data)
         self._heads, self._next, self._weights = heads, nxt, weights
         self.rebuilds += 1

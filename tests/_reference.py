@@ -3,8 +3,10 @@
 Everything here deliberately takes a different route from the library:
 packing by arithmetic instead of shifts, two's-complement wrapping through
 struct instead of conditional subtraction, truncated remainder spelled out
-from quotient arithmetic, power-of-two rounding by doubling, and a parse
-kernel that works byte by byte where the library's works token by token.
+from quotient arithmetic, power-of-two rounding by doubling, a parse
+kernel that works byte by byte where the library's works token by token,
+and a HashList rebuild that groups its new chains by sorting the seated
+codes where the library's reads their sources off the chain walk.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from time import perf_counter_ns
 
 import numpy as np
 
+from graphstores.core import NONE, U32_MASK
 from graphstores.formats import GraphFile, QueryFile
+from graphstores.hashlist import _cells, _chain_cells, _gather
 
 
 def pack_by_arithmetic(x: int, y: int) -> int:
@@ -364,3 +368,44 @@ def _bulk_queries(text: str) -> QueryFile | None:
         nvs=s.value[first[~is_c] + 1].tolist(),
     )
 
+
+
+# HashList's rebuild and chain threading as they were before the rebuild threaded
+# its chains from the walk's sources: ``_thread`` sorts the seated codes by source,
+# and ``_rebuild`` (a HashList method) hands it a uint64 array of the gathered
+# codes. A rebuild and a bulk add must leave exactly the slots, chain cells and
+# weights these leave.
+def _thread(heads: np.ndarray, nxt: np.ndarray, codes, slots) -> None:
+    if not len(codes):
+        return
+    keys = (codes >> np.uint64(32) << np.uint64(32)) | np.arange(len(codes), dtype=np.uint64)
+    keys.sort()
+    src = (keys >> np.uint64(32)).astype(np.intp)
+    slots = slots[(keys & np.uint64(U32_MASK)).astype(np.intp)]
+    firsts = np.flatnonzero(np.diff(src, prepend=-1))
+    lasts = np.append(firsts[1:], len(src)) - 1
+    prev = np.empty_like(slots)
+    prev[1:] = slots[:-1]
+    prev[firsts] = heads[src[firsts]]
+    nxt[slots] = prev
+    heads[src[lasts]] = slots[lasts]
+
+
+def _rebuild(self, new_cap: int) -> None:
+    # Chains enumerate newest-first, so walking the live vertices from
+    # the last one and reversing the whole walk gives the seat order:
+    # vertex by vertex, each chain oldest-first.
+    live = np.flatnonzero(_cells(self._heads) != NONE)
+    order = self._walk(live[::-1])[0][::-1].tolist()
+    codes = _gather(self._data, order)
+    data, seated = self._reseat(new_cap, codes)
+    weights, old_weights = None, self._weights
+    if old_weights is not None:
+        weights = [None] * new_cap
+        for old, new in zip(order, seated):
+            weights[new] = old_weights[old]
+    heads, nxt = _chain_cells(self._n, new_cap), _chain_cells(new_cap, new_cap)
+    _thread(_cells(heads), _cells(nxt), np.array(codes, np.uint64), np.array(seated, np.intp))
+    self._install(new_cap, data)
+    self._heads, self._next, self._weights = heads, nxt, weights
+    self.rebuilds += 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 from itertools import groupby
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,11 +168,37 @@ class TestWorkloadSpec:
             # NaN passes both "f < 0" and the sum test, as it compares false
             dict(generator="uniform", n=10, m=10, mix=(float("nan"), 0, 0, 1)),
             dict(generator="uniform", n=10, m=10, mix=(0.5, float("nan"), 0.5, 0)),
+            # sizes and seeds must be integers, not values that merely compare like them
+            dict(generator="uniform", n=10.5, m=20),
+            dict(generator="uniform", n="10", m=20),
+            dict(generator="uniform", n=None, m=20),
+            dict(generator="uniform", n=10, m=20.5),
+            dict(generator="uniform", n=10, m="20"),
+            dict(generator="uniform", n=10, m=None),
+            dict(generator="uniform", n=10, m=20, seed=1.5),
+            dict(generator="uniform", n=10, m=20, seed="1"),
+            dict(generator="uniform", n=10, m=20, seed=None),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             WorkloadSpec(**kwargs)
+
+    def test_size_messages(self):
+        with pytest.raises(ConfigError, match="^n must be positive$"):
+            WorkloadSpec("uniform", n=0, m=10)
+        with pytest.raises(ConfigError, match="^m must be nonnegative$"):
+            WorkloadSpec("uniform", n=10, m=-1)
+        with pytest.raises(ConfigError, match="^seed must fit in 64 bits$"):
+            WorkloadSpec("uniform", n=10, m=10, seed=-1)
+        with pytest.raises(ConfigError, match="^n must be an integer, got 10.5$"):
+            WorkloadSpec("uniform", n=10.5, m=10)
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        spec = WorkloadSpec("grid", n=np.int64(16), m=np.uint32(20), seed=np.uint64(2**64 - 1))
+        assert (spec.n, spec.m, spec.seed) == (16, 20, 2**64 - 1)
+        assert all(type(v) is int for v in (spec.n, spec.m, spec.seed))
+        assert generate_ops(spec) == generate_ops(WorkloadSpec("grid", n=16, m=20, seed=2**64 - 1))
 
 
 class TestGenerateOps:

@@ -16,14 +16,19 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
+COUNTS = {"hashlist.add": [81920, 93411, 17], "hashlist.table": [13, 131072, 65536],
+          "bench.rows": [[1, 2], [3, 4]]}
+
+
 def write_detail(checkout: Path, workload: str, seed: int, query_s: float, mtime: int,
-                 add_ops_s: float = 1e6, commit: str | None = None) -> None:
+                 add_ops_s: float = 1e6, commit: str | None = None,
+                 counts: dict | None = None) -> None:
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     detail = {
         "provenance": {"git_commit": commit or checkout.name, "python": "3", "numpy": "2",
                        "cpu": "x", "nproc": 2, "workload": workload, "seed": seed},
-        "repetitions": 5, "attempted": 10, "failed": 0,
+        "repetitions": 5, "attempted": 10, "failed": 0, "counts": counts or COUNTS,
         "metrics": {"query_s": {"value": query_s, "unit": "s"},
                     "hashlist.bytes_per_edge": {"value": 40.0, "unit": "B/edge"},
                     "hashlist.add_ops_s": {"value": add_ops_s, "unit": "ops/s"}},
@@ -154,3 +159,20 @@ def test_src_lines_and_delta(sides):
     record = bench_record.build(23, parent, change, None, set())
     assert "src_lines" not in record["provenance"]["change"]
     assert record["src_line_delta"] is None
+
+
+def test_count_changes(sides):
+    """Equal counts on both sides record nothing. A changed value, a key on one side
+    only, and a pair with no partner are told apart: only pairs are compared."""
+    parent, change = sides
+    assert bench_record.build(24, parent, change, None, set())["count_changes"] == []
+    moved = {**COUNTS, "hashlist.add": [81920, 93412, 17], "edgehash.table": [13, 131072, 65536]}
+    write_detail(change, "w", 3, 0.93, 5000, counts=moved)
+    write_detail(change, "other", 2, 1.0, 5000, counts={})  # no parent run: not a pair
+    record = bench_record.build(24, parent, change, None, set())
+    assert record["count_changes"] == [
+        {"workload": "w", "seed": 3, "key": "edgehash.table", "parent": None,
+         "change": [13, 131072, 65536]},
+        {"workload": "w", "seed": 3, "key": "hashlist.add", "parent": [81920, 93411, 17],
+         "change": [81920, 93412, 17]},
+    ]

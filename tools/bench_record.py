@@ -30,6 +30,12 @@ parent's interquartile range is wider than it and not every change run
 beats every parent run: the runs then spread too widely to tell. The
 top-level ``regressions`` list names every workload and metric with
 either flag, so a record of a change that claims nothing reads at a glance.
+
+perfbench's exact counts (probe and traversal totals and peaks, rebuilds,
+capacity and the bench rows) depend only on the program and the seed, not on
+the machine. The top-level ``count_changes`` list names every workload, seed
+and count key whose value differs between the two sides of a pair, with
+both values, so a record shows whether a change kept these observables.
 """
 
 from __future__ import annotations
@@ -70,14 +76,21 @@ def src_lines(checkout: Path) -> int | None:
     return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
 
 
-def run_entry(path: Path, metrics: dict[str, dict]) -> dict:
-    detail = json.loads(path.read_text(encoding="utf-8"))
+def run_entry(detail: dict, metrics: dict[str, dict]) -> dict:
     return {
         "metrics": {k: detail["metrics"][k]["value"] for k in metrics if k in detail["metrics"]},
         "repetitions": detail["repetitions"],
         "attempted": detail["attempted"],
         "failed": detail["failed"],
     }
+
+
+def count_changes(workload: str, seed: int, before: dict, after: dict) -> list[dict]:
+    """One entry per count key whose value differs between a pair's two sides;
+    a key one side lacks reads as None there."""
+    return [{"workload": workload, "seed": seed, "key": k, "parent": before.get(k),
+             "change": after.get(k)}
+            for k in sorted(before.keys() | after.keys()) if before.get(k) != after.get(k)]
 
 
 def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
@@ -119,23 +132,27 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
     metrics = end_to_end_metrics(ROOT / "BENCHMARK.json")
     before, after = detail_files(parent), detail_files(change)
     record = {"pr": pr, "provenance": {}, "src_line_delta": None, "claim": None,
-              "regressions": [], "workloads": {}}
+              "regressions": [], "count_changes": [], "workloads": {}}
     commits: dict[str, set] = {}
     for key in sorted(before.keys() & after.keys()):
         workload, seed = key
+        details = {side: json.loads(paths[key].read_text(encoding="utf-8"))
+                   for side, paths in (("parent", before), ("change", after))}
         entry = {
             "seed": seed,
             "held_out": seed in held_out,
             "first": "parent" if before[key].stat().st_mtime < after[key].stat().st_mtime else "change",
-            "parent": run_entry(before[key], metrics),
-            "change": run_entry(after[key], metrics),
+            "parent": run_entry(details["parent"], metrics),
+            "change": run_entry(details["change"], metrics),
         }
         record["workloads"].setdefault(workload, {"pairs": []})["pairs"].append(entry)
-        for side, path in (("parent", before[key]), ("change", after[key])):
-            prov = json.loads(path.read_text(encoding="utf-8"))["provenance"]
+        for side, detail in details.items():
+            prov = detail["provenance"]
             kept = {k: prov[k] for k in ("git_commit", "python", "numpy", "cpu", "nproc")}
             record["provenance"].setdefault(side, kept)
             commits.setdefault(side, set()).add(prov["git_commit"])
+        record["count_changes"] += count_changes(
+            workload, seed, details["parent"].get("counts", {}), details["change"].get("counts", {}))
     for side, seen in commits.items():
         if len(seen) > 1:
             record["provenance"][side]["mixed_commits"] = sorted(seen, key=str)
