@@ -28,7 +28,7 @@ def write_detail(checkout: Path, workload: str, seed: int, query_s: float, mtime
     detail = {
         "provenance": {"git_commit": commit or checkout.name, "python": "3", "numpy": "2",
                        "cpu": "x", "nproc": 2, "workload": workload, "seed": seed},
-        "repetitions": 5, "attempted": 10, "failed": 0, "counts": counts or COUNTS,
+        "repetitions": 5, "attempted": 10, "failed": 0, "counts": COUNTS if counts is None else counts,
         "metrics": {"query_s": {"value": query_s, "unit": "s"},
                     "hashlist.bytes_per_edge": {"value": 40.0, "unit": "B/edge"},
                     "hashlist.add_ops_s": {"value": add_ops_s, "unit": "ops/s"}},

@@ -152,7 +152,7 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
             record["provenance"].setdefault(side, kept)
             commits.setdefault(side, set()).add(prov["git_commit"])
         record["count_changes"] += count_changes(
-            workload, seed, details["parent"].get("counts", {}), details["change"].get("counts", {}))
+            workload, seed, details["parent"]["counts"], details["change"]["counts"])
     for side, seen in commits.items():
         if len(seen) > 1:
             record["provenance"][side]["mixed_commits"] = sorted(seen, key=str)
