@@ -73,9 +73,6 @@ class Lcg64:
         self._state = (self._state * LCG_MULTIPLIER + LCG_INCREMENT) & U64_MASK
         return self._state
 
-    def next_u32(self) -> int:
-        return self.next_u64() >> 32
-
     def next_below(self, n: int) -> int:
         """Uniform draw in [0, n) via multiply-shift reduction."""
         return (self.next_u64() * n) >> 64

@@ -43,16 +43,18 @@ and, on a HashList, the chains. So answers, slot layout, chain order,
 rebuilds and counters all come out as the scalar calls give them.
 
 ``contains_many`` has a second read path. When the batch holds at least
-capacity / 8 valid pairs and the store at most 2**31 vertices, it copies
+capacity / 8 pairs and the store at most 2**31 vertices, it copies
 the slots once into an int64 array and probes every query at once, one
 slot per numpy round, until each reads its code or NONE. Reads move
 nothing, so each query takes the same probes in rounds as alone; the
 copy costs in proportion to the capacity, which a smaller batch does
 not repay. Adds stay in the loop: a round that seated codes together
 would change the layout. Counters are recorded once per batch on either
-read path, and once per segment of an add batch. Input numpy cannot
-hold exactly (floats, ids beyond 64 bits) goes through the scalar calls
-instead.
+read path, and once per segment of an add batch. Numpy takes a batch
+only whole and in range: one with an id numpy cannot hold exactly (a
+float, an id beyond 64 bits) or an id outside [0, n) goes through the
+scalar calls instead, which apply and count the pairs before the first
+bad one and then raise its error.
 """
 
 from __future__ import annotations
@@ -73,38 +75,35 @@ from .core import (
 )
 
 
-def _id_array(ids):
-    """``ids`` as a 1-D numpy integer array, or None when numpy cannot hold them
-    exactly as integers (floats, ids beyond 64 bits, an empty list)."""
+def _id_array(ids, n: int):
+    """``ids`` as a 1-D numpy integer array, or None unless numpy holds every id
+    exactly as an integer (no floats, no ids beyond 64 bits, not empty) and every
+    id lies in [0, n)."""
     try:
         a = np.asarray(ids)
     except (OverflowError, TypeError, ValueError):
         return None
-    return a if a.ndim == 1 and a.dtype.kind in "iu" else None
-
-
-def _valid_prefix(bad: np.ndarray) -> int:
-    """Number of leading False entries of ``bad``."""
-    return int(bad.argmax()) if bad.any() else len(bad)
+    if a.ndim == 1 and a.dtype.kind in "iu" and len(a) and a.min() >= 0 and a.max() < n:
+        return a
+    return None
 
 
 def _bulk_codes(xs, ys, n: int, key):
     """The vectorized front end of the bulk methods.
 
-    Returns ``(codes, keys, k)``: k is the number of leading pairs
-    with both ids in [0, n), and the two uint64 arrays hold, for those
-    pairs, the packed codes and their capacity-independent keys under
-    ``key``, one of :data:`~graphstores.core.HASH_KEYS`. Returns None when
-    numpy cannot hold the ids exactly as integers; the caller then runs
-    the scalar calls, which raise what they always raise.
+    Returns ``(codes, keys)``, two uint64 arrays: the packed codes of the
+    pairs and their capacity-independent keys under ``key``, one of
+    :data:`~graphstores.core.HASH_KEYS`. Returns None unless
+    :func:`_id_array` takes both id sequences whole; the caller then runs
+    the scalar calls, which apply the pairs before the first bad one and
+    raise what they always raise.
     """
     check_lengths(xs, ys)
-    ax, ay = _id_array(xs), _id_array(ys)
+    ax, ay = _id_array(xs, n), _id_array(ys, n)
     if ax is None or ay is None:
         return None
-    k = _valid_prefix((ax < 0) | (ax >= n) | (ay < 0) | (ay >= n))
-    codes = (ax[:k].astype(np.uint64) << np.uint64(32)) | ay[:k].astype(np.uint64)
-    return codes, key(codes), k
+    codes = (ax.astype(np.uint64) << np.uint64(32)) | ay.astype(np.uint64)
+    return codes, key(codes)
 
 
 def _probe_rounds(table, codes, slots, mask: int) -> tuple:
@@ -237,24 +236,25 @@ class EdgeHash(EdgeStore):
     def add_edges(self, xs, ys) -> list[bool]:
         """``add_edge`` per pair; the answers and counters are those of the scalar calls.
 
-        The batch runs in growth segments. A segment has room for
-        ``growth_limit - count`` seats and ends at the seat that fills it,
-        so no rebuild falls inside one. (Ending it after that many pairs
-        instead would give a batch of duplicates, into a store one seat
-        short of the limit, one segment per pair.) The Python loop only
-        probes and seats, and records for each pair the slot it reached:
-        the slot itself where it seated, its complement where it found the
-        code. ``_book`` derives the rest of the segment in numpy before the
-        next rebuild.
+        A batch that ``_bulk_codes`` refuses, any bad id included, runs the
+        scalar calls. Any other batch runs in growth segments. A segment
+        has room for ``growth_limit - count`` seats and ends at the seat
+        that fills it, so no rebuild falls inside one. (Ending it after
+        that many pairs instead would give a batch of duplicates, into a
+        store one seat short of the limit, one segment per pair.) The
+        Python loop only probes and seats, and records for each pair the
+        slot it reached: the slot itself where it seated, its complement
+        where it found the code. ``_book`` derives the rest of the segment
+        in numpy before the next rebuild.
         """
         front = _bulk_codes(xs, ys, self._n, self._key)
         if front is None:
             return super().add_edges(xs, ys)
-        codes, keys, k = front
+        codes, keys = front
         pairs = zip(codes.tolist(), keys.tolist())
         out = []
         start = 0
-        while start < k:
+        while start < len(codes):
             if self._count >= self._growth_limit:
                 self._rebuild(self._cap * 2)
             data, mask = self._data, self._mask
@@ -280,8 +280,6 @@ class EdgeHash(EdgeStore):
                 stop = start + len(reached)
                 out += self._book(codes[start:stop], keys[start:stop], reached)
                 start = stop
-        if k < len(xs):
-            self._check_pair(xs[k], ys[k])
         return out
 
     def _book(self, codes, keys, reached: list) -> list[bool]:
@@ -312,18 +310,18 @@ class EdgeHash(EdgeStore):
     def contains_many(self, xs, ys) -> list[bool]:
         """``contains`` per pair; both read paths give the same answers and counters.
 
-        A batch of at least capacity / 8 valid pairs, on a store of at most
-        2**31 vertices (so int64 holds every code and NONE), is probed in
-        numpy rounds over a one-time int64 copy of the slots; any other
-        batch runs the Python loop. The first bad pair is raised after the
-        pairs before it are answered and counted.
+        A batch that ``_bulk_codes`` refuses, any bad id included, runs the
+        scalar calls. Of the others, a batch of at least capacity / 8 pairs,
+        on a store of at most 2**31 vertices (so int64 holds every code and
+        NONE), is probed in numpy rounds over a one-time int64 copy of the
+        slots, and any other batch runs the Python loop.
         """
         front = _bulk_codes(xs, ys, self._n, self._key)
         if front is None:
             return super().contains_many(xs, ys)
-        codes, keys, k = front
+        codes, keys = front
         mask = self._mask
-        if k * 8 >= self._cap and self._n <= 1 << 31:
+        if len(codes) * 8 >= self._cap and self._n <= 1 << 31:
             table = np.fromiter(self._data, np.int64, self._cap)
             slots = (keys & np.uint64(mask)).astype(np.int64)
             found, total, peak = _probe_rounds(table, codes.view(np.int64), slots, mask)
@@ -346,8 +344,6 @@ class EdgeHash(EdgeStore):
                     peak = probes
                 append(held == code)
         self.counters.contains.record_batch(len(out), total, peak)
-        if k < len(xs):
-            self._check_pair(xs[k], ys[k])
         return out
 
     def neighbors(self, x: int) -> list[int]:

@@ -45,7 +45,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import NONE, U32_MASK, ConfigError, compat_hash, mixer_hash, pack_edge
-from .edgehash import EdgeHash, _id_array, _valid_prefix
+from .edgehash import EdgeHash, _id_array
 
 #: ``_walk`` walks its chains in numpy rounds while more than this
 #: many are live, and the rest in Python: a round costs about as much as this
@@ -193,22 +193,18 @@ class HashList(EdgeHash):
         """``neighbors`` per vertex, as the flat pair of ``EdgeStore.neighbors_many``.
 
         ``_walk`` finds the slots of every requested chain at once, one
-        gather over ``_data`` takes their codes, and numpy masks the
-        targets out. The counters are recorded once; the first bad vertex
-        is raised after the ones before it are counted. Ids numpy cannot
-        hold exactly go through the scalar calls.
+        gather over ``_data`` takes their codes, numpy masks the targets
+        out, and the counters are recorded once. Numpy takes the
+        batch only whole and in range (``_id_array``); any other batch, a
+        bad vertex included, goes through the scalar calls.
         """
-        ids = _id_array(vs)
+        ids = _id_array(vs, self._n)
         if ids is None:
             return super().neighbors_many(vs)
-        k = _valid_prefix((ids < 0) | (ids >= self._n))
-        slots, counts = self._walk(ids[:k])
+        slots, counts = self._walk(ids)
         codes = _gather(self._data, slots.tolist())
         targets = (np.array(codes, np.uint64) & np.uint64(U32_MASK)).tolist()
-        if k:
-            self.counters.enumerate.record_batch(k, len(targets), int(counts.max()))
-        if k < len(vs):
-            self.neighbors(vs[k])
+        self.counters.enumerate.record_batch(len(ids), len(targets), int(counts.max()))
         return targets, np.cumsum(counts).tolist()
 
     def _weight_slot(self, x: int, y: int) -> int:

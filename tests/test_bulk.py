@@ -213,9 +213,10 @@ def test_read_path_by_vertex_count(n, path, hash_mode, form):
 @pytest.mark.parametrize("cls,weighted", STORES)
 @pytest.mark.parametrize("j", [2, 5, 9])
 def test_bad_id_on_the_rounds_path(cls, weighted, hash_mode, j):
-    """A bad id at index j of a 10-pair batch on a 16-slot table: the j valid pairs
-    before it take the rounds (j * 8 >= 16), are counted as a scalar loop stopped at j
-    counts them, and then the same VertexRangeError is raised."""
+    """A bad id at index j of a 10-pair batch on a 16-slot table, which the rounds
+    would take whole (10 * 8 >= 16): the j valid pairs before it now take the scalar
+    calls, are counted as a scalar loop stopped at j counts them, and then the same
+    VertexRangeError is raised."""
     cfg = StoreConfig(vertex_count=8, expected_edges=4, hash_mode=hash_mode, weighted=weighted)
     bulk, scalar = cls(cfg), cls(cfg)
     xs, ys = [0, 5, 7, 3, 1, 2], [0, 5, 7, 1, 3, 2]
@@ -227,7 +228,7 @@ def test_bad_id_on_the_rounds_path(cls, weighted, hash_mode, j):
     _, want = run_scalar(lambda: [scalar.contains(x, y) for x, y in zip(qx, qy)])
     with read_path() as paths, pytest.raises(VertexRangeError) as info:
         bulk.contains_many(np.array(qx), qy)
-    assert paths == ["rounds"]
+    assert paths == []
     assert (info.type, str(info.value)) == want
     assert snapshot(bulk) == snapshot(scalar)
     assert bulk.counters.contains.ops == j
@@ -482,6 +483,11 @@ BAD = [
     pytest.param([0, 1 << 70, 2, 3], [1, 2, 3, 3], "list", id="source-2**70"),
     pytest.param([0, 1, 2, 99999999999999999999999], [1, 2, 3, 0], "list", id="25-digit-source"),
     pytest.param([-1], [0], "list", id="only-op"),
+    # Twelve new distinct pairs before the bad id: the 16-slot table rebuilds to 32.
+    pytest.param([1, 2, 3, 4, 6, 7, 1, 2, 3, 4, 6, 7, 2], [0] * 6 + [1] * 6 + [-3], "int64",
+                 id="rebuild-then-negative-target"),
+    pytest.param([0, 1, 2, 3, 4, 6, 7, 0, 1, 2, 3, 4, 9], [2] * 7 + [3] * 5 + [0], "list",
+                 id="rebuild-then-source-at-9"),
 ]
 
 
