@@ -35,6 +35,7 @@ from .formats import (
     ParseError,
     QueryFile,
     format_results,
+    join_runs,
     parse_edge_list,
     parse_query_file,
 )
@@ -132,16 +133,16 @@ def _answer_queries(store, queries: QueryFile) -> list[str]:
     the answers and counters of asking one at a time. The distinct N
     vertices, in the order of their first N query, are enumerated with one
     ``neighbors_many`` call (on a HashList, all chains at once in numpy
-    rounds) and each is formatted once from its run of the flat result;
-    every later query of a vertex reuses its line. The first bad N vertex
-    still raises first.
+    rounds). ``formats.join_runs`` writes the digits of every target of
+    the flat result into one buffer in numpy, decodes it once, and gives
+    each vertex's line as one slice of it; every later query of a vertex
+    reuses that line, one shared str. The first bad N vertex still raises
+    first.
     """
     hits = iter(store.contains_many(queries.cxs, queries.cys))
     # EdgeHash.neighbors_many raises UnsupportedOperationError on any vertex
     vertices = list(dict.fromkeys(queries.nvs))
-    targets, ends = store.neighbors_many(vertices)
-    words = list(map(str, targets))
-    lines = {v: " ".join(words[a:b]) for v, a, b in zip(vertices, [0, *ends], ends)}
+    lines = dict(zip(vertices, join_runs(*store.neighbors_many(vertices))))
     nbrs = map(lines.__getitem__, queries.nvs)
     return [("1" if next(hits) else "0") if c else next(nbrs) for c in queries.is_c]
 
@@ -167,11 +168,13 @@ def cmd_query(args) -> int:
     the oracle refuses is a configuration error. The adds run in file
     order, since the order fixes a hash store's layout; the C queries may
     be probed all at once in numpy rounds, since reads move nothing. Each
-    distinct N vertex is enumerated and formatted once, however often it
-    is asked. The result bytes are those of adding and asking one edge at
-    a time. Because all C queries are asked before any N query, a file
-    with several bad queries may report a different one of them first;
-    the exit code is the same.
+    distinct N vertex is enumerated once, however often it is asked, and
+    the lines of all of them come from one numpy pass over the digits of
+    their targets, one slice of the decoded text per vertex. The result
+    bytes are those of adding and asking one edge at a time. Because all
+    C queries are asked before any N query, a file with several bad
+    queries may report a different one of them first; the exit code is
+    the same.
     """
     graph = parse_edge_list(_read_text(args.graph))
     queries = parse_query_file(_read_text(args.queries))

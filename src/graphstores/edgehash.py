@@ -37,7 +37,13 @@ reaches the growth limit, so a rebuild falls only between two of them,
 and a rebuild changes only the mask, because in both modes the key does
 not depend on capacity. Within a segment a Python loop walks the pairs
 in order and only probes and seats: the order in which codes are seated
-fixes the layout. After the segment, numpy derives the rest from the
+fixes the layout. Its homes are the keys masked in numpy and made
+Python ints by ``tolist``, a chunk at a time, so the loop does no 64-bit
+``&`` per pair. It tests a slot for empty by identity, ``held is NONE``:
+every empty slot holds the one NONE object that ``[NONE] * cap`` put
+there, every other slot a code, and codes are never negative, so no
+code is that object. The read loop of ``contains_many`` and the rebuild
+probe the same way. After the segment, numpy derives the rest from the
 slots the loop reached: the answers, the probe counts, the edge count
 and, on a HashList, the chains. So answers, slot layout, chain order,
 rebuilds and counters all come out as the scalar calls give them.
@@ -128,6 +134,11 @@ def _probe_rounds(table, codes, slots, mask: int) -> tuple:
         going = ~hit & (held != NONE)
         live, codes, slots = live[going], codes[going], (slots[going] + 1) & mask
     return found, total, rounds
+
+
+#: Fewest homes ``add_edges`` masks at a time, so that a batch of duplicates
+#: into a table one seat short of its limit is not one numpy call per pair.
+_MIN_CHUNK = 256
 
 
 class EdgeHash(EdgeStore):
@@ -245,16 +256,21 @@ class EdgeHash(EdgeStore):
         Python loop only probes and seats, and records for each pair the
         slot it reached: the slot itself where it seated, its complement
         where it found the code. ``_book`` derives the rest of the segment
-        in numpy before the next rebuild.
+        in numpy before the next rebuild. The loop's homes are masked in
+        numpy a chunk at a time, each chunk as long as the seats the
+        segment has left (at least ``_MIN_CHUNK``). So only the seat that
+        fills a chunk can fill its segment, and a rebuild masks again at
+        most the rest of one chunk, not the rest of the batch.
         """
         front = _bulk_codes(xs, ys, self._n, self._key)
         if front is None:
             return super().add_edges(xs, ys)
         codes, keys = front
-        pairs = zip(codes.tolist(), keys.tolist())
+        code_iter = iter(codes.tolist())
+        total = len(codes)
         out = []
         start = 0
-        while start < len(codes):
+        while start < total:
             if self._count >= self._growth_limit:
                 self._rebuild(self._cap * 2)
             data, mask = self._data, self._mask
@@ -262,20 +278,23 @@ class EdgeHash(EdgeStore):
             reached = []
             append = reached.append
             try:
-                for code, key in pairs:
-                    slot = key & mask
-                    held = data[slot]
-                    while held != code and held != NONE:
-                        slot = (slot + 1) & mask
+                at = start
+                while room and at < total:
+                    homes = (keys[at : at + max(room, _MIN_CHUNK)] & np.uint64(mask)).tolist()
+                    at += len(homes)
+                    for slot, code in zip(homes, code_iter):
                         held = data[slot]
-                    if held == NONE:
-                        data[slot] = code
-                        append(slot)
-                        room -= 1
-                        if not room:
-                            break
-                    else:
-                        append(~slot)
+                        while held is not NONE and held != code:
+                            slot = (slot + 1) & mask
+                            held = data[slot]
+                        if held is NONE:
+                            data[slot] = code
+                            append(slot)
+                            room -= 1
+                            if not room:
+                                break
+                        else:
+                            append(~slot)
             finally:
                 stop = start + len(reached)
                 out += self._book(codes[start:stop], keys[start:stop], reached)
@@ -321,9 +340,10 @@ class EdgeHash(EdgeStore):
             return super().contains_many(xs, ys)
         codes, keys = front
         mask = self._mask
+        homes = keys & np.uint64(mask)
         if len(codes) * 8 >= self._cap and self._n <= 1 << 31:
             table = np.fromiter(self._data, np.int64, self._cap)
-            slots = (keys & np.uint64(mask)).astype(np.int64)
+            slots = homes.view(np.int64)
             found, total, peak = _probe_rounds(table, codes.view(np.int64), slots, mask)
             out = found.tolist()
         else:
@@ -331,18 +351,17 @@ class EdgeHash(EdgeStore):
             total = peak = 0
             out = []
             append = out.append
-            for code, key in zip(codes.tolist(), keys.tolist()):
-                slot = key & mask
+            for slot, code in zip(homes.tolist(), codes.tolist()):
                 held = data[slot]
                 probes = 1
-                while held != code and held != NONE:
+                while held is not NONE and held != code:
                     slot = (slot + 1) & mask
                     held = data[slot]
                     probes += 1
                 total += probes
                 if probes > peak:
                     peak = probes
-                append(held == code)
+                append(held is not NONE)
         self.counters.contains.record_batch(len(out), total, peak)
         return out
 
@@ -356,7 +375,7 @@ class EdgeHash(EdgeStore):
         self._rebuild(self._cap * 2)
 
     def _rebuild(self, new_cap: int) -> None:
-        data, _ = self._reseat(new_cap, [code for code in self._data if code != NONE])
+        data, _ = self._reseat(new_cap, [code for code in self._data if code is not NONE])
         self._install(new_cap, data)
         self.rebuilds += 1
 
@@ -364,19 +383,21 @@ class EdgeHash(EdgeStore):
         """Seat ``codes``, in that order, in a fresh slot list of ``new_cap`` slots.
 
         Linear probing is order-dependent, so the order fixes the layout.
-        Every home is the hash mode's key, from one array call, masked to
-        the new capacity; the probe is inline, since a rebuild re-seats
-        every edge. Returns ``(data, seated)`` for the caller to install,
-        and changes nothing in the store. When ``_heads`` is set, the same
-        pass records the seated slots in seat order, from which the caller
-        threads the chains; otherwise ``seated`` is None.
+        Every home is the hash mode's key, from one array call on the codes
+        made uint64 by ``np.fromiter``, masked to the new capacity; the
+        probe is inline, since a rebuild re-seats every edge. Returns
+        ``(data, seated)`` for the caller to install, and changes nothing
+        in the store. When ``_heads`` is set, the same pass records the
+        seated slots in seat order, from which the caller threads the
+        chains; otherwise ``seated`` is None.
         """
         mask = new_cap - 1
-        homes = (self._key(codes) & np.uint64(mask)).tolist()
+        keys = self._key(np.fromiter(codes, np.uint64, len(codes)))
+        homes = (keys & np.uint64(mask)).tolist()
         data = [NONE] * new_cap
         seated = None if self._heads is None else []
         for code, slot in zip(codes, homes):
-            while data[slot] != NONE:
+            while data[slot] is not NONE:
                 slot = (slot + 1) & mask
             data[slot] = code
             if seated is not None:

@@ -127,6 +127,7 @@ _MAX_BYTES = 2**31 - 1
 _POW10_FLOAT = (10 ** np.arange(_MAX_WEIGHT_DIGITS + 1)).astype(np.float64)
 _EDGE_BYTES = b"0123456789 \n."
 _QUERY_BYTES = b"0123456789 \nCN"
+_POW10_U64 = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19: digit counts
 
 
 @dataclass(frozen=True)
@@ -343,6 +344,34 @@ def parse_queries(text: str) -> list[tuple]:
     q = parse_query_file(text)
     cs, ns = zip(repeat("C"), q.cxs.tolist(), q.cys.tolist()), zip(repeat("N"), q.nvs)
     return [next(cs) if c else next(ns) for c in q.is_c]
+
+
+def join_runs(values, ends) -> list[str]:
+    """``" ".join(map(str, values[a:b]))`` for each run ``[a, b)`` of ``ends``.
+
+    ``values`` are integers in [0, 2**64) and ``ends`` the runs' running
+    ends, as :meth:`~graphstores.core.EdgeStore.neighbors_many` returns
+    them. One numpy pass per digit position writes every value's digits,
+    each value followed by a space, into one byte buffer; one decode makes
+    it a str, and each run's line is one slice of it, its last space left
+    out. So an N line costs one slice however long it is.
+    """
+    v = np.fromiter(values, np.uint64, len(values))
+    stop = np.searchsorted(_POW10_U64, v, side="right") + 2  # digits and a space
+    np.cumsum(stop, out=stop)
+    buf = np.full(int(stop[-1]) if len(v) else 0, ord(" "), np.uint8)
+    at, rest = stop - 2, v  # the last digit's byte
+    while len(rest):
+        rest, digit = np.divmod(rest, np.uint64(10))
+        buf[at] = digit + np.uint8(ord("0"))
+        more = rest > 0
+        at, rest = at[more] - 1, rest[more]
+    text = buf.tobytes().decode("ascii")
+    bounds = np.concatenate(([0], stop))  # each value's first byte; the buffer's end
+    last = np.fromiter(ends, np.intp, len(ends))
+    begin = bounds[np.concatenate(([0], last[:-1]))]
+    end = np.maximum(bounds[last] - 1, begin)  # an empty run is an empty slice
+    return [text[a:b] for a, b in zip(begin.tolist(), end.tolist())]
 
 
 def format_results(lines: list[str]) -> str:

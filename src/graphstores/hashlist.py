@@ -203,7 +203,7 @@ class HashList(EdgeHash):
             return super().neighbors_many(vs)
         slots, counts = self._walk(ids)
         codes = _gather(self._data, slots.tolist())
-        targets = (np.array(codes, np.uint64) & np.uint64(U32_MASK)).tolist()
+        targets = (np.fromiter(codes, np.uint64, len(codes)) & np.uint64(U32_MASK)).tolist()
         self.counters.enumerate.record_batch(len(ids), len(targets), int(counts.max()))
         return targets, np.cumsum(counts).tolist()
 

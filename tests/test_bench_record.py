@@ -176,3 +176,40 @@ def test_count_changes(sides):
         {"workload": "w", "seed": 3, "key": "hashlist.add", "parent": [81920, 93411, 17],
          "change": [81920, 93412, 17]},
     ]
+
+
+def test_medians_by_order(sides):
+    """Every metric splits its pairs by the side that ran first; held-out pairs are
+    split apart, in their own summary."""
+    record = bench_record.build(26, *sides, None, {20, 21})
+    block = record["workloads"]["w"]
+    assert block["summary"]["query_s"]["by_order"] == {
+        "parent_first": {"pairs": 5, "parent_median": pytest.approx(1.04),
+                         "change_median": pytest.approx(0.94)},
+        "change_first": {"pairs": 5, "parent_median": pytest.approx(1.05),
+                         "change_median": pytest.approx(0.97)},
+    }
+    assert block["summary"]["hashlist.bytes_per_edge"]["by_order"]["change_first"] == {
+        "pairs": 5, "parent_median": 40.0, "change_median": 40.0}
+    assert block["held_out_summary"]["query_s"]["by_order"] == {
+        "parent_first": {"pairs": 2, "parent_median": 1.0, "change_median": 0.8}}
+    assert record["one_order"] == []
+
+
+def test_one_order_is_flagged_and_holds_no_claim(sides):
+    """A workload whose pairs all ran parent first is listed in ``one_order``, and ten
+    clear wins there hold no claim; once one pair runs the change first, it does."""
+    parent, change = sides
+    for seed in range(1, 11):
+        write_detail(parent, "solo", seed, 1.0 + seed / 100, 1000 + 2 * seed)
+        write_detail(change, "solo", seed, 0.8 + seed / 100, 1001 + 2 * seed)
+    record = bench_record.build(26, parent, change, ("solo", "query_s"), set())
+    summary = record["workloads"]["solo"]["summary"]["query_s"]
+    assert (summary["wins"], summary["pairs"]) == (10, 10)
+    assert list(summary["by_order"]) == ["parent_first"]
+    assert record["one_order"] == ["solo"]
+    assert record["claim"]["holds"] is False
+    write_detail(parent, "solo", 5, 1.05, 3001)  # now after the change's run of seed 5
+    record = bench_record.build(26, parent, change, ("solo", "query_s"), set())
+    assert record["one_order"] == []
+    assert record["claim"]["holds"] is True

@@ -24,6 +24,7 @@ from graphstores import (
     EdgeHash,
     HashList,
     MultiList,
+    NONE,
     OracleGraph,
     StoreConfig,
     VertexRangeError,
@@ -391,6 +392,24 @@ def test_weights_with_none_gaps(cls, weighted, hash_mode):
         assert got[x, y] != got[x, y]  # nan, given last, after 6.0
 
 
+@pytest.mark.parametrize("floor", [1, 3, 256])
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_homes_masked_a_chunk_at_a_time(cls, weighted, hash_mode, floor):
+    """Duplicates make a segment take more pairs than it has seats, so its homes are
+    masked in several chunks. With a floor of 1 each chunk is as long as the seats
+    left; with a floor above them, the seat that fills the segment can fall inside a
+    chunk and the rest of that chunk is masked again after the rebuild. The last ten
+    pairs are in the store before the batch."""
+    codes = distinct_pairs(200, 30, 6)
+    before = [divmod(c, 30) for c in codes[190:]]
+    seq = codes[:50] + codes[:20] + codes[50:120] + codes[10:60] + codes[120:] + codes[::7]
+    with mock.patch.object(edgehash, "_MIN_CHUNK", floor):
+        bulk = assert_same_segments(cls, weighted, hash_mode, 30, before,
+                                    [triples(seq, 30), triples(codes[::3], 30)])
+    assert bulk.rebuilds >= 4
+
+
 def test_all_ones_code_at_32_bit_vertex_count():
     """With 2**32 vertices, (2**32-1, 2**32-1) packs to 2**64-1 and is a legal edge."""
     top = (1 << 32) - 1
@@ -472,6 +491,43 @@ def test_edge_store_defaults(make):
     with pytest.raises(VertexRangeError):
         bulk.add_edges([1, 10], [2, 3])
     assert bulk.edge_count == scalar.edge_count
+
+
+# --- empty slots: the bulk loops test ``held is NONE`` ---
+
+def assert_empty_slots_are_none(store):
+    """Every slot holds a code, a Python int >= 0, or the NONE object itself, and the
+    NONE slots number capacity - edge_count: so ``held is NONE`` finds exactly the
+    empty slots."""
+    data = store._data
+    assert all(held is NONE or (type(held) is int and held >= 0) for held in data)
+    assert sum(held is NONE for held in data) == store.capacity - store.edge_count
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls", [EdgeHash, HashList])
+def test_empty_slots_are_the_none_object(cls, hash_mode):
+    rng = np.random.default_rng(9)
+    xs, ys = rng.integers(0, 64, 700), rng.integers(0, 64, 700)
+    fresh = cls(StoreConfig(vertex_count=64, expected_edges=700, hash_mode=hash_mode))
+    fresh.add_edges(xs, ys)
+    assert fresh.rebuilds == 0
+    assert_empty_slots_are_none(fresh)
+
+    store = cls(StoreConfig(vertex_count=64, expected_edges=1, hash_mode=hash_mode))
+    for x, y in zip(xs[:20].tolist(), ys[:20].tolist()):
+        store.add_edge(x, y)
+    assert store.rebuilds == 1
+    assert_empty_slots_are_none(store)
+    store.add_edges(xs[20:400], ys[20:400])
+    assert store.rebuilds >= 4
+    assert_empty_slots_are_none(store)
+    with pytest.raises(VertexRangeError):  # refused: the scalar calls seat the pairs before 64
+        store.add_edges(xs[400:].tolist() + [64], ys[400:].tolist() + [0])
+    assert store.edge_count > fresh.edge_count - 40
+    assert_empty_slots_are_none(store)
+    store.grow()
+    assert_empty_slots_are_none(store)
 
 
 # --- errors: the same class and message, with the same ops applied before it ---

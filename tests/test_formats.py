@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphstores import GraphFile, ParseError, VertexRangeError, parse_edge_list, parse_queries
-from graphstores.formats import format_results, parse_query_file
+from graphstores.formats import format_results, join_runs, parse_query_file
 
 
 class TestEdgeListParsing:
@@ -77,6 +81,41 @@ class TestResults:
 
     def test_lines(self):
         assert format_results(["1", "0 2", ""]) == "1\n0 2\n\n"
+
+
+def joined(runs: list[list[int]]) -> tuple[list[str], list[str]]:
+    """``join_runs`` on the flattened runs, and ``" ".join`` per run."""
+    flat = [v for run in runs for v in run]
+    return join_runs(flat, list(accumulate(map(len, runs)))), [" ".join(map(str, r)) for r in runs]
+
+
+EDGE_VALUES = [0, 9, 10, 2**32 - 1]
+value = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
+
+
+class TestJoinRuns:
+    """``join_runs`` gives each run the line ``" ".join(map(str, run))`` gives it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.lists(value, max_size=6), max_size=8))
+    def test_matches_join(self, runs):
+        got, want = joined(runs)
+        assert got == want
+
+    @pytest.mark.parametrize("runs", [
+        [],
+        [[]],
+        [[], [], []],
+        [[], EDGE_VALUES, [7]],
+        [EDGE_VALUES, [], [10, 9]],
+        [[0], [9, 10], []],
+        [[], [2**32 - 1], [], [0, 0], []],
+        [[99, 100, 999, 1000, 10**19 - 1, 10**19, 2**64 - 1]],
+    ], ids=["no-runs", "one-empty", "all-empty", "empty-first", "empty-middle", "empty-last",
+            "alternating", "digit-boundaries"])
+    def test_edge_cases(self, runs):
+        got, want = joined(runs)
+        assert got == want
 
 
 class TestColumns:

@@ -15,13 +15,21 @@ the two medians, the parent's interquartile range and the change's wins.
 Held-out seeds are summarised apart from the others. The claim rule is
 the one the benchmark applies: at least nine wins in ten pairs, over at
 least ten pairs that are not held out, and a gap between the medians wider
-than the parent's interquartile range. A side's provenance is that of its
-first detail file; when its files name more than one ``git_commit``, it
-also lists them all under ``mixed_commits``, since its runs then measured
-more than one tree. Each side's provenance also holds ``src_lines``, the
-lines of its checkout's ``src/**/*.py``, and the top-level
-``src_line_delta`` is the change's count minus the parent's; a checkout
-with no ``src`` directory records neither.
+than the parent's interquartile range; those pairs must also include
+both run orders. A side's provenance is that of its first detail file;
+when its files name more than one ``git_commit``, it also lists them all
+under ``mixed_commits``, since its runs then measured more than one tree.
+Each side's provenance also holds ``src_lines``, the lines of its
+checkout's ``src/**/*.py``, and the top-level ``src_line_delta`` is the
+change's count minus the parent's; a checkout with no ``src`` directory
+records neither.
+
+The side that runs first may gain a few percent, so every metric's summary
+also holds ``by_order``: the count and both medians of the pairs the
+parent ran first in (``parent_first``) and of those the change ran first
+in (``change_first``). The top-level ``one_order`` list names every
+workload whose pairs all ran in one order, whose medians may then carry
+that bias.
 
 Each metric's ``bound`` in BENCHMARK.json is a fraction of the parent
 median. A metric is ``worse_beyond_bound`` when the change median is worse
@@ -94,15 +102,16 @@ def count_changes(workload: str, seed: int, before: dict, after: dict) -> list[d
 
 
 def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
-    """Per metric: medians, the parent's IQR, wins and ties of the change, and the two
-    bound flags, over ``pairs``."""
+    """Per metric: medians, the parent's IQR, wins and ties of the change, the two
+    bound flags, and the medians of the pairs each side ran first in, over ``pairs``."""
     out = {}
     for name, spec in metrics.items():
         better, bound = spec["better"], spec.get("bound")
-        both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
-                if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
-        if not both:
+        runs = [(p["parent"]["metrics"][name], p["change"]["metrics"][name], p["first"])
+                for p in pairs if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+        if not runs:
             continue
+        both = [(b, a) for b, a, _ in runs]
         before, after = [b for b, _ in both], [a for _, a in both]
         sign = 1 if better == "higher" else -1
         q1, _, q3 = quantiles(before, n=4) if len(before) > 1 else (before[0],) * 3
@@ -110,6 +119,13 @@ def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
         # Worse and spread beyond the bound, both as fractions of the parent median.
         limit = None if bound is None else bound * abs(median(before))
         beats_all = min(sign * a for a in after) > max(sign * b for b in before)
+        by_order = {}
+        for first in ("parent", "change"):
+            some = [(b, a) for b, a, f in runs if f == first]
+            if some:
+                by_order[f"{first}_first"] = {"pairs": len(some),
+                                              "parent_median": median(b for b, _ in some),
+                                              "change_median": median(a for _, a in some)}
         out[name] = {
             "better": better,
             "parent_median": median(before),
@@ -120,6 +136,7 @@ def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
             "wins": sum(sign * (a - b) > 0 for b, a in both),
             "ties": sum(a == b for b, a in both),
             "pairs": len(both),
+            "by_order": by_order,
             "bound": bound,
             "worse_beyond_bound": limit is not None and -sign * gap > limit,
             "unresolved": limit is not None and q3 - q1 > limit and not beats_all,
@@ -132,7 +149,7 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
     metrics = end_to_end_metrics(ROOT / "BENCHMARK.json")
     before, after = detail_files(parent), detail_files(change)
     record = {"pr": pr, "provenance": {}, "src_line_delta": None, "claim": None,
-              "regressions": [], "count_changes": [], "workloads": {}}
+              "regressions": [], "one_order": [], "count_changes": [], "workloads": {}}
     commits: dict[str, set] = {}
     for key in sorted(before.keys() & after.keys()):
         workload, seed = key
@@ -164,6 +181,8 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
         record["src_line_delta"] = lines["change"] - lines["parent"]
     for workload, block in record["workloads"].items():
         pairs = block["pairs"]
+        if len({p["first"] for p in pairs}) == 1:
+            record["one_order"].append(workload)
         block["summary"] = summarise([p for p in pairs if not p["held_out"]], metrics)
         if any(p["held_out"] for p in pairs):
             block["held_out_summary"] = summarise([p for p in pairs if p["held_out"]], metrics)
@@ -182,7 +201,7 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
         record["claim"] = {
             "workload": workload, "metric": name,
             "holds": (s["pairs"] >= MIN_CLAIM_PAIRS and s["wins"] * 10 >= 9 * s["pairs"]
-                      and gain > s["parent_iqr"]),
+                      and gain > s["parent_iqr"] and len(s["by_order"]) == 2),
         }
         if "held_out_summary" in record["workloads"][workload]:
             h = record["workloads"][workload]["held_out_summary"][name]
