@@ -36,7 +36,6 @@ from .core import (
     compat_hash,
     mixer_hash,
     pack_edge,
-    unpack_edge,
 )
 from .counters import Channel, OpCounters
 from .edgehash import EdgeHash
@@ -84,5 +83,4 @@ __all__ = [
     "parse_queries",
     "run_workload",
     "scaling_sweep",
-    "unpack_edge",
 ]

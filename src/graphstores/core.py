@@ -61,11 +61,6 @@ def pack_edge(x: int, y: int) -> int:
     return (x << 32) | y
 
 
-def unpack_edge(code: int) -> tuple[int, int]:
-    """Inverse of :func:`pack_edge`: (high half, low half)."""
-    return code >> 32, code & U32_MASK
-
-
 def compat_hash(x: int, y: int, size: int) -> int:
     """Legacy multiply-offset slot hash, reproduced bit-for-bit.
 

@@ -22,31 +22,31 @@ standalone functions. This is also the probe core of
 thread a new slot onto its source's chain whenever ``_heads`` is set, and
 it is None on an EdgeHash. HashList extends ``_allocate`` and
 ``_rebuild``: it walks its live chains, as its ``neighbors_many`` does,
-into the order ``_reseat`` seats its codes in. The seat is one pass: one
+into the order ``_reseat`` seats its codes in. The seat is one loop: one
 array key call for every home, then each code is seated, and on a
 HashList its slot recorded. HashList then threads its chains in numpy,
-as after a segment of its bulk add, from the recorded slots and their
+as after a pass of its bulk add, from the recorded slots and their
 sources, which the walk's chain lengths give already grouped.
 
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a
 numpy range check, the packed codes, and the hash mode's 64-bit key
 (:data:`~graphstores.core.HASH_KEYS`) without its capacity mask. The
-add batch then runs in growth segments, each ending at the seat that
-reaches the growth limit, so a rebuild falls only between two of them,
-and a rebuild changes only the mask, because in both modes the key does
-not depend on capacity. Within a segment a Python loop walks the pairs
-in order and only probes and seats: the order in which codes are seated
-fixes the layout. Its homes are the keys masked in numpy and made
-Python ints by ``tolist``, a chunk at a time, so the loop does no 64-bit
-``&`` per pair. It tests a slot for empty by identity, ``held is NONE``:
-every empty slot holds the one NONE object that ``[NONE] * cap`` put
-there, every other slot a code, and codes are never negative, so no
-code is that object. The read loop of ``contains_many`` and the rebuild
-probe the same way. After the segment, numpy derives the rest from the
-slots the loop reached: the answers, the probe counts, the edge count
-and, on a HashList, the chains. So answers, slot layout, chain order,
-rebuilds and counters all come out as the scalar calls give them.
+add batch then runs in passes. Each pass masks the keys of its pairs in
+numpy and makes them Python ints by ``tolist``, so the seat loop does no
+64-bit ``&`` per pair, and ends at the seat that reaches the growth
+limit, if it comes, so a rebuild falls only between two passes. A
+rebuild changes only the mask, because in both modes the key does not
+depend on capacity. The loop walks the pairs in order and only probes
+and seats: the order in which codes are seated fixes the layout. It
+tests a slot for empty by identity, ``held is NONE``: every empty slot
+holds the one NONE object that ``[NONE] * cap`` put there, every other
+slot a code, and codes are never negative, so no code is that object.
+The read loop of ``contains_many`` and the rebuild probe the same way.
+After each pass, numpy derives the rest from the slots the loop reached:
+the answers, the probe counts, the edge count and, on a HashList, the
+chains. So answers, slot layout, chain order, rebuilds and counters all
+come out as the scalar calls give them.
 
 ``contains_many`` has a second read path. When the batch holds at least
 capacity / 8 pairs and the store at most 2**31 vertices, it copies
@@ -56,7 +56,7 @@ nothing, so each query takes the same probes in rounds as alone; the
 copy costs in proportion to the capacity, which a smaller batch does
 not repay. Adds stay in the loop: a round that seated codes together
 would change the layout. Counters are recorded once per batch on either
-read path, and once per segment of an add batch. Numpy takes a batch
+read path, and once per pass of an add batch. Numpy takes a batch
 only whole and in range: one with an id numpy cannot hold exactly (a
 float, an id beyond 64 bits) or an id outside [0, n) goes through the
 scalar calls instead, which apply and count the pairs before the first
@@ -136,9 +136,9 @@ def _probe_rounds(table, codes, slots, mask: int) -> tuple:
     return found, total, rounds
 
 
-#: Fewest homes ``add_edges`` masks at a time, so that a batch of duplicates
-#: into a table one seat short of its limit is not one numpy call per pair.
-_MIN_CHUNK = 256
+#: Fewest pairs in a pass of ``add_edges``, so that a batch of duplicates into
+#: a table one seat short of its limit is not one pass per pair.
+_MIN_CHUNK = 4096
 
 
 class EdgeHash(EdgeStore):
@@ -248,53 +248,46 @@ class EdgeHash(EdgeStore):
         """``add_edge`` per pair; the answers and counters are those of the scalar calls.
 
         A batch that ``_bulk_codes`` refuses, any bad id included, runs the
-        scalar calls. Any other batch runs in growth segments. A segment
-        has room for ``growth_limit - count`` seats and ends at the seat
-        that fills it, so no rebuild falls inside one. (Ending it after
-        that many pairs instead would give a batch of duplicates, into a
-        store one seat short of the limit, one segment per pair.) The
-        Python loop only probes and seats, and records for each pair the
-        slot it reached: the slot itself where it seated, its complement
-        where it found the code. ``_book`` derives the rest of the segment
-        in numpy before the next rebuild. The loop's homes are masked in
-        numpy a chunk at a time, each chunk as long as the seats the
-        segment has left (at least ``_MIN_CHUNK``). So only the seat that
-        fills a chunk can fill its segment, and a rebuild masks again at
-        most the rest of one chunk, not the rest of the batch.
+        scalar calls. Any other batch runs in passes. A pass rebuilds first
+        if the table is at its growth limit, masks the homes of the next
+        ``max(room, _MIN_CHUNK)`` pairs in numpy, where ``room`` is the
+        seats left below the limit, and seats them in order until the table
+        reaches the limit or the pass runs out of pairs. So no rebuild falls
+        inside a pass, and a rebuild masks again at most the rest of one
+        pass, not the rest of the batch. The Python loop only probes and
+        seats, and records for each pair the slot it reached: the slot
+        itself where it seated, its complement where it found the code.
+        ``_book`` derives the rest of the pass in numpy.
         """
         front = _bulk_codes(xs, ys, self._n, self._key)
         if front is None:
             return super().add_edges(xs, ys)
         codes, keys = front
         code_iter = iter(codes.tolist())
-        total = len(codes)
         out = []
         start = 0
-        while start < total:
+        while start < len(codes):
             if self._count >= self._growth_limit:
                 self._rebuild(self._cap * 2)
             data, mask = self._data, self._mask
             room = self._growth_limit - self._count
+            homes = (keys[start : start + max(room, _MIN_CHUNK)] & np.uint64(mask)).tolist()
             reached = []
             append = reached.append
             try:
-                at = start
-                while room and at < total:
-                    homes = (keys[at : at + max(room, _MIN_CHUNK)] & np.uint64(mask)).tolist()
-                    at += len(homes)
-                    for slot, code in zip(homes, code_iter):
+                for slot, code in zip(homes, code_iter):
+                    held = data[slot]
+                    while held is not NONE and held != code:
+                        slot = (slot + 1) & mask
                         held = data[slot]
-                        while held is not NONE and held != code:
-                            slot = (slot + 1) & mask
-                            held = data[slot]
-                        if held is NONE:
-                            data[slot] = code
-                            append(slot)
-                            room -= 1
-                            if not room:
-                                break
-                        else:
-                            append(~slot)
+                    if held is NONE:
+                        data[slot] = code
+                        append(slot)
+                        room -= 1
+                        if not room:
+                            break
+                    else:
+                        append(~slot)
             finally:
                 stop = start + len(reached)
                 out += self._book(codes[start:stop], keys[start:stop], reached)
@@ -302,7 +295,7 @@ class EdgeHash(EdgeStore):
         return out
 
     def _book(self, codes, keys, reached: list) -> list[bool]:
-        """Everything a segment of the add loop leaves out; returns its answers.
+        """Everything a pass of the add loop leaves out; returns its answers.
 
         ``reached`` holds one entry per pair of ``codes`` (with their
         ``keys``): the slot it seated at, or the complement of the slot
@@ -324,7 +317,7 @@ class EdgeHash(EdgeStore):
         return seated.tolist()
 
     def _link(self, codes, new_slots) -> None:
-        """A segment's chains; an edge hash keeps none."""
+        """A pass's chains; an edge hash keeps none."""
 
     def contains_many(self, xs, ys) -> list[bool]:
         """``contains`` per pair; both read paths give the same answers and counters.

@@ -15,7 +15,7 @@ order and weights, and the weight lookups.
 are live, and a scalar walk finishes those. ``_thread`` groups new slots
 by source in arrival order, by one sort unless the sources come grouped,
 and puts each group at the front of its chain, as ``add_edge`` would one
-slot at a time. The edge hash's bulk add threads each growth segment with
+slot at a time. The edge hash's bulk add threads each pass with
 it (``_link``), and ``neighbors_many`` walks with ``_walk``. So does a
 rebuild: it walks the chains of the vertices that have edges from the
 last one, and reversed, that walk is the seat order: vertex by vertex,
@@ -122,7 +122,7 @@ class HashList(EdgeHash):
         self._weights: list | None = [None] * cap if self.config.weighted else None
 
     def _link(self, codes, new_slots) -> None:
-        """Thread a segment's new slots onto the store's chains."""
+        """Thread a pass's new slots onto the store's chains."""
         src = (codes >> np.uint64(32)).view(np.int64)
         _thread(_cells(self._heads), _cells(self._next), src, new_slots)
 

@@ -198,7 +198,8 @@ def test_medians_by_order(sides):
 
 def test_one_order_is_flagged_and_holds_no_claim(sides):
     """A workload whose pairs all ran parent first is listed in ``one_order``, and ten
-    clear wins there hold no claim; once one pair runs the change first, it does."""
+    clear wins there hold no claim. Once one pair runs the change first the workload
+    has both orders, but a 9+1 split still holds none; a 6+4 split does."""
     parent, change = sides
     for seed in range(1, 11):
         write_detail(parent, "solo", seed, 1.0 + seed / 100, 1000 + 2 * seed)
@@ -212,4 +213,11 @@ def test_one_order_is_flagged_and_holds_no_claim(sides):
     write_detail(parent, "solo", 5, 1.05, 3001)  # now after the change's run of seed 5
     record = bench_record.build(26, parent, change, ("solo", "query_s"), set())
     assert record["one_order"] == []
+    assert record["workloads"]["solo"]["summary"]["query_s"]["by_order"]["change_first"]["pairs"] == 1
+    assert record["claim"]["holds"] is False
+    for seed in (6, 7, 8):
+        write_detail(parent, "solo", seed, 1.0 + seed / 100, 3000 + seed)
+    record = bench_record.build(26, parent, change, ("solo", "query_s"), set())
+    by_order = record["workloads"]["solo"]["summary"]["query_s"]["by_order"]
+    assert (by_order["parent_first"]["pairs"], by_order["change_first"]["pairs"]) == (6, 4)
     assert record["claim"]["holds"] is True

@@ -284,7 +284,7 @@ def test_mid_batch_rebuilds_in_one_call():
         assert state(bulk) == state(scalar)
 
 
-# --- growth segments: the add loop seats in segments that end at the growth limit ---
+# --- passes: the add loop seats in passes that end at the growth limit ---
 
 NAN = float("nan")
 # 16 slots at expected_edges=1: growth_limit(16) = 11 seats fit before a rebuild.
@@ -366,7 +366,7 @@ def test_duplicate_of_a_code_from_an_earlier_segment(cls, weighted, hash_mode):
 @pytest.mark.parametrize("hash_mode", MODES)
 @pytest.mark.parametrize("cls,weighted", STORES)
 def test_batch_into_a_non_empty_store(cls, weighted, hash_mode):
-    """Seven edges are in before the batch, so its first segment has room for four
+    """Seven edges are in before the batch, so its first pass has room for four
     seats; the batch also repeats two of the seven and adds to their sources' chains."""
     codes = distinct_pairs(60, 25, 4)
     before = [(c // 25, c % 25) for c in codes[:7]]
@@ -392,15 +392,31 @@ def test_weights_with_none_gaps(cls, weighted, hash_mode):
         assert got[x, y] != got[x, y]  # nan, given last, after 6.0
 
 
-@pytest.mark.parametrize("floor", [1, 3, 256])
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_duplicates_into_a_store_one_seat_short_of_its_limit(cls, weighted, hash_mode):
+    """Every pass of a duplicate-only batch has room for one seat and seats nothing, so
+    the batch runs in passes of ``_MIN_CHUNK`` pairs. The second batch's one new code
+    fills the table mid-pass, and the duplicate after it rebuilds first."""
+    codes = distinct_pairs(LIMIT16 - 1, 20, 7)
+    before = [divmod(c, 20) for c in codes]
+    dups = codes * ((2 * edgehash._MIN_CHUNK) // len(codes) + 1)
+    new = distinct_pairs(LIMIT16, 20, 7)[-1:]
+    weights = [(None, 1.5, NAN)[k % 3] for k in range(len(dups))]
+    bulk = assert_same_segments(cls, weighted, hash_mode, 20, before,
+                                [triples(dups, 20, weights), triples(dups[:7] + new + dups[:5], 20)])
+    assert (bulk.rebuilds, bulk.edge_count) == (1, LIMIT16)
+
+
+@pytest.mark.parametrize("floor", [1, 3, 256, edgehash._MIN_CHUNK])
 @pytest.mark.parametrize("hash_mode", MODES)
 @pytest.mark.parametrize("cls,weighted", STORES)
 def test_homes_masked_a_chunk_at_a_time(cls, weighted, hash_mode, floor):
-    """Duplicates make a segment take more pairs than it has seats, so its homes are
-    masked in several chunks. With a floor of 1 each chunk is as long as the seats
-    left; with a floor above them, the seat that fills the segment can fall inside a
-    chunk and the rest of that chunk is masked again after the rebuild. The last ten
-    pairs are in the store before the batch."""
+    """Duplicates make the table reach its limit only after more pairs than it has
+    seats, so the batch runs in several passes between two rebuilds. With a floor of 1
+    each pass is as long as the seats left; with a floor above them, the seat that
+    reaches the limit can fall inside a pass, and the rest of that pass is masked again
+    after the rebuild. The last ten pairs are in the store before the batch."""
     codes = distinct_pairs(200, 30, 6)
     before = [divmod(c, 30) for c in codes[190:]]
     seq = codes[:50] + codes[:20] + codes[50:120] + codes[10:60] + codes[120:] + codes[::7]

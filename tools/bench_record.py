@@ -15,8 +15,8 @@ the two medians, the parent's interquartile range and the change's wins.
 Held-out seeds are summarised apart from the others. The claim rule is
 the one the benchmark applies: at least nine wins in ten pairs, over at
 least ten pairs that are not held out, and a gap between the medians wider
-than the parent's interquartile range; those pairs must also include
-both run orders. A side's provenance is that of its first detail file;
+than the parent's interquartile range; each run order must also hold at
+least four of those pairs. A side's provenance is that of its first detail file;
 when its files name more than one ``git_commit``, it also lists them all
 under ``mixed_commits``, since its runs then measured more than one tree.
 Each side's provenance also holds ``src_lines``, the lines of its
@@ -57,6 +57,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Fewest pairs, held-out seeds not counted, on which a claim can hold.
 MIN_CLAIM_PAIRS = 10
+#: Fewest of those pairs that each side must have run first in.
+MIN_ORDER_PAIRS = 4
 
 
 def end_to_end_metrics(benchmark: Path) -> dict[str, dict]:
@@ -201,7 +203,8 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
         record["claim"] = {
             "workload": workload, "metric": name,
             "holds": (s["pairs"] >= MIN_CLAIM_PAIRS and s["wins"] * 10 >= 9 * s["pairs"]
-                      and gain > s["parent_iqr"] and len(s["by_order"]) == 2),
+                      and gain > s["parent_iqr"] and len(s["by_order"]) == 2
+                      and min(o["pairs"] for o in s["by_order"].values()) >= MIN_ORDER_PAIRS),
         }
         if "held_out_summary" in record["workloads"][workload]:
             h = record["workloads"][workload]["held_out_summary"][name]
