@@ -17,7 +17,9 @@ check, packing, the mixer finalizer, the probe, the counter fields and,
 on add, the seat all run in one frame, because in CPython a nested
 call costs more than the work of most of these steps. ``pack_edge``,
 ``mixer_hash`` and ``Channel.record`` spell out the same steps as
-standalone functions. This is also the probe core of
+standalone functions; the bodies' first mixer step takes ``x >> 1`` for
+``code >> 33`` and drops the 64-bit mask, both exact for ids below 2**32.
+This is also the probe core of
 :class:`~graphstores.hashlist.HashList`, which inherits both bodies: they
 thread a new slot onto its source's chain whenever ``_heads`` is set, and
 it is None on an EdgeHash. HashList extends ``_allocate`` and
@@ -189,8 +191,7 @@ class EdgeHash(EdgeStore):
         code = (x << 32) | y
         mask = self._mask
         if self._mixer:
-            z = code & U64_MASK
-            z = ((z ^ (z >> 33)) * _MIX_MULT_1) & U64_MASK
+            z = ((code ^ (x >> 1)) * _MIX_MULT_1) & U64_MASK  # code >> 33 is x >> 1
             z = ((z ^ (z >> 33)) * _MIX_MULT_2) & U64_MASK
             slot = (z ^ (z >> 33)) & mask
         else:
@@ -224,8 +225,7 @@ class EdgeHash(EdgeStore):
         code = (x << 32) | y
         mask = self._mask
         if self._mixer:
-            z = code & U64_MASK
-            z = ((z ^ (z >> 33)) * _MIX_MULT_1) & U64_MASK
+            z = ((code ^ (x >> 1)) * _MIX_MULT_1) & U64_MASK  # code >> 33 is x >> 1
             z = ((z ^ (z >> 33)) * _MIX_MULT_2) & U64_MASK
             slot = (z ^ (z >> 33)) & mask
         else:

@@ -5,8 +5,10 @@ packing by arithmetic instead of shifts, two's-complement wrapping through
 struct instead of conditional subtraction, truncated remainder spelled out
 from quotient arithmetic, power-of-two rounding by doubling, a parse
 kernel that works byte by byte where the library's works token by token,
-and a HashList rebuild that groups its new chains by sorting the seated
-codes where the library's reads their sources off the chain walk.
+a HashList rebuild that groups its new chains by sorting the seated
+codes where the library's reads their sources off the chain walk, and a
+MultiList add that scans a list for a duplicate with ``in`` and then
+``index``, where the library's scans a long list once past a sentinel.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from time import perf_counter_ns
 
 import numpy as np
 
-from graphstores.core import NONE, U32_MASK
+from graphstores.core import NONE, U32_MASK, CapacityError
 from graphstores.formats import GraphFile, QueryFile
 from graphstores.hashlist import _cells, _chain_cells, _gather
 
@@ -409,3 +412,34 @@ def _rebuild(self, new_cap: int) -> None:
     self._install(new_cap, data)
     self._heads, self._next, self._weights = heads, nxt, weights
     self.rebuilds += 1
+
+
+# MultiList's add as it was before long lists were scanned once past a
+# sentinel: ``in`` decides the answer and ``index`` counts a duplicate's
+# position. It is a MultiList method; an add must leave the same lists,
+# edge count and add-channel counters as this one, and raise where it raises.
+def multilist_add_edge(self, x: int, y: int) -> bool:
+    n = self._n
+    if x < 0 or x >= n or y < 0 or y >= n:
+        raise self._pair_error(x, y)
+    y = index(y)
+    lists = self._lists
+    targets = lists[x]
+    new = y not in targets
+    if new:
+        if self._count >= self._m:
+            raise CapacityError(f"all {self._m} cells are in use")
+        self._count += 1
+        steps = len(targets) + 1
+        if targets:
+            targets.insert(0, y)
+        else:
+            lists[x] = [y]
+    else:
+        steps = targets.index(y) + 1
+    channel = self.counters.add
+    channel.ops += 1
+    channel.total += steps
+    if steps > channel.peak:
+        channel.peak = steps
+    return new

@@ -46,6 +46,38 @@ def test_criterion_8_csv_counter_columns(tmp_path):
     assert stable == CRITERION_8_CSV
 
 
+# A star stream: one hub list of about 1,000 targets, most of its adds
+# duplicates, so MultiList's add and contains counts pin scans far deeper than
+# criterion 8's lists (at most 53 targets) reach.
+STAR_CSV = """\
+structure,operation,count_ops,mean_counter,max_counter,slots_allocated
+hashlist,add,4896,1.035948,3,16384
+hashlist,contains,2866,1.037334,3,16384
+hashlist,enumerate,430,2.293023,986,16384
+multilist,add,4896,463.065155,1015,4897
+multilist,contains,2866,575.736218,1015,4897
+multilist,enumerate,430,2.293023,986,4897
+edgehash,add,4896,1.035948,3,16384
+edgehash,contains,2866,1.037334,3,16384
+edgehash,enumerate,0,0.000000,0,16384
+oracle,add,4896,1.000000,1,1048576
+oracle,contains,2866,1.000000,1,1048576
+oracle,enumerate,430,2.293023,986,1048576
+"""
+
+
+def test_star_csv_counter_columns(tmp_path):
+    out = tmp_path / "bench.csv"
+    code = cli_main(
+        ["bench", "--gen", "star", "--n", "1024", "--m", "8192", "--seed", "97",
+         "--structures", "hashlist,multilist,edgehash,oracle", "--out", str(out)]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")]
+    stable = "".join(",".join(r[:5] + r[6:]) + "\n" for r in rows)  # drop wall_ns
+    assert stable == STAR_CSV
+
+
 N = 40
 SHOWN = range(8)
 

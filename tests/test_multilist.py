@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from graphstores import CapacityError, ConfigError, MultiList, OracleGraph, VertexRangeError
 from graphstores.counters import OP_CLASSES
+from graphstores.multilist import _ONE_SCAN_FROM
 
-from _reference import EdgeSetOracle
+from _reference import EdgeSetOracle, multilist_add_edge
 
 
 class TestConstruction:
@@ -264,3 +265,69 @@ class TestInstrumentation:
                     count, total, peak = count + 1, total + cost, max(peak, cost)
                 assert astuple(g.counters.channel(c)) == (count, total, peak), (op, x, y)
         assert g.counters.add.peak >= hub_degree
+
+
+class Reference(MultiList):
+    """MultiList with the add kept in ``_reference``: ``in``, then ``index`` for a duplicate."""
+
+    add_edge = multilist_add_edge
+
+
+def add_both(lib: MultiList, ref: MultiList, x: int, y: int):
+    """One add on each store; both must answer, count and store alike, and a refused
+    add must leave x's list as it was. Returns the answer, or "refused"."""
+    outcomes = []
+    for store in (lib, ref):
+        before = list(store._lists[x])
+        try:
+            outcomes.append(store.add_edge(x, y))
+        except CapacityError:
+            outcomes.append("refused")
+            assert list(store._lists[x]) == before, "a refused add changed the list"
+    assert outcomes[0] == outcomes[1], (x, y)
+    assert lib._lists == ref._lists, (x, y)
+    assert astuple(lib.counters.add) == astuple(ref.counters.add), (x, y)
+    assert lib.edge_count == ref.edge_count
+    return outcomes[0]
+
+
+class TestAddAgainstReference:
+    """Lists at least ``_ONE_SCAN_FROM`` long check a duplicate in one scan past a
+    sentinel; every add must still match the two-scan add kept in ``_reference``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_hub_heavy_streams(self, data):
+        """Vertex 0 takes most adds, so its list crosses the cutoff; half the adds
+        repeat a target at a drawn depth. The stream ends by offering vertex 0 every
+        target, so the small capacity refuses adds there."""
+        n = 4 * _ONE_SCAN_FROM
+        capacity = data.draw(st.integers(_ONE_SCAN_FROM - 1, 3 * _ONE_SCAN_FROM), label="capacity")
+        lib, ref = MultiList(n, capacity), Reference(n, capacity)
+        steps = data.draw(st.lists(
+            st.tuples(st.sampled_from([0, 0, 0, 0, 1, 2]), st.integers(0, n - 1), st.booleans()),
+            max_size=400), label="steps")
+        for x, y, repeat in steps:
+            targets = ref._lists[x]
+            if repeat and targets:
+                y = targets[y % len(targets)]  # a duplicate at any depth
+            add_both(lib, ref, x, y)
+        answers = [add_both(lib, ref, 0, y) for y in range(n)]
+        assert "refused" in answers and lib.edge_count == capacity
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_lists_at_the_cutoff(self, offset):
+        """A list one shorter than the cutoff, at it and one longer: a duplicate at
+        every depth, a new target, every depth again one longer, then a refused add."""
+        k = _ONE_SCAN_FROM + offset
+        lib, ref = MultiList(k + 2, k + 1), Reference(k + 2, k + 1)
+        for y in range(k):
+            assert add_both(lib, ref, 0, y) is True
+        for y in list(lib._lists[0]):
+            assert add_both(lib, ref, 0, y) is False
+        assert add_both(lib, ref, 0, k) is True
+        for y in list(lib._lists[0]):
+            assert add_both(lib, ref, 0, y) is False
+        assert add_both(lib, ref, 0, k + 1) == "refused"
+        assert len(lib._lists[0]) == lib.edge_count == k + 1
+        assert lib.counters.add.peak == k + 1
