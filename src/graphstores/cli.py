@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    GENERATORS,
     STRUCTURE_NAMES,
     BenchReport,
     DifferentialMismatch,
@@ -75,14 +76,14 @@ def _build_parser() -> _Parser:
     query.set_defaults(func=cmd_query)
 
     bench = sub.add_parser("bench", help="run an instrumented workload and emit a CSV report")
-    bench.add_argument("--gen", choices=("uniform", "star", "grid"), default="uniform")
+    bench.add_argument("--gen", choices=GENERATORS, default="uniform")
     bench.add_argument("--n", type=int, required=True, help="vertex count")
     bench.add_argument("--m", type=int, required=True, help="total operation count")
     bench.add_argument(
-        "--mix", default="0.6,0.2,0.15,0.05",
+        "--mix", default=",".join(map(str, WorkloadSpec.mix)),
         help="add,contains-hit,contains-miss,enumerate fractions",
     )
-    bench.add_argument("--seed", type=int, default=1)
+    bench.add_argument("--seed", type=int, default=WorkloadSpec.seed)
     bench.add_argument("--structures", default="hashlist,multilist,edgehash")
     bench.add_argument("--hash-mode", choices=HASH_MODES, default="mixer")
     bench.add_argument("--sweep", help="comma-separated size multipliers, e.g. 1,2,4")
@@ -127,17 +128,16 @@ def _load_query_store(store, graph: GraphFile, undirected: bool) -> None:
 def _answer_queries(store, queries: QueryFile) -> list[str]:
     """Result lines in query order: one ``contains_many`` for the C queries, then the N lines.
 
-    The store no longer changes, so on a hash store ``contains_many``
-    probes a batch of at least capacity / 8 C queries in numpy rounds over
-    one copy of the slots, and a smaller one in a Python loop; both give
-    the answers and counters of asking one at a time. The distinct N
-    vertices, in the order of their first N query, are enumerated with one
-    ``neighbors_many`` call (on a HashList, all chains at once in numpy
-    rounds). ``formats.join_runs`` writes the digits of every target of
-    the flat result into one buffer in numpy, decodes it once, and gives
-    each vertex's line as one slice of it; every later query of a vertex
-    reuses that line, one shared str. The first bad N vertex still raises
-    first.
+    The store no longer changes, so a hash store may probe the C queries
+    in numpy rounds (``EdgeHash.contains_many`` says when); either read
+    path gives the answers and counters of asking one at a time. The
+    distinct N vertices, in the order of their first N query, are
+    enumerated with one ``neighbors_many`` call (on a HashList, all chains
+    at once in numpy rounds). ``formats.join_runs`` writes the digits of
+    every target of the flat result into one buffer in numpy, decodes it
+    once, and gives each vertex's line as one slice of it; every later
+    query of a vertex reuses that line, one shared str. The first bad N
+    vertex still raises first.
     """
     hits = iter(store.contains_many(queries.cxs, queries.cys))
     # EdgeHash.neighbors_many raises UnsupportedOperationError on any vertex
@@ -166,8 +166,8 @@ def cmd_query(args) -> int:
     parser but not stored, since no answer reads them. The store is sized
     from the edge lines parsed, not from the header's ``m``; a header ``n``
     the oracle refuses is a configuration error. The adds run in file
-    order, since the order fixes a hash store's layout; the C queries may
-    be probed all at once in numpy rounds, since reads move nothing. Each
+    order, since the order fixes a hash store's layout; the C queries go
+    to ``contains_many`` in one batch, since reads move nothing. Each
     distinct N vertex is enumerated once, however often it is asked, and
     the lines of all of them come from one numpy pass over the digits of
     their targets, one slice of the decoded text per vertex. The result

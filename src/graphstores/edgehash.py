@@ -405,6 +405,4 @@ class EdgeHash(EdgeStore):
     def load_factor(self) -> float:
         return self._count / self._cap
 
-    @property
-    def slots_allocated(self) -> int:
-        return self._cap
+    slots_allocated = capacity

@@ -38,7 +38,7 @@ object array of Python ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -63,27 +63,8 @@ def _id_column(ids: list[int]) -> np.ndarray:
         return np.array(ids, object)
 
 
-def _same_column(a, b) -> bool:
-    """Array columns are equal in dtype, shape and values; any others by ``==``."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype
-                and a.shape == b.shape and bool((a == b).all()))
-    return a == b
-
-
-class _Columns:
-    """``==`` for the parsed files: a bool, true when every field is the same column."""
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(_same_column(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-    __hash__ = None  # the columns are mutable
-
-
 @dataclass(frozen=True, eq=False)
-class GraphFile(_Columns):
+class GraphFile:
     """A parsed edge list as columns, one entry per edge line in file order.
 
     ``xs`` and ``ys`` are 1-D ``uint64`` arrays (object arrays of Python
@@ -96,7 +77,11 @@ class GraphFile(_Columns):
     xs: np.ndarray
     ys: np.ndarray
     ws: list[float | None]
-    has_weights: bool
+
+    @property
+    def has_weights(self) -> bool:
+        """True when some edge line holds a weight."""
+        return any(w is not None for w in self.ws)
 
     @property
     def edges(self) -> list[tuple[int, int, float | None]]:
@@ -105,7 +90,7 @@ class GraphFile(_Columns):
 
 
 @dataclass(frozen=True, eq=False)
-class QueryFile(_Columns):
+class QueryFile:
     """Parsed queries as columns: ``is_c``, a list of bools, per query in file
     order; the C queries' ids in ``cxs``/``cys``, typed as ``GraphFile.xs``;
     and the N queries' vertices in ``nvs``, a list of Python ints."""
@@ -227,7 +212,7 @@ def _bulk_edge_list(text: str) -> GraphFile | None:
         column = np.full(len(first), None, dtype=object)
         column[weighted] = weights
         ws = column.tolist()
-    return GraphFile(n=n, m=m, xs=xs, ys=ys, ws=ws, has_weights=bool(len(w)))
+    return GraphFile(n=n, m=m, xs=xs, ys=ys, ws=ws)
 
 
 def _bulk_queries(text: str) -> QueryFile | None:
@@ -303,8 +288,7 @@ def _edge_list_lines(text: str) -> GraphFile:
         xs.append(x)
         ys.append(y)
         ws.append(weight)
-    return GraphFile(n=n, m=m, xs=_id_column(xs), ys=_id_column(ys), ws=ws,
-                     has_weights=any(w is not None for w in ws))
+    return GraphFile(n=n, m=m, xs=_id_column(xs), ys=_id_column(ys), ws=ws)
 
 
 def _queries_lines(text: str) -> QueryFile:

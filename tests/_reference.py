@@ -351,7 +351,7 @@ def _bulk_edge_list(text: str) -> GraphFile | None:
         column = np.full(len(first), None, dtype=object)
         column[weighted] = weights
         ws = column.tolist()
-    return GraphFile(n=n, m=m, xs=xs.tolist(), ys=ys.tolist(), ws=ws, has_weights=bool(len(w)))
+    return GraphFile(n=n, m=m, xs=xs.tolist(), ys=ys.tolist(), ws=ws)
 
 
 def _bulk_queries(text: str) -> QueryFile | None:

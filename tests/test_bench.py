@@ -384,6 +384,8 @@ class TestRunWorkload:
     def test_unknown_structure_rejected(self):
         with pytest.raises(ConfigError):
             run_workload(WorkloadSpec("uniform", n=10, m=10), ("btree",))
+        with pytest.raises(ConfigError, match="^duplicate structure selection$"):
+            run_workload(WorkloadSpec("uniform", n=10, m=10), ("hashlist", "edgehash", "hashlist"))
 
     def test_oracle_size_cap(self):
         with pytest.raises(ConfigError):
@@ -391,7 +393,10 @@ class TestRunWorkload:
 
     def test_csv_schema(self):
         spec = WorkloadSpec("uniform", n=30, m=500, seed=2)
-        csv = run_workload(spec, ("hashlist",)).to_csv()
+        report = run_workload(spec, ("hashlist",))
+        with pytest.raises(KeyError):
+            report.find("multilist", "add")
+        csv = report.to_csv()
         lines = csv.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 3
@@ -560,3 +565,6 @@ class TestMismatchShrinking:
         with pytest.raises(DifferentialMismatch) as excinfo:
             run_workload(spec, ("hashlist", "oracle"))
         assert "minimized stream" in str(excinfo.value)
+        ops = [("add", i, 0) for i in range(23)]
+        long = str(DifferentialMismatch(ops, 22, ops[22], [("hashlist", True), ("oracle", False)]))
+        assert long.endswith(", ('add', 19, 0), ... (3 more)]") and "('add', 20, 0)" not in long

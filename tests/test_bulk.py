@@ -599,19 +599,22 @@ def test_no_overflow_error(cls):
 
 @pytest.mark.parametrize("cls", [EdgeHash, HashList])
 def test_float_ids_behave_like_the_scalar_loop(cls):
+    """Also a ragged batch, which numpy cannot make an array of: its first pair is
+    applied and counted, then the second raises ``TypeError``, as in the scalar loop."""
     cfg = StoreConfig(vertex_count=10, expected_edges=4)
-    bulk, scalar = cls(cfg), cls(cfg)
-    xs, ys = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-    _, want = run_scalar(scalar_adds, scalar, xs, ys)
-    assert want is not None
-    with pytest.raises(want[0]) as info:
-        bulk.add_edges(xs, ys)
-    assert str(info.value) == want[1]
-    _, want = run_scalar(lambda: [scalar.contains(x, y) for x, y in zip(xs, ys)])
-    with pytest.raises(want[0]) as info:
-        bulk.contains_many(xs, ys)
-    assert str(info.value) == want[1]
-    assert state(bulk) == state(scalar)
+    for xs, ys in ((np.array([1.0, 2.0]), np.array([3.0, 4.0])), ([0, [1]], [1, 2])):
+        bulk, scalar = cls(cfg), cls(cfg)
+        _, want = run_scalar(scalar_adds, scalar, xs, ys)
+        assert want is not None
+        with pytest.raises(want[0]) as info:
+            bulk.add_edges(xs, ys)
+        assert str(info.value) == want[1]
+        _, want = run_scalar(lambda: [scalar.contains(x, y) for x, y in zip(xs, ys)])
+        with pytest.raises(want[0]) as info:
+            bulk.contains_many(xs, ys)
+        assert str(info.value) == want[1]
+        assert state(bulk) == state(scalar)
+    assert want[0] is TypeError and bulk.contains(0, 1) and bulk.counters.add.ops == 1
 
 
 def test_empty_and_mismatched_batches():

@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphstores import HashList, MultiList, StoreConfig, cli, parse_edge_list, scaling_sweep
+from graphstores import (
+    DifferentialMismatch,
+    HashList,
+    MultiList,
+    StoreConfig,
+    cli,
+    parse_edge_list,
+    scaling_sweep,
+)
 from graphstores.cli import _answer_queries, _build_query_store, _load_query_store, main
 from graphstores import formats
 from graphstores.formats import parse_query_file
@@ -273,6 +281,7 @@ class TestQuerySizing:
         _load_query_store(store, graph, undirected)
         if structure in ("hashlist", "edgehash"):
             assert store.capacity <= 16
+            assert store.rebuilds == 0  # the load fits the store it was sized for, in one pass
         assert store.contains(0, 1) and store.contains(1, 0) == undirected
 
     def test_huge_header_m_through_the_cli(self, guarded, tmp_path, capsys):
@@ -338,6 +347,7 @@ class TestQueryWeights:
         _load_query_store(store, graph, undirected)
         assert not store.config.weighted
         assert store.counters.add.ops == len(graph.edges) * (2 if undirected else 1)
+        assert store.rebuilds == 0
 
     @pytest.mark.parametrize("bad, line", [("0 1 1.2.3", 4), ("0 1 abc", 3)])
     def test_malformed_weight_exit_2(self, tmp_path, capsys, bad, line):
@@ -451,6 +461,23 @@ class TestBench:
     def test_bad_mix_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--n", "10", "--m", "10", "--mix", "1,2")
         assert code == 1
+        code, _, err = run_cli(capsys, "bench", "--n", "10", "--m", "10", "--mix", "a,b,c,d")
+        assert code == 1 and err.startswith("usage error: --mix must be comma-separated numbers")
+
+    def test_bad_sweep_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--n", "10", "--m", "10", "--sweep", "1,x")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: --sweep must be comma-separated integers")
+
+    def test_differential_failure_exit_4(self, capsys, monkeypatch):
+        def mismatch(*args):
+            op = ("has", 0, 1)
+            raise DifferentialMismatch([op], 0, op, [("hashlist", True), ("oracle", False)])
+
+        monkeypatch.setattr(cli, "run_workload", mismatch)
+        code, out, err = run_cli(capsys, "bench", "--n", "10", "--m", "10")
+        assert (code, out) == (4, "")
+        assert err.startswith("differential failure: structures disagree on ('has', 0, 1)")
 
     @pytest.mark.parametrize("mix", ["nan,0,0,1", "0.5,nan,0.5,0"])
     def test_nan_mix_one_line_exit_1(self, capsys, mix):
