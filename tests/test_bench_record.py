@@ -22,7 +22,7 @@ COUNTS = {"hashlist.add": [81920, 93411, 17], "hashlist.table": [13, 131072, 655
 
 def write_detail(checkout: Path, workload: str, seed: int, query_s: float, mtime: int,
                  add_ops_s: float = 1e6, commit: str | None = None,
-                 counts: dict | None = None) -> None:
+                 counts: dict | None = None, raw_query_s: float | None = None) -> None:
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     detail = {
@@ -33,6 +33,8 @@ def write_detail(checkout: Path, workload: str, seed: int, query_s: float, mtime
                     "hashlist.bytes_per_edge": {"value": 40.0, "unit": "B/edge"},
                     "hashlist.add_ops_s": {"value": add_ops_s, "unit": "ops/s"}},
     }
+    if raw_query_s is not None:
+        detail["raw_metrics"] = {"query_s": raw_query_s}
     path = out / f"{workload}-seed{seed}-trace0.json"
     path.write_text(json.dumps(detail))
     os.utime(path, (mtime, mtime))
@@ -70,6 +72,30 @@ def test_pairs_wins_and_claim(sides):
         side: {"git_commit": side, "python": "3", "numpy": "2", "cpu": "x", "nproc": 2}
         for side in ("parent", "change")
     }
+
+
+def test_claim_shows_raw_beside_calibrated(tmp_path):
+    """Raw metrics ride along in each run; the claim reports the claimed metric's raw
+    summary over the pairs it counts, which does not decide it: here raw wins 7/10."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for i, seed in enumerate(range(1, 11)):
+        write_detail(parent, "w", seed, 1.0 + i / 100, 1000 + 2 * i, raw_query_s=0.7 + i / 100)
+        write_detail(change, "w", seed, 0.8 + i / 100, 1001 + 2 * i,
+                     raw_query_s=0.6 + i / 100 if i < 7 else 0.9)
+    for i, seed in enumerate((20, 21)):
+        write_detail(parent, "w", seed, 1.0, 3000 + 2 * i, raw_query_s=0.1)
+        write_detail(change, "w", seed, 0.8, 3001 + 2 * i, raw_query_s=0.9)
+    parent_first = [0, 2, 4, 6, 8]
+    for i in range(10):  # alternate the run order
+        if i not in parent_first:
+            os.utime(parent / ".bench_out" / f"w-seed{i + 1}-trace0.json", (1002 + 2 * i,) * 2)
+    record = bench_record.build(30, parent, change, ("w", "query_s"), {20, 21})
+    assert record["workloads"]["w"]["pairs"][0]["parent"]["raw_metrics"] == {"query_s": 0.7}
+    assert record["claim"]["holds"] is True
+    raw = record["claim"]["raw"]
+    assert (raw["wins"], raw["pairs"]) == (7, 10)
+    assert raw["parent_median"] == pytest.approx(0.745)
+    assert raw["change_median"] == pytest.approx(0.645)
 
 
 def test_claim_fails_on_eight_wins(sides):

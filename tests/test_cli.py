@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,32 @@ class TestQueryErrors:
         code, out, err = run_cli(capsys, "query", str(small_graph), str(q), "--structure", structure)
         assert (code, out) == (1, "")
         assert err == "configuration error: out of memory\n"
+
+    def test_scan_worker_memory_error_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
+        """A MemoryError in the thread that scans a file's second part reaches the caller:
+        exit 1, one stderr line, and no thread outlives the call."""
+        caller = threading.current_thread()
+        scan_part = formats._scan_part
+        raised = []
+
+        def second_part_fails(buf, dots):
+            if threading.current_thread() is not caller:
+                raised.append(buf.tobytes())
+                raise MemoryError
+            return scan_part(buf, dots)
+
+        monkeypatch.setattr(formats, "_SPLIT_FROM", 1)
+        monkeypatch.setattr(formats, "_scan_part", second_part_fails)
+        g = tmp_path / "g.txt"
+        g.write_text("3 2\n0 1\n1 2\n")
+        q = tmp_path / "q.txt"
+        q.write_text("C 0 1\n")
+        before = threading.active_count()
+        code, out, err = run_cli(capsys, "query", str(g), str(q))
+        assert raised == [b"1 2\n"]
+        assert (code, out) == (1, "")
+        assert err == "configuration error: out of memory\n"
+        assert threading.active_count() == before
 
     def test_unknown_flag_exit_1(self, tmp_path, capsys, small_graph):
         code, _, _ = run_cli(capsys, "query", str(small_graph), str(small_graph), "--frobnicate")

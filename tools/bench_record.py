@@ -12,7 +12,10 @@ A pair is a (workload, seed) present on both sides; the side whose detail
 file is older ran first. The record holds each side's provenance, every
 pair's end-to-end metrics and check tallies, and per workload and metric
 the two medians, the parent's interquartile range and the change's wins.
-Held-out seeds are summarised apart from the others. The claim rule is
+Held-out seeds are summarised apart from the others. Each run also keeps
+perfbench's uncalibrated ``raw_metrics``, and the claim shows the claimed
+metric's raw medians, parent IQR and wins beside the calibrated verdict,
+which alone decides it. The claim rule is
 the one the benchmark applies: at least nine wins in ten pairs, over at
 least ten pairs that are not held out, and a gap between the medians wider
 than the parent's interquartile range; each run order must also hold at
@@ -87,8 +90,10 @@ def src_lines(checkout: Path) -> int | None:
 
 
 def run_entry(detail: dict, metrics: dict[str, dict]) -> dict:
+    raw = detail.get("raw_metrics", {})
     return {
         "metrics": {k: detail["metrics"][k]["value"] for k in metrics if k in detail["metrics"]},
+        "raw_metrics": {k: raw[k] for k in metrics if k in raw},
         "repetitions": detail["repetitions"],
         "attempted": detail["attempted"],
         "failed": detail["failed"],
@@ -103,14 +108,15 @@ def count_changes(workload: str, seed: int, before: dict, after: dict) -> list[d
             for k in sorted(before.keys() | after.keys()) if before.get(k) != after.get(k)]
 
 
-def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+def summarise(pairs: list[dict], metrics: dict[str, dict], field: str = "metrics") -> dict:
     """Per metric: medians, the parent's IQR, wins and ties of the change, the two
-    bound flags, and the medians of the pairs each side ran first in, over ``pairs``."""
+    bound flags, and the medians of the pairs each side ran first in, over ``pairs``;
+    the values are each run's ``field``, its calibrated or its raw metrics."""
     out = {}
     for name, spec in metrics.items():
         better, bound = spec["better"], spec.get("bound")
-        runs = [(p["parent"]["metrics"][name], p["change"]["metrics"][name], p["first"])
-                for p in pairs if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+        runs = [(p["parent"][field][name], p["change"][field][name], p["first"])
+                for p in pairs if name in p["parent"][field] and name in p["change"][field]]
         if not runs:
             continue
         both = [(b, a) for b, a, _ in runs]
@@ -209,6 +215,11 @@ def build(pr: int, parent: Path, change: Path, claim: tuple[str, str] | None,
         if "held_out_summary" in record["workloads"][workload]:
             h = record["workloads"][workload]["held_out_summary"][name]
             record["claim"]["held_out_wins"] = f'{h["wins"]}/{h["pairs"]}'
+        counted = [p for p in record["workloads"][workload]["pairs"] if not p["held_out"]]
+        raw = summarise(counted, {name: metrics[name]}, "raw_metrics").get(name)
+        if raw is not None:
+            record["claim"]["raw"] = {k: raw[k] for k in (
+                "parent_median", "change_median", "change_frac", "parent_iqr", "wins", "pairs")}
     return record
 
 
