@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -175,11 +176,21 @@ def cmd_query(args) -> int:
     C queries are asked before any N query, a file with several bad
     queries may report a different one of them first; the exit code is
     the same.
+
+    One worker thread reads and parses the query file while this thread
+    parses the edge file and builds and loads the store. Errors keep the
+    order of running the steps in turn: graph read and parse, query read
+    and parse, build and load, answers. The worker is joined before any
+    error leaves.
     """
-    graph = parse_edge_list(_read_text(args.graph))
-    queries = parse_query_file(_read_text(args.queries))
-    store = _build_query_store(args.structure, graph, args.hash_mode, args.undirected)
-    _load_query_store(store, graph, args.undirected)
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(lambda: parse_query_file(_read_text(args.queries)))
+        graph = parse_edge_list(_read_text(args.graph))
+        try:
+            store = _build_query_store(args.structure, graph, args.hash_mode, args.undirected)
+            _load_query_store(store, graph, args.undirected)
+        finally:  # a query-file error replaces a build or load error
+            queries = pending.result()
     _write_output(format_results(_answer_queries(store, queries)), args.out)
     return EXIT_OK
 

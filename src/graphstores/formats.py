@@ -11,19 +11,17 @@ edge ids and the C queries' ids are 1-D ``uint64`` arrays, which the bulk
 store methods take without a copy; weights, the query kinds and the N
 vertices are lists, because their consumers iterate in Python.
 ``GraphFile.edges`` and :func:`parse_queries` give tuples of Python ints.
+The parsers keep no state between calls and start no thread, so they are
+safe to call from any thread; ``graphstores query`` parses its two files
+on two threads at once.
 
 Both parsers first try a bulk kernel. One ``bytes.translate`` checks the
 file's bytes. Whole-buffer numpy passes over one zero-padded copy of it
 find the token bounds, and one over the bytes finds the newlines; the rest
-works per token. A text of ``_SPLIT_FROM`` bytes (1 MiB) or more is
-scanned in two parts, cut after a newline, on two threads at once: numpy
-releases the GIL inside its passes, so the parts take two cores. The
-second thread is joined before the parse returns, and the parsers keep no
-state between calls, so they stay safe to call from any thread. The
-first token of each line is the one after a newline, found by binary
-search. Every token's value comes from a Horner loop over byte positions,
-one vectorized step per position up to the longest token, so every id of
-up to 19 digits is an exact integer
+works per token. The first token of each line is the
+one after a newline, found by binary search. Every token's value comes from
+a Horner loop over byte positions, one vectorized step per position up to
+the longest token, so every id of up to 19 digits is an exact integer
 (computed in ``uint32`` while no token is longer than 9 bytes, else in
 ``uint64``, and returned as ``uint64``). Every
 weight of up to 15 digits and at most one ``.`` is mantissa / 10**k, which
@@ -43,8 +41,7 @@ object array of Python ints.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -115,10 +112,6 @@ _MAX_WEIGHT_DIGITS = 15  # mantissa < 2**53, and 10**k is exact for k <= 15
 # limit guards no arithmetic; it is kept because no test runs the kernel on a
 # text this large.
 _MAX_BYTES = 2**31 - 1
-# A text of this many bytes or more is scanned in two parts on two threads: the
-# smallest power of two from which the split beat one scan in at least 19 of 21
-# alternated runs, on edge and query texts alike (2-vCPU x86-64 guest).
-_SPLIT_FROM = 1 << 20
 _POW10_FLOAT = (10 ** np.arange(_MAX_WEIGHT_DIGITS + 1)).astype(np.float64)
 _EDGE_BYTES = b"0123456789 \n."
 _QUERY_BYTES = b"0123456789 \nCN"
@@ -143,46 +136,13 @@ class _Scan:
 
 def _scan(text: str, allowed: bytes) -> _Scan | None:
     """Token scan, or None on a byte outside ``allowed``, a token over 19
-    bytes or a text of 2 GiB or more. A text of ``_SPLIT_FROM`` bytes or
-    more is cut after the first newline at or past its middle, and a thread
-    of its own, joined on every path, scans the second part. No token spans
-    a newline, so the two parts' columns joined are the whole text's."""
+    bytes or a text of 2 GiB or more."""
     if not text.isascii() or len(text) > _MAX_BYTES:
         return None
     raw = text.encode("ascii")
     if raw.translate(None, allowed):
         return None
     buf = np.frombuffer(raw, np.uint8)
-    dots = b"." in allowed  # no token of a file without dots has a scale
-    cut = raw.find(b"\n", len(raw) // 2) + 1 if len(raw) >= _SPLIT_FROM else 0
-    if not 0 < cut < len(raw):
-        return _scan_part(buf, dots)
-    second: list = []
-
-    def scan_second() -> None:
-        try:
-            second.append(_scan_part(buf[cut:], dots))
-        except BaseException as exc:
-            second.append(exc)
-
-    worker = threading.Thread(target=scan_second)
-    worker.start()
-    try:
-        head = _scan_part(buf[:cut], dots)
-    finally:
-        worker.join()
-    tail = second[0]
-    if isinstance(tail, BaseException):
-        raise tail
-    if head is None or tail is None:
-        return None
-    tail = replace(tail, first=tail.first + len(head.lead))
-    return _Scan(*(np.concatenate((getattr(head, f.name), getattr(tail, f.name)))
-                   for f in fields(_Scan)))
-
-
-def _scan_part(buf: np.ndarray, dots: bool) -> _Scan | None:
-    """``_scan`` of the bytes ``buf``, which start a line; ``dots``: whether ``.`` may occur."""
     # One zero byte before the text and one more than the longest token after it: the
     # token bounds and the Horner gather below read this one copy.
     padded = np.zeros(len(buf) + 2 + _MAX_ID_DIGITS, np.uint8)
@@ -204,6 +164,7 @@ def _scan_part(buf: np.ndarray, dots: bool) -> _Scan | None:
     value = np.zeros(len(starts), np.uint32 if longest <= 9 else np.uint64)
     digits = np.zeros(len(starts), np.uint8)
     scale = np.zeros(len(starts), np.uint8)
+    dots = b"." in allowed  # no token of a file without dots has a scale
     dotted = np.zeros(len(starts), dtype=bool)
     for p in range(longest):
         byte = padded[starts + (p + 1)]  # past a token's end: a separator, the next token or padding

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from graphstores import (
+    HASH_MODES,
+    STRUCTURE_NAMES,
     DifferentialMismatch,
     HashList,
     MultiList,
@@ -21,7 +28,7 @@ from graphstores import (
 )
 from graphstores.cli import _answer_queries, _build_query_store, _load_query_store, main
 from graphstores import formats
-from graphstores.formats import parse_query_file
+from graphstores.formats import ParseError, parse_query_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -223,6 +230,47 @@ class TestQueryErrors:
         assert (code, out) == (1, "")
         assert "4096" in err and err.count("\n") == 1 and "Traceback" not in err
 
+    # Errors come in the order of the steps: graph read and parse, query read and parse,
+    # build and load, answers. Each case holds an error of two steps.
+    BAD_QUERIES = "C 0 1\nX 0 1\n"
+    BAD_QUERIES_ERR = "parse error: line 2: query must be 'C x y' or 'N x', got 'X 0 1'\n"
+
+    def run_joined(self, capsys, *argv):
+        """``run_cli``, checking that no thread outlives the call."""
+        before = threading.active_count()
+        result = run_cli(capsys, *argv)
+        assert threading.active_count() == before
+        return result
+
+    def test_bad_graph_beats_bad_queries(self, tmp_path, capsys):
+        g, q = tmp_path / "g.txt", tmp_path / "q.txt"
+        g.write_text("not a header\n")
+        q.write_text(self.BAD_QUERIES)
+        assert self.run_joined(capsys, "query", str(g), str(q)) == (
+            2, "", "parse error: line 1: header must be 'n m', got 'not a header'\n")
+
+    def test_missing_graph_beats_bad_queries(self, tmp_path, capsys):
+        g, q = tmp_path / "nope.txt", tmp_path / "q.txt"
+        q.write_text(self.BAD_QUERIES)
+        assert self.run_joined(capsys, "query", str(g), str(q)) == (
+            2, "", f"i/o error: [Errno 2] No such file or directory: {str(g)!r}\n")
+
+    @pytest.mark.parametrize("structure", STRUCTURE_NAMES)
+    def test_bad_queries_beat_a_refused_build(self, tmp_path, capsys, structure):
+        """A header n above 2**32 is refused at build time (exit 1), but the query file is
+        read first."""
+        g, q = tmp_path / "g.txt", tmp_path / "q.txt"
+        g.write_text("5000000000 1\n")
+        q.write_text(self.BAD_QUERIES)
+        argv = ("query", str(g), str(q), "--structure", structure)
+        assert self.run_joined(capsys, *argv) == (2, "", self.BAD_QUERIES_ERR)
+
+    def test_missing_queries_beat_the_oracle_cap(self, tmp_path, capsys):
+        g, q = tmp_path / "g.txt", tmp_path / "nope.txt"
+        g.write_text("5000 1\n0 4999\n")
+        assert self.run_joined(capsys, "query", str(g), str(q), "--structure", "oracle") == (
+            2, "", f"i/o error: [Errno 2] No such file or directory: {str(q)!r}\n")
+
     @pytest.mark.parametrize("structure", ["hashlist", "multilist"])
     def test_memory_error_one_line_exit_1(self, tmp_path, capsys, monkeypatch, small_graph, structure):
         """A store that cannot be allocated (say, for a header n of 2**32) exits 1 in one line.
@@ -242,31 +290,49 @@ class TestQueryErrors:
         assert (code, out) == (1, "")
         assert err == "configuration error: out of memory\n"
 
-    def test_scan_worker_memory_error_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
-        """A MemoryError in the thread that scans a file's second part reaches the caller:
+    def test_query_worker_memory_error_one_line_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                        small_graph):
+        """A MemoryError in the thread that parses the query file reaches the caller:
         exit 1, one stderr line, and no thread outlives the call."""
         caller = threading.current_thread()
-        scan_part = formats._scan_part
-        raised = []
+        ran_on = []
 
-        def second_part_fails(buf, dots):
-            if threading.current_thread() is not caller:
-                raised.append(buf.tobytes())
-                raise MemoryError
-            return scan_part(buf, dots)
+        def fails(text):
+            ran_on.append(threading.current_thread())
+            raise MemoryError
 
-        monkeypatch.setattr(formats, "_SPLIT_FROM", 1)
-        monkeypatch.setattr(formats, "_scan_part", second_part_fails)
-        g = tmp_path / "g.txt"
-        g.write_text("3 2\n0 1\n1 2\n")
+        monkeypatch.setattr(cli, "parse_query_file", fails)
         q = tmp_path / "q.txt"
         q.write_text("C 0 1\n")
-        before = threading.active_count()
-        code, out, err = run_cli(capsys, "query", str(g), str(q))
-        assert raised == [b"1 2\n"]
-        assert (code, out) == (1, "")
-        assert err == "configuration error: out of memory\n"
-        assert threading.active_count() == before
+        code, out, err = self.run_joined(capsys, "query", str(small_graph), str(q))
+        assert len(ran_on) == 1 and ran_on[0] is not caller
+        assert (code, out, err) == (1, "", "configuration error: out of memory\n")
+
+    def test_edge_error_while_the_query_worker_parses(self, tmp_path, capsys, monkeypatch,
+                                                       small_graph):
+        """The edge parse raises on the calling thread while the worker still parses the
+        query file: the edge file's error is reported, and the worker is joined first."""
+        started, finished = threading.Event(), threading.Event()
+        running_at_raise = []
+
+        def slow_queries(text):
+            started.set()
+            finished.wait(0.2)  # nothing sets it: the worker is still busy when the edge parse raises
+            finished.set()
+            return parse_query_file(text)
+
+        def bad_edges(text):
+            assert started.wait(5)
+            running_at_raise.append(not finished.is_set())
+            raise ParseError(1, "bad graph")
+
+        monkeypatch.setattr(cli, "parse_query_file", slow_queries)
+        monkeypatch.setattr(cli, "parse_edge_list", bad_edges)
+        q = tmp_path / "q.txt"
+        q.write_text("C 0 1\n")
+        result = self.run_joined(capsys, "query", str(small_graph), str(q))
+        assert running_at_raise == [True] and finished.is_set()
+        assert result == (2, "", "parse error: line 1: bad graph\n")
 
     def test_unknown_flag_exit_1(self, tmp_path, capsys, small_graph):
         code, _, _ = run_cli(capsys, "query", str(small_graph), str(small_graph), "--frobnicate")
@@ -277,6 +343,79 @@ class TestQueryErrors:
             capsys, "query", str(small_graph), str(small_graph), "--structure", "csr"
         )
         assert code == 1
+
+
+# --- hostile files: generated graph and query files through the whole query command.
+# Every integer token is at most 4,096 or above 2**32, so no header n makes a store
+# allocate per-vertex arrays of more than 4,096 cells.
+
+EXIT_PREFIXES = {1: ("usage error: ", "configuration error: "), 2: ("parse error: ", "i/o error: "),
+                 3: ("error: ",)}
+SWEEP_IDS = st.integers(0, 7).map(str)
+ODD_TOKENS = ["4096", "007", "-1", "+2", "1.5", ".5", "1e3", "2E1", "9" * 20, "1" + "0" * 19,
+              str(2**32 + 1), "C", "N", "X", "#"]
+SWEEP_NOISE = ["# c\n", "\n", "\t", "\r", " ", ".", "e3", "-", "+", "C", "N", "X", "#", "9" * 20]
+
+
+@st.composite
+def hostile_file(draw, rows):
+    """None (a missing path), an empty file, or the bytes of ``rows`` joined with drawn
+    separators and line ends. Now and then one token is odd, one noise fragment goes in
+    anywhere, or a byte that is not UTF-8 does."""
+    form = draw(st.integers(0, 11))
+    if form < 2:
+        return (None, b"")[form]
+    rows = draw(rows)
+    if rows and draw(st.integers(0, 2)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+    sep, end = draw(st.sampled_from([" ", " ", "  ", "\t"])), draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = end.join(sep.join(row) for row in rows) + draw(st.sampled_from([end, ""]))
+    if draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(SWEEP_NOISE)) + text[i:]
+    data = text.encode()
+    if draw(st.integers(0, 11)) == 0:
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe9\x80"])) + data[i:]
+    return data
+
+
+EDGE_ROWS = st.lists(st.tuples(SWEEP_IDS, SWEEP_IDS, st.lists(st.sampled_from(["1", "0.5", "2.25"]), max_size=1))
+                     .map(lambda r: [r[0], r[1], *r[2]]), max_size=6)
+GRAPH_ROWS = st.builds(lambda n, m, rows: [[n, m], *rows],
+                       st.sampled_from(["8", "8", "8", "1", "4096", "0", str(2**32 + 1), "9" * 20]),
+                       st.sampled_from(["6", "6", "2", "1" + "0" * 19]), EDGE_ROWS)
+QUERY_ROWS = st.lists(st.one_of(st.tuples(st.just("C"), SWEEP_IDS, SWEEP_IDS).map(list),
+                                st.tuples(st.just("N"), SWEEP_IDS).map(list)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=hostile_file(GRAPH_ROWS), queries=hostile_file(QUERY_ROWS),
+       structure=st.sampled_from(STRUCTURE_NAMES), hash_mode=st.sampled_from(HASH_MODES),
+       undirected=st.booleans())
+def test_hostile_files_exit_with_a_documented_code(graph, queries, structure, hash_mode, undirected):
+    """Exit 0 with one result line per query, or a documented code with one stderr line
+    under its prefix; no thread outlives the call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("g.txt", "q.txt")]
+        for path, data in zip(paths, (graph, queries)):
+            if data is not None:
+                path.write_bytes(data)
+        argv = ["query", *map(str, paths), "--structure", structure, "--hash-mode", hash_mode]
+        before = threading.active_count()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--undirected"] * undirected)
+        assert threading.active_count() == before
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    if code == 0:
+        asked = [line for line in queries.decode().splitlines() if line.strip()[:1] not in ("", "#")]
+        assert err == "" and out.count("\n") == len(asked)
+    else:
+        assert code in EXIT_PREFIXES and out == "", (code, err)
+        assert err.endswith("\n") and err.count("\n") == 1 and err.startswith(EXIT_PREFIXES[code]), err
 
 
 class TestQuerySizing:

@@ -11,17 +11,18 @@ The kernel itself is also checked against the byte-granular kernel it
 replaced, kept in ``_reference``: on texts over each kernel's own bytes,
 both decline or both return the same token layout and the same file.
 
-A text of ``formats._SPLIT_FROM`` bytes or more is scanned in two parts on
-two threads. Every differential here runs a second time with the constant
-patched to 1, so that every text with a newline before its last byte is cut.
+``graphstores query`` parses the query file on a worker thread while the
+calling thread parses the edge file, so every case also parses on a worker
+beside a parse of the same text on the calling thread, with the outcome of
+a parse on the calling thread alone.
 """
 
 from __future__ import annotations
 
 import importlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,12 +39,6 @@ from graphstores import GraphStoreError, formats, parse_edge_list, parse_queries
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
-def split_all():
-    """Within this context every text with a newline before its last byte is scanned in
-    two parts."""
-    return mock.patch.object(formats, "_SPLIT_FROM", 1)
-
-
 def per_line(parse, text: str):
     """``parse`` on ``text`` plus a ``#`` line, which only the per-line parser reads."""
     return parse(text + "\n#\n")
@@ -54,6 +49,14 @@ def outcome(parse, text: str):
         return "ok", parse(text)
     except GraphStoreError as exc:
         return "raised", (type(exc), str(exc), getattr(exc, "line", None))
+
+
+def beside(parse, text: str):
+    """``outcome`` of ``parse`` on a worker thread and on this thread, run at the same time."""
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(outcome, parse, text)
+        here = outcome(parse, text)
+        return pending.result(), here
 
 
 def same(a, b) -> bool:
@@ -199,20 +202,6 @@ def test_queries_match_per_line(text):
     assert_same_queries(text)
 
 
-@SETTINGS
-@given(edge_files())
-def test_split_edge_lists_match_per_line(text):
-    with split_all():
-        assert_same_graph(text)
-
-
-@SETTINGS
-@given(query_files())
-def test_split_queries_match_per_line(text):
-    with split_all():
-        assert_same_queries(text)
-
-
 # --- the kernel against the byte-granular kernel it replaced, on texts over its own bytes.
 
 def column_types(parsed) -> dict:
@@ -303,20 +292,6 @@ def test_query_kernel_matches_reference(text):
     assert_same_kernel(text, "queries")
 
 
-@SETTINGS
-@given(st.one_of(st.just(""), kernel_texts("0123456789.", EDGE_HEADER, edge_row)))
-def test_split_edge_kernel_matches_reference(text):
-    with split_all():
-        assert_same_kernel(text, "edges")
-
-
-@SETTINGS
-@given(st.one_of(st.just(""), kernel_texts("0123456789CN", None, query_row)))
-def test_split_query_kernel_matches_reference(text):
-    with split_all():
-        assert_same_kernel(text, "queries")
-
-
 # Every malformed shape in test_formats.py, and the boundary tokens one at a time.
 EDGE_CASES = [
     "", "3\n", "3 2 1\n", "x 2\n", "0 2\n", "3 -1\n", "4 2.5\n0 1\n", "3 2\n0\n", "3 2\n0 1 2 3\n",
@@ -337,6 +312,9 @@ EDGE_CASES = [
     "3 1\n0 1 12345678901.2345", f"{10**10} 2\n999999999 9999999999\n4294967295 4294967296\n",
     f"{2**32} 1\n4294967295 0\n", f"{2**32} 1\n4294967296 0\n", "\n\n3 1\n\n \n0 1", "   ", "\n \n  ",
     "3 100000\n0 1.5 .25\n",
+    # runs of blank lines, an over-long token on line 3, a header-only file, leading blank lines
+    "3 2\n0 1\n\n\n1 2\n", "3 1\n0 1 0.5", "3 1\n" + " " * 30 + "\n0 " + "9" * 20 + "\n", "3 0\n\n\n",
+    "\n\n\n\n\n3 0\n",
 ]
 QUERY_CASES = [
     "", "C 0 1\nN 2\n", "# q\nC 1 1\n", "C 0\n", "N 0 1\n", "X 0 1\n", "C a b\n", "contains 0 1\n",
@@ -345,6 +323,7 @@ QUERY_CASES = [
     "C 0 1\r\nN 2\r\n", "N 1\nN\n", "C\n", "N\n", "\n\n\n",
     f"C 0 {'9' * 19}", f"C 0 {'9' * 20}", f"N {'0' * 18}1", "C 999999999 9999999999\nN 4294967295\nN 4294967296",
     "\n\nN 3\n\n \nC 0 1", "   ", " \n ",
+    "C 0 1\nN 2\n\nC 1 1\n", "C 0 1\n", "C 0 1\n" + " " * 30 + "\nN " + "1" * 20 + "\n",
 ]
 
 
@@ -361,52 +340,20 @@ def test_query_cases(text):
 
 
 @pytest.mark.parametrize("text", EDGE_CASES)
-def test_split_edge_list_cases(text):
-    with split_all():
-        assert_same_graph(text)
-        assert_same_kernel(text, "edges")
+def test_edge_list_cases_beside_a_worker(text):
+    alone = outcome(parse_edge_list, text)
+    for got in beside(parse_edge_list, text):
+        assert got[0] == alone[0], (text, got, alone)
+        if got[0] == "raised":
+            assert got[1] == alone[1], text
+        else:
+            assert_same_columns(got[1], alone[1], text)
 
 
 @pytest.mark.parametrize("text", QUERY_CASES)
-def test_split_query_cases(text):
-    with split_all():
-        assert_same_queries(text)
-        assert_same_kernel(text, "queries")
-
-
-# (text, kernel, the bytes of its second part or None for a text left whole): cuts at the
-# boundaries of the split, which falls after the first newline at or past the middle.
-SPLIT_CASES = [
-    ("3 2\n0 1\n\n\n1 2\n", "edges", "\n\n1 2\n"),  # the second part starts with a blank line
-    ("C 0 1\nN 2\n\nC 1 1\n", "queries", "\nC 1 1\n"),
-    ("3 1\n0 1 0.5", "edges", None),  # no newline at or past the middle
-    ("3 0\n", "edges", None),  # the only newline is the last byte: no second part
-    ("C 0 1\n", "queries", None),
-    # an over-long token in the second part only: the per-line parser reports line 3
-    ("3 1\n" + " " * 30 + "\n0 " + "9" * 20 + "\n", "edges", "0 " + "9" * 20 + "\n"),
-    ("C 0 1\n" + " " * 30 + "\nN " + "1" * 20 + "\n", "queries", "N " + "1" * 20 + "\n"),
-    ("3 0\n\n\n", "edges", "\n\n"),  # a header-only edge file: a second part without tokens
-    ("\n\n\n\n\n3 0\n", "edges", "3 0\n"),  # a first part without tokens
-]
-
-
-@pytest.mark.parametrize("text,kernel,second", SPLIT_CASES)
-def test_split_boundaries(monkeypatch, text, kernel, second):
-    """Each text is cut where the case says; cut or whole, the kernel and the per-line
-    parser agree, and the scan equals the reference kernel's."""
-    parts = []
-    scan_part = formats._scan_part
-
-    def record(buf, dots):
-        parts.append(buf.tobytes().decode())
-        return scan_part(buf, dots)
-
-    monkeypatch.setattr(formats, "_scan_part", record)
-    with split_all():
-        formats._scan(text, formats._EDGE_BYTES if kernel == "edges" else formats._QUERY_BYTES)
-        assert sorted(parts) == sorted([text] if second is None else [text[: -len(second)], second])
-        (assert_same_graph if kernel == "edges" else assert_same_queries)(text)
-        assert_same_kernel(text, kernel)
+def test_query_cases_beside_a_worker(text):
+    alone = outcome(parse_queries, text)
+    assert beside(parse_queries, text) == (alone, alone), text
 
 
 @pytest.mark.parametrize("workload", ["uniform-presized", "skewed-growing", "cli-query", "selftest"])
@@ -421,23 +368,6 @@ def test_kernel_accepts_benchmark_files(monkeypatch, workload):
     assert_same_columns(graph, formats._edge_list_lines(inp.graph_text), workload)
     assert_same_columns(queries, formats._queries_lines(inp.query_text), workload)
     assert graph.has_weights and len(queries.cxs) and queries.nvs
-
-
-@pytest.mark.parametrize("workload", ["uniform-presized", "skewed-growing", "cli-query", "selftest"])
-def test_split_scan_equals_whole_scan_on_benchmark_files(monkeypatch, workload):
-    """Each perfbench file scans to the same columns, dtypes and values alike, whether it is
-    cut or not."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    bench_inputs = importlib.import_module("bench_inputs")
-    inp = bench_inputs.make_inputs(bench_inputs.WORKLOADS[workload], 5)
-    for text, allowed in ((inp.graph_text, formats._EDGE_BYTES), (inp.query_text, formats._QUERY_BYTES)):
-        with mock.patch.object(formats, "_SPLIT_FROM", len(text) + 1):
-            whole = formats._scan(text, allowed)
-        with split_all():
-            cut = formats._scan(text, allowed)
-        for f in fields(whole):
-            a, b = getattr(cut, f.name), getattr(whole, f.name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (workload, f.name)
 
 
 @pytest.mark.parametrize("text,kernel", [
