@@ -130,20 +130,22 @@ def _answer_queries(store, queries: QueryFile) -> list[str]:
     """Result lines in query order: one ``contains_many`` for the C queries, then the N lines.
 
     The store no longer changes, so a hash store may probe the C queries
-    in numpy rounds (``EdgeHash.contains_many`` says when); either read
-    path gives the answers and counters of asking one at a time. The
-    distinct N vertices, in the order of their first N query, are
-    enumerated with one ``neighbors_many`` call (on a HashList, all chains
-    at once in numpy rounds). ``formats.join_runs`` writes the digits of
-    every target of the flat result into one buffer in numpy, decodes it
+    in numpy rounds (``EdgeHash.contains_many`` says when), over the int64
+    view of the slots that the load left current; either read path gives
+    the answers and counters of asking one at a time. The distinct N
+    vertices, in the order of their first N query, are enumerated with one
+    ``_neighbor_runs`` call, ``neighbors_many`` as numpy arrays (on a
+    HashList, all chains at once in numpy rounds, their targets read off
+    the same view). ``formats.join_runs`` takes the arrays as they are,
+    writes the digits of every target into one buffer in numpy, decodes it
     once, and gives each vertex's line as one slice of it; every later
     query of a vertex reuses that line, one shared str. The first bad N
     vertex still raises first.
     """
     hits = iter(store.contains_many(queries.cxs, queries.cys))
-    # EdgeHash.neighbors_many raises UnsupportedOperationError on any vertex
+    # EdgeHash._neighbor_runs raises UnsupportedOperationError on any vertex
     vertices = list(dict.fromkeys(queries.nvs))
-    lines = dict(zip(vertices, join_runs(*store.neighbors_many(vertices))))
+    lines = dict(zip(vertices, join_runs(*store._neighbor_runs(vertices))))
     nbrs = map(lines.__getitem__, queries.nvs)
     return [("1" if next(hits) else "0") if c else next(nbrs) for c in queries.is_c]
 
@@ -168,14 +170,18 @@ def cmd_query(args) -> int:
     from the edge lines parsed, not from the header's ``m``; a header ``n``
     the oracle refuses is a configuration error. The adds run in file
     order, since the order fixes a hash store's layout; the C queries go
-    to ``contains_many`` in one batch, since reads move nothing. Each
-    distinct N vertex is enumerated once, however often it is asked, and
-    the lines of all of them come from one numpy pass over the digits of
-    their targets, one slice of the decoded text per vertex. The result
-    bytes are those of adding and asking one edge at a time. Because all
-    C queries are asked before any N query, a file with several bad
-    queries may report a different one of them first; the exit code is
-    the same.
+    to ``contains_many`` in one batch, since reads move nothing. The load
+    of a hash store of at most 2**31 vertices leaves an int64 view of its
+    slots (``edgehash`` says when; 8 B per slot, about 32 B per edge at
+    this sizing's load of 1/4, freed with the store), which the C queries'
+    rounds and HashList's N answers read in place of a copy of the slot
+    list. Each distinct N vertex is enumerated once, however often it is
+    asked, and the lines of all of them come from one numpy pass over the
+    digits of their targets, handed over as arrays, one slice of the
+    decoded text per vertex. The result bytes are those of adding and
+    asking one edge at a time. Because all C queries are asked before any
+    N query, a file with several bad queries may report a different one of
+    them first; the exit code is the same.
 
     One worker thread reads and parses the query file while this thread
     parses the edge file and builds and loads the store. Errors keep the

@@ -296,6 +296,16 @@ class EdgeStore(abc.ABC):
             ends.append(len(targets))
         return targets, ends
 
+    def _neighbor_runs(self, vs) -> tuple[np.ndarray, np.ndarray]:
+        """The scalar calls' ``neighbors_many(vs)`` as numpy arrays: uint64 targets, intp ends.
+
+        The pair goes to ``formats.join_runs`` as it is. A store with a
+        batch path of its own overrides this; the default runs
+        ``EdgeStore.neighbors_many``, so an override may fall back on it.
+        """
+        targets, ends = EdgeStore.neighbors_many(self, vs)
+        return np.array(targets, np.uint64), np.array(ends, np.intp)
+
     @property
     def edge_count(self) -> int:
         """Number of distinct edges accepted so far."""

@@ -51,18 +51,33 @@ chains. So answers, slot layout, chain order, rebuilds and counters all
 come out as the scalar calls give them.
 
 ``contains_many`` has a second read path. When the batch holds at least
-capacity / 8 pairs and the store at most 2**31 vertices, it copies
-the slots once into an int64 array and probes every query at once, one
-slot per numpy round, until each reads its code or NONE. Reads move
-nothing, so each query takes the same probes in rounds as alone; the
-copy costs in proportion to the capacity, which a smaller batch does
-not repay. Adds stay in the loop: a round that seated codes together
-would change the layout. Counters are recorded once per batch on either
-read path, and once per pass of an add batch. Numpy takes a batch
-only whole and in range: one with an id numpy cannot hold exactly (a
-float, an id beyond 64 bits) or an id outside [0, n) goes through the
-scalar calls instead, which apply and count the pairs before the first
-bad one and then raise its error.
+capacity / 8 pairs and the store at most 2**31 vertices (``_copy_pays``),
+it probes every query at once over an int64 view of the slots, one slot
+per numpy round, until each reads its code or NONE. Reads move nothing,
+so each query takes the same probes in rounds as alone. Adds stay in the
+loop: a round that seated codes together would change the layout.
+Counters are recorded once per batch on either read path, and once per
+pass of an add batch. Numpy takes a batch only whole and in range: one
+with an id numpy cannot hold exactly (a float, an id beyond 64 bits) or
+an id outside [0, n) goes through the scalar calls instead, which apply
+and count the pairs before the first bad one and then raise its error.
+
+The store keeps at most one such view, in ``_view``, as one tuple
+``(capacity, edge_count, table)``. It is current while the store has that
+capacity and edge count: nothing is ever removed, so then it holds the
+slots as they are. A bulk add into an empty table, with a batch that
+``_copy_pays`` covers, starts it as all NONE, and ``_book`` scatters each
+pass's seats into a current view; so the load of ``graphstores query``
+leaves one without a copy. A scalar seat makes it stale, and the next
+rounds batch copies the slots once, a cost in proportion to the capacity
+that a batch below the rule does not repay. ``_install`` drops it, so
+every rebuild and ``grow`` frees it; otherwise it lives with the store,
+at 8 B per slot, about 32 B per edge at the load of 1/4 that
+``graphstores query`` sizes for. HashList's batch enumeration reads a
+current view too, but never copies one; the scalar bodies never touch it.
+Readers need no lock once mutation stops: each reads ``_view`` once, so
+it never pairs a table with another table's key, and readers that copy
+at once each store a whole tuple of their own.
 """
 
 from __future__ import annotations
@@ -155,7 +170,8 @@ class EdgeHash(EdgeStore):
     any number of threads may read concurrently.
     """
 
-    __slots__ = ("config", "rebuilds", "_cap", "_mask", "_data", "_mixer", "_key", "_growth_limit")
+    __slots__ = ("config", "rebuilds", "_cap", "_mask", "_data", "_mixer", "_key", "_growth_limit",
+                 "_view")
 
     enumerates = False
 
@@ -176,11 +192,25 @@ class EdgeHash(EdgeStore):
         self._install(cap, [NONE] * cap)
 
     def _install(self, cap: int, data: list) -> None:
-        """Make ``data``, a slot list of length ``cap``, the store's table."""
+        """Make ``data``, a slot list of length ``cap``, the store's table; drop the view."""
         self._growth_limit = self.config.growth_limit(cap)
         self._cap = cap
         self._mask = cap - 1
         self._data = data
+        self._view = None
+
+    def _copy_pays(self, batch: int) -> bool:
+        """Whether a batch of ``batch`` pairs repays an int64 copy of the slots: it
+        holds at least capacity / 8 of them, and the store at most 2**31 vertices,
+        so int64 holds every code and NONE."""
+        return batch * 8 >= self._cap and self._n <= 1 << 31
+
+    def _current_view(self):
+        """The view's int64 table if it is current (see the module docstring), else None."""
+        view = self._view
+        if view is not None and view[0] == self._cap and view[1] == self._count:
+            return view[2]
+        return None
 
     def add_edge(self, x: int, y: int) -> bool:
         n = self._n
@@ -263,6 +293,9 @@ class EdgeHash(EdgeStore):
         if front is None:
             return super().add_edges(xs, ys)
         codes, keys = front
+        if not self._count and self._copy_pays(len(codes)):
+            # A read batch would copy the slots; ``_book`` scatters them instead.
+            self._view = (self._cap, 0, np.full(self._cap, NONE, np.int64))
         code_iter = iter(codes.tolist())
         out = []
         start = 0
@@ -302,7 +335,8 @@ class EdgeHash(EdgeStore):
         that held its code. A probe ends at its slot, and no table is ever
         full, so it took ``((slot - home) & mask) + 1`` probes. The counts
         go to the add channel in one ``record_batch``, the seats to the
-        edge count, and the seated codes with their slots to ``_link``.
+        edge count, the seated codes to their slots of the view while it
+        is current, and the seated codes with their slots to ``_link``.
         """
         if not reached:
             return []
@@ -312,8 +346,13 @@ class EdgeHash(EdgeStore):
         mask = self._mask
         probes = ((slots - (keys & np.uint64(mask)).astype(np.int64)) & mask) + 1
         self.counters.add.record_batch(len(got), int(probes.sum()), int(probes.max()))
+        table = self._current_view()
         self._count += int(np.count_nonzero(seated))
-        self._link(codes[seated], slots[seated])
+        new_codes, new_slots = codes[seated], slots[seated]
+        if table is not None:
+            table[new_slots] = new_codes.view(np.int64)
+            self._view = (self._cap, self._count, table)
+        self._link(new_codes, new_slots)
         return seated.tolist()
 
     def _link(self, codes, new_slots) -> None:
@@ -325,8 +364,10 @@ class EdgeHash(EdgeStore):
         A batch that ``_bulk_codes`` refuses, any bad id included, runs the
         scalar calls. Of the others, a batch of at least capacity / 8 pairs,
         on a store of at most 2**31 vertices (so int64 holds every code and
-        NONE), is probed in numpy rounds over a one-time int64 copy of the
-        slots, and any other batch runs the Python loop.
+        NONE), is probed in numpy rounds over the int64 view of the slots:
+        the current one, or else a copy of the slots, kept as the view until
+        the next seat, rebuild or ``grow``. Any other batch runs the Python
+        loop.
         """
         front = _bulk_codes(xs, ys, self._n, self._key)
         if front is None:
@@ -334,8 +375,11 @@ class EdgeHash(EdgeStore):
         codes, keys = front
         mask = self._mask
         homes = keys & np.uint64(mask)
-        if len(codes) * 8 >= self._cap and self._n <= 1 << 31:
-            table = np.fromiter(self._data, np.int64, self._cap)
+        if self._copy_pays(len(codes)):
+            table = self._current_view()
+            if table is None:
+                table = np.fromiter(self._data, np.int64, self._cap)
+                self._view = (self._cap, self._count, table)
             slots = homes.view(np.int64)
             found, total, peak = _probe_rounds(table, codes.view(np.int64), slots, mask)
             out = found.tolist()

@@ -337,13 +337,15 @@ def join_runs(values, ends) -> list[str]:
     """``" ".join(map(str, values[a:b]))`` for each run ``[a, b)`` of ``ends``.
 
     ``values`` are integers in [0, 2**64) and ``ends`` the runs' running
-    ends, as :meth:`~graphstores.core.EdgeStore.neighbors_many` returns
-    them. One numpy pass per digit position writes every value's digits,
-    each value followed by a space, into one byte buffer; one decode makes
-    it a str, and each run's line is one slice of it, its last space left
-    out. So an N line costs one slice however long it is.
+    ends, as lists, as :meth:`~graphstores.core.EdgeStore.neighbors_many`
+    returns them, or as the uint64 and intp arrays of the stores'
+    ``_neighbor_runs``, which are taken without a copy. One numpy pass
+    per digit position writes every value's digits, each value followed
+    by a space, into one byte buffer; one decode makes it a str, and each
+    run's line is one slice of it, its last space left out. So an N line
+    costs one slice however long it is.
     """
-    v = np.fromiter(values, np.uint64, len(values))
+    v = np.asarray(values, np.uint64)
     stop = np.searchsorted(_POW10_U64, v, side="right") + 2  # digits and a space
     np.cumsum(stop, out=stop)
     buf = np.full(int(stop[-1]) if len(v) else 0, ord(" "), np.uint8)
@@ -355,7 +357,7 @@ def join_runs(values, ends) -> list[str]:
         at, rest = at[more] - 1, rest[more]
     text = buf.tobytes().decode("ascii")
     bounds = np.concatenate(([0], stop))  # each value's first byte; the buffer's end
-    last = np.fromiter(ends, np.intp, len(ends))
+    last = np.asarray(ends, np.intp)
     begin = bounds[np.concatenate(([0], last[:-1]))]
     end = np.maximum(bounds[last] - 1, begin)  # an empty run is an empty slice
     return [text[a:b] for a, b in zip(begin.tolist(), end.tolist())]

@@ -16,9 +16,18 @@ are live, and a scalar walk finishes those. ``_thread`` groups new slots
 by source in arrival order, by one sort unless the sources come grouped,
 and puts each group at the front of its chain, as ``add_edge`` would one
 slot at a time. The edge hash's bulk add threads each pass with
-it (``_link``), and ``neighbors_many`` walks with ``_walk``. So does a
-rebuild: it walks the chains of the vertices that have edges from the
-last one, and reversed, that walk is the seat order: vertex by vertex,
+it (``_link``), and ``neighbors_many`` walks with ``_walk``. Its targets
+come from the edge hash's int64 view of the slots while that is current
+(see :mod:`~graphstores.edgehash`): the load of ``graphstores query``
+leaves one, a scalar seat makes it stale, and a rebuild or ``grow`` frees
+it. Without one, the codes are gathered from ``_data``, at a cost in
+proportion to the targets; a copy of the slots would cost in proportion
+to the capacity, so only the rounds path of ``contains_many`` makes one.
+``_neighbor_runs`` hands the targets and run ends on as numpy arrays,
+which is what ``graphstores query`` formats, and ``neighbors_many`` is
+their ``tolist``. A rebuild walks with ``_walk`` too: it walks the chains
+of the vertices that have edges from the last one, and reversed, that
+walk is the seat order: vertex by vertex,
 each chain oldest-first, and each live vertex repeated by its chain length
 gives the sources, grouped. After the seat each weight moves from its old
 slot to its new one, and ``_thread`` threads fresh chain arrays. Only then
@@ -32,8 +41,11 @@ not lists of pointers to int objects: about 57 B/edge instead of 95. The
 inherited bodies index them exactly as they index lists, and a store or
 load through a memoryview costs about half what it does on a bare
 ``array``. ``_data`` stays a list, because every probe reads it and
-unboxing a typed cell on each read slows the probe loop. ``_weights``
-stays a list, because ``nan`` is a legal weight, so no float value can
+unboxing a typed cell on each read slows the probe loop; the read
+batches use the int64 view instead. It holds codes only, never weights,
+and costs 8 B more per slot while it is held (about 32 B per edge at the
+load of 1/4 that ``graphstores query`` sizes for), beyond the 57.
+``_weights`` stays a list, because ``nan`` is a legal weight, so no float value can
 mean "unset"; a list holds None for that.
 """
 
@@ -105,10 +117,13 @@ class HashList(EdgeHash):
 
     ``_heads`` (one cell per vertex) and ``_next`` (one per slot) are
     4-byte cells in memoryviews; ``_data`` and ``_weights`` are lists (see
-    the module docstring for why).
+    the module docstring for why). A store bulk-loaded past the rounds rule
+    also holds the inherited int64 view of its slots, 8 B per slot, until
+    its next rebuild or ``grow``; batch enumeration reads it while current.
 
     Single-writer: mutation needs exclusive access; once mutation stops,
-    any number of threads may read concurrently. No internal locking.
+    any number of threads may read concurrently. No internal locking: the
+    view is one tuple, read once per batch, so no reader mixes two views.
     """
 
     __slots__ = ("_heads", "_next", "_weights")
@@ -190,22 +205,34 @@ class HashList(EdgeHash):
         return slots, counts
 
     def neighbors_many(self, vs) -> tuple[list[int], list[int]]:
-        """``neighbors`` per vertex, as the flat pair of ``EdgeStore.neighbors_many``.
+        """``neighbors`` per vertex, as the flat pair of ``EdgeStore.neighbors_many``:
+        the ``tolist`` of ``_neighbor_runs``."""
+        targets, ends = self._neighbor_runs(vs)
+        return targets.tolist(), ends.tolist()
 
-        ``_walk`` finds the slots of every requested chain at once, one
-        gather over ``_data`` takes their codes, numpy masks the targets
-        out, and the counters are recorded once. Numpy takes the
-        batch only whole and in range (``_id_array``); any other batch, a
-        bad vertex included, goes through the scalar calls.
+    def _neighbor_runs(self, vs) -> tuple[np.ndarray, np.ndarray]:
+        """``neighbors_many(vs)`` as a uint64 array of targets and an intp array of ends.
+
+        ``_walk`` finds the slots of every requested chain at once. Their
+        codes come from the int64 view of the slots while it is current
+        (see ``EdgeHash.contains_many``), and otherwise from one gather over
+        ``_data``; a batch never copies the slots. Numpy masks the targets
+        out, and the counters are recorded once. Numpy takes the batch only
+        whole and in range (``_id_array``); any other batch, a bad vertex
+        included, goes through the scalar calls.
         """
         ids = _id_array(vs, self._n)
         if ids is None:
-            return super().neighbors_many(vs)
+            return super()._neighbor_runs(vs)
         slots, counts = self._walk(ids)
-        codes = _gather(self._data, slots.tolist())
-        targets = (np.fromiter(codes, np.uint64, len(codes)) & np.uint64(U32_MASK)).tolist()
+        table = self._current_view()
+        if table is None:
+            codes = np.fromiter(_gather(self._data, slots.tolist()), np.uint64, len(slots))
+        else:
+            codes = table[slots].view(np.uint64)
+        targets = codes & np.uint64(U32_MASK)
         self.counters.enumerate.record_batch(len(ids), len(targets), int(counts.max()))
-        return targets, np.cumsum(counts).tolist()
+        return targets, np.cumsum(counts)
 
     def _weight_slot(self, x: int, y: int) -> int:
         """Slot of (x, y) by an uncounted probe; NONE when the edge is absent."""

@@ -16,7 +16,8 @@ _spec.loader.exec_module(ab)
 
 # A tiny graphstores: run_workload reports one row per structure, with a mean
 # counter that comes from a submodule and a wall time that differs per tree;
-# cli.main writes the query file's line count and TOTAL, and exits CODE.
+# cli.main writes the query file's line count, TOTAL and the --structure it was
+# given, and exits CODE.
 TREE = {
     "__init__.py": "from .bench import WorkloadSpec, run_workload\n",
     "counts.py": "TOTAL = {total}\nWALL = {wall}\nCODE = {code}\n",
@@ -27,8 +28,10 @@ from .counts import CODE, TOTAL
 
 
 def main(argv):
-    _, graph, queries, _, out = argv
-    Path(out).write_text(f"{len(Path(queries).read_text().splitlines())} {TOTAL}\\n")
+    _, graph, queries, *flags = argv
+    opts = dict(zip(flags[::2], flags[1::2]))
+    lines = len(Path(queries).read_text().splitlines())
+    Path(opts["--out"]).write_text(f"{lines} {TOTAL} {opts['--structure']}\\n")
     return CODE
 """,
     "bench.py": """\
@@ -157,6 +160,32 @@ def test_query_equal_results_report_medians(tmp_path, capsys):
     assert "result files equal in every round" in out
 
 
+@pytest.mark.parametrize("structure", ["hashlist", "multilist", "oracle"])
+def test_query_structure_reaches_both_sides(tmp_path, monkeypatch, capsys, structure):
+    """``--structure`` goes to each side's ``cli.main``; without it, hashlist does."""
+    parent = make_tree(tmp_path / "p", 10, 1)
+    change = make_tree(tmp_path / "c", 10, 2)
+    seen = []
+    runner = ab.query_runner
+
+    def spy(*args):
+        run = runner(*args)
+
+        def observed(side):
+            elapsed, out = run(side)
+            seen.append(out)
+            return elapsed, out
+        return observed
+
+    monkeypatch.setattr(ab, "query_runner", spy)
+    flags = [] if structure == "hashlist" else ["--structure", structure]
+    code = ab.main([str(parent), str(change), "query", "--workload", "selftest", "--runs", "1",
+                    *flags])
+    assert code == 0
+    assert f"--structure {structure}," in capsys.readouterr().out
+    assert len(seen) == 4 and all(out.split()[-1] == structure.encode() for out in seen)
+
+
 def test_query_differing_results_exit_1(tmp_path, capsys):
     parent = make_tree(tmp_path / "p", 10, 1)
     change = make_tree(tmp_path / "c", 11, 1)
@@ -177,6 +206,7 @@ def test_query_failing_side_exits_1(tmp_path):
 @pytest.mark.parametrize("args,message", [
     (["query"], "query needs --workload"),
     (["query", "--workload", "nope"], "unknown workload 'nope'"),
+    (["query", "--workload", "selftest", "--structure", "edgehash"], "invalid choice"),
     (["--gen", "star"], "workload needs --n, --m"),
 ])
 def test_missing_or_unknown_options_are_usage_errors(tmp_path, args, message, capsys):
@@ -191,5 +221,14 @@ def test_real_tree_query_against_itself(capsys):
     """The repository's own src, loaded twice, answers the selftest workload's files alike."""
     src = str(ROOT / "src")
     code = ab.main([src, src, "query", "--workload", "selftest", "--runs", "1"])
+    assert code == 0
+    assert "result files equal in every round" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("structure", ["multilist", "oracle"])
+def test_real_tree_query_structures_against_itself(structure, capsys):
+    src = str(ROOT / "src")
+    code = ab.main([src, src, "query", "--workload", "selftest", "--structure", structure,
+                    "--runs", "1"])
     assert code == 0
     assert "result files equal in every round" in capsys.readouterr().out

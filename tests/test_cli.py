@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -559,6 +560,28 @@ class TestQueryAnswers:
         lines = _answer_queries(store, queries)
         assert lines == ["2 1", "1", "4", "2 1", "", "1", "4", "2 1"]
         assert store.counters.enumerate.ops == len(set(queries.nvs)) == 3
+
+    @pytest.mark.parametrize("structure", ["hashlist", "multilist", "oracle"])
+    def test_n_lines_come_from_neighbor_runs(self, structure, monkeypatch):
+        """Every structure that answers N queries hands ``join_runs`` the numpy pair of
+        its ``_neighbor_runs``, in one call for the distinct N vertices."""
+        graph = parse_edge_list("6 5\n0 1\n0 2\n3 4\n4 0\n5 5\n")
+        queries = parse_query_file("N 0\nC 0 1\nN 3\nN 0\nN 1\n")
+        store = _build_query_store(structure, graph, "mixer", False)
+        _load_query_store(store, graph, False)
+        joined, join = [], cli.join_runs
+
+        def join_runs(values, ends):
+            joined.append((values.dtype, ends.dtype, values.tolist(), ends.tolist()))
+            return join(values, ends)
+
+        monkeypatch.setattr(cli, "join_runs", join_runs)
+        cls = type(store)
+        with mock.patch.object(cls, "_neighbor_runs", autospec=True,
+                               side_effect=cls._neighbor_runs) as runs:
+            assert _answer_queries(store, queries) == ["2 1", "1", "4", "2 1", ""]
+        runs.assert_called_once_with(store, [0, 3, 1])
+        assert joined == [(np.uint64, np.intp, [2, 1, 4], [2, 3, 3])]
 
 
 class TestBench:

@@ -94,6 +94,20 @@ EDGE_VALUES = [0, 9, 10, 2**32 - 1]
 value = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
 
 
+EDGE_RUNS = [
+    [],
+    [[]],
+    [[], [], []],
+    [[], EDGE_VALUES, [7]],
+    [EDGE_VALUES, [], [10, 9]],
+    [[0], [9, 10], []],
+    [[], [2**32 - 1], [], [0, 0], []],
+    [[99, 100, 999, 1000, 10**19 - 1, 10**19, 2**64 - 1]],
+]
+EDGE_RUN_IDS = ["no-runs", "one-empty", "all-empty", "empty-first", "empty-middle", "empty-last",
+                "alternating", "digit-boundaries"]
+
+
 class TestJoinRuns:
     """``join_runs`` gives each run the line ``" ".join(map(str, run))`` gives it."""
 
@@ -103,20 +117,19 @@ class TestJoinRuns:
         got, want = joined(runs)
         assert got == want
 
-    @pytest.mark.parametrize("runs", [
-        [],
-        [[]],
-        [[], [], []],
-        [[], EDGE_VALUES, [7]],
-        [EDGE_VALUES, [], [10, 9]],
-        [[0], [9, 10], []],
-        [[], [2**32 - 1], [], [0, 0], []],
-        [[99, 100, 999, 1000, 10**19 - 1, 10**19, 2**64 - 1]],
-    ], ids=["no-runs", "one-empty", "all-empty", "empty-first", "empty-middle", "empty-last",
-            "alternating", "digit-boundaries"])
+    @pytest.mark.parametrize("runs", EDGE_RUNS, ids=EDGE_RUN_IDS)
     def test_edge_cases(self, runs):
         got, want = joined(runs)
         assert got == want
+
+    @pytest.mark.parametrize("runs", EDGE_RUNS + [[[2**32 - 1]]], ids=EDGE_RUN_IDS + ["one-run"])
+    def test_arrays_give_the_lines_of_lists(self, runs):
+        """The uint64 targets and intp ends of ``_neighbor_runs`` give the same lines
+        as the lists of ``neighbors_many``."""
+        flat = [v for run in runs for v in run]
+        ends = list(accumulate(map(len, runs)))
+        got = join_runs(np.array(flat, np.uint64), np.array(ends, np.intp))
+        assert got == join_runs(flat, ends) == joined(runs)[1]
 
 
 class TestColumns:

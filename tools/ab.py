@@ -5,6 +5,7 @@ commit's and the change's::
 
     python3 tools/ab.py ../parent/src src --gen star --n 1024 --m 8192 --seed 97 --runs 21
     python3 tools/ab.py ../parent/src src query --workload cli-query --seed 5 --runs 21
+    python3 tools/ab.py ../parent/src src query --workload cli-query --structure multilist
 
 Each tree's ``graphstores`` package is imported under a name of its own
 (``ab_parent`` and ``ab_change``), so the two sides are distinct classes
@@ -21,11 +22,12 @@ Two calls can be timed:
   (``--gen --n --m --seed``) over all four structures (``STRUCTURES``).
   Every round checks that the two reports' counter columns (every column
   but ``wall_ns``) are equal.
-- ``query``: ``cli.main(["query", ...])`` with the default structure on
-  one perfbench workload's files (``--workload --seed``), as perfbench's
-  ``query_s`` times it. ``perfbench/bench_inputs.make_inputs`` writes the
-  files once, and every round checks that both sides exit 0 and write the
-  same result bytes.
+- ``query``: ``cli.main(["query", ...])`` on one perfbench workload's
+  files (``--workload --seed``), with ``--structure`` hashlist (the
+  default, which perfbench's ``query_s`` times), multilist or oracle
+  (which refuses more than 4096 vertices, so only the selftest workload).
+  ``perfbench/bench_inputs.make_inputs`` writes the files once, and every
+  round checks that both sides exit 0 and write the same result bytes.
 
 It backs perfbench's pair rule and never replaces it. The two sides share
 one process: one allocator, whose free lists and arenas each side's runs
@@ -102,16 +104,17 @@ def workload_runner(packages: dict[str, ModuleType], spec_args: dict):
     return run
 
 
-def query_runner(packages: dict[str, ModuleType], graph: Path, queries: Path, out_dir: Path):
-    """``run(side)`` -> (ns, result bytes) of one ``graphstores query`` on that side; a run
-    that exits with a code other than 0 ends the script with exit code 1."""
+def query_runner(packages: dict[str, ModuleType], graph: Path, queries: Path, out_dir: Path,
+                 structure: str):
+    """``run(side)`` -> (ns, result bytes) of one ``graphstores query --structure structure``
+    on that side; a run that exits with a code other than 0 ends the script with exit code 1."""
     mains = {side: importlib.import_module(f"{pkg.__name__}.cli").main
              for side, pkg in packages.items()}
 
     def run(side: str):
         out = out_dir / f"{side}.out"
         out.unlink(missing_ok=True)
-        argv = ["query", str(graph), str(queries), "--out", str(out)]
+        argv = ["query", str(graph), str(queries), "--structure", structure, "--out", str(out)]
         t0 = perf_counter_ns()
         code = mains[side](argv)
         elapsed = perf_counter_ns() - t0
@@ -164,6 +167,8 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, help="workload: vertex count")
     parser.add_argument("--m", type=int, help="workload: operation count")
     parser.add_argument("--workload", help="query: a perfbench workload, such as cli-query")
+    parser.add_argument("--structure", choices=("hashlist", "multilist", "oracle"),
+                        default="hashlist", help="query: the store to build (default: hashlist)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--runs", type=int, default=21, help="timed rounds per side")
     args = parser.parse_args(argv)
@@ -196,11 +201,13 @@ def main(argv=None) -> int:
         graph, queries = Path(tmp) / "graph.txt", Path(tmp) / "queries.txt"
         graph.write_text(inp.graph_text, encoding="utf-8")
         queries.write_text(inp.query_text, encoding="utf-8")
-        out = alternate(query_runner(packages, graph, queries, Path(tmp)), args.runs)
+        out = alternate(query_runner(packages, graph, queries, Path(tmp), args.structure),
+                        args.runs)
     if out["mismatch"] is not None:
         print(f"ab: result files differ in round {out['mismatch']}", file=sys.stderr)
         return 1
     print_times(out, f"graphstores query, {args.workload} seed={args.seed}, "
+                     f"--structure {args.structure}, "
                      f"{len(inp.graph_text)} + {len(inp.query_text)} bytes", args.runs)
     print("result files equal in every round")
     return 0
