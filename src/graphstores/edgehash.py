@@ -50,9 +50,8 @@ the answers, the probe counts, the edge count and, on a HashList, the
 chains. So answers, slot layout, chain order, rebuilds and counters all
 come out as the scalar calls give them.
 
-``contains_many`` has a second read path. When the batch holds at least
-capacity / 8 pairs and the store at most 2**31 vertices (``_copy_pays``),
-it probes every query at once over an int64 view of the slots, one slot
+``contains_many`` has a second read path, over an int64 view of the
+slots (below): it probes every query at once over the view, one slot
 per numpy round, until each reads its code or NONE. Reads move nothing,
 so each query takes the same probes in rounds as alone. Adds stay in the
 loop: a round that seated codes together would change the layout.
@@ -65,19 +64,21 @@ and count the pairs before the first bad one and then raise its error.
 The store keeps at most one such view, in ``_view``, as one tuple
 ``(capacity, edge_count, table)``. It is current while the store has that
 capacity and edge count: nothing is ever removed, so then it holds the
-slots as they are. A bulk add into an empty table, with a batch that
-``_copy_pays`` covers, starts it as all NONE, and ``_book`` scatters each
-pass's seats into a current view; so the load of ``graphstores query``
-leaves one without a copy. A scalar seat makes it stale, and the next
-rounds batch copies the slots once, a cost in proportion to the capacity
-that a batch below the rule does not repay. ``_install`` drops it, so
-every rebuild and ``grow`` frees it; otherwise it lives with the store,
-at 8 B per slot, about 32 B per edge at the load of 1/4 that
-``graphstores query`` sizes for. HashList's batch enumeration reads a
-current view too, but never copies one; the scalar bodies never touch it.
-Readers need no lock once mutation stops: each reads ``_view`` once, so
-it never pairs a table with another table's key, and readers that copy
-at once each store a whole tuple of their own.
+slots as they are. Only a bulk add makes one: into an empty table, on a
+store of at most 2**31 vertices (so int64 holds every code and NONE),
+with a batch of at least capacity / 8 pairs, it starts the view as all
+NONE, and ``_book`` scatters each pass's seats into a current view. So
+the load of ``graphstores query`` leaves one. The read rule: a read batch
+(``contains_many``, HashList's enumeration) reads the view exactly while
+it is current, at any batch size, and otherwise its Python path; nothing
+copies the slots. A scalar seat makes the view stale, and a stale view
+never becomes current again, since counts only grow and every install of
+a table drops it; so the next read batch or bulk add frees it, as
+``_install`` does on every rebuild and ``grow``. While held it costs 8 B
+per slot, about 32 B per edge at the load of 1/4 that ``graphstores
+query`` sizes for; the scalar bodies never touch it. Readers need no lock
+once mutation stops: each reads ``_view`` once, so it never pairs a table
+with another table's key, and a reader can only store None there.
 """
 
 from __future__ import annotations
@@ -199,17 +200,13 @@ class EdgeHash(EdgeStore):
         self._data = data
         self._view = None
 
-    def _copy_pays(self, batch: int) -> bool:
-        """Whether a batch of ``batch`` pairs repays an int64 copy of the slots: it
-        holds at least capacity / 8 of them, and the store at most 2**31 vertices,
-        so int64 holds every code and NONE."""
-        return batch * 8 >= self._cap and self._n <= 1 << 31
-
     def _current_view(self):
-        """The view's int64 table if it is current (see the module docstring), else None."""
+        """The view's int64 table if it is current, else None; a stale view is
+        dropped (see the module docstring)."""
         view = self._view
         if view is not None and view[0] == self._cap and view[1] == self._count:
             return view[2]
+        self._view = None
         return None
 
     def add_edge(self, x: int, y: int) -> bool:
@@ -293,8 +290,8 @@ class EdgeHash(EdgeStore):
         if front is None:
             return super().add_edges(xs, ys)
         codes, keys = front
-        if not self._count and self._copy_pays(len(codes)):
-            # A read batch would copy the slots; ``_book`` scatters them instead.
+        if not self._count and len(codes) * 8 >= self._cap and self._n <= 1 << 31:
+            # The view the read batches use (module docstring); ``_book`` fills it.
             self._view = (self._cap, 0, np.full(self._cap, NONE, np.int64))
         code_iter = iter(codes.tolist())
         out = []
@@ -362,12 +359,9 @@ class EdgeHash(EdgeStore):
         """``contains`` per pair; both read paths give the same answers and counters.
 
         A batch that ``_bulk_codes`` refuses, any bad id included, runs the
-        scalar calls. Of the others, a batch of at least capacity / 8 pairs,
-        on a store of at most 2**31 vertices (so int64 holds every code and
-        NONE), is probed in numpy rounds over the int64 view of the slots:
-        the current one, or else a copy of the slots, kept as the view until
-        the next seat, rebuild or ``grow``. Any other batch runs the Python
-        loop.
+        scalar calls. The others are probed in numpy rounds over the int64
+        view of the slots while it is current, and otherwise by the Python
+        loop (the read rule of the module docstring).
         """
         front = _bulk_codes(xs, ys, self._n, self._key)
         if front is None:
@@ -375,11 +369,8 @@ class EdgeHash(EdgeStore):
         codes, keys = front
         mask = self._mask
         homes = keys & np.uint64(mask)
-        if self._copy_pays(len(codes)):
-            table = self._current_view()
-            if table is None:
-                table = np.fromiter(self._data, np.int64, self._cap)
-                self._view = (self._cap, self._count, table)
+        table = self._current_view()
+        if table is not None:
             slots = homes.view(np.int64)
             found, total, peak = _probe_rounds(table, codes.view(np.int64), slots, mask)
             out = found.tolist()

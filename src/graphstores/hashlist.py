@@ -17,23 +17,19 @@ by source in arrival order, by one sort unless the sources come grouped,
 and puts each group at the front of its chain, as ``add_edge`` would one
 slot at a time. The edge hash's bulk add threads each pass with
 it (``_link``), and ``neighbors_many`` walks with ``_walk``. Its targets
-come from the edge hash's int64 view of the slots while that is current
-(see :mod:`~graphstores.edgehash`): the load of ``graphstores query``
-leaves one, a scalar seat makes it stale, and a rebuild or ``grow`` frees
-it. Without one, the codes are gathered from ``_data``, at a cost in
-proportion to the targets; a copy of the slots would cost in proportion
-to the capacity, so only the rounds path of ``contains_many`` makes one.
-``_neighbor_runs`` hands the targets and run ends on as numpy arrays,
-which is what ``graphstores query`` formats, and ``neighbors_many`` is
-their ``tolist``. A rebuild walks with ``_walk`` too: it walks the chains
-of the vertices that have edges from the last one, and reversed, that
-walk is the seat order: vertex by vertex,
-each chain oldest-first, and each live vertex repeated by its chain length
-gives the sources, grouped. After the seat each weight moves from its old
-slot to its new one, and ``_thread`` threads fresh chain arrays. Only then
-are the new slots, chains and weights installed, so a rebuild that fails
-on the way leaves the store as it was. Weights are set one edge at a time
-with ``set_weight``.
+come from the edge hash's int64 view of the slots while that is current,
+and otherwise from one gather over ``_data`` (the read rule of
+:mod:`~graphstores.edgehash`). ``_neighbor_runs`` hands the targets
+and run ends on as numpy arrays, which is what ``graphstores query``
+formats, and ``neighbors_many`` is their ``tolist``. A rebuild walks
+with ``_walk`` too: it walks the chains of the vertices that have edges
+from the last one, and reversed, that walk is the seat order: vertex by
+vertex, each chain oldest-first, and each live vertex repeated by its
+chain length gives the sources, grouped. After the seat each weight moves
+from its old slot to its new one, and ``_thread`` threads fresh chain
+arrays. Only then are the new slots, chains and weights installed, so a
+rebuild that fails on the way leaves the store as it was. Weights are set
+one edge at a time with ``set_weight``.
 
 The chain arrays hold only slot indices and NONE, so they are 4-byte
 cells (8-byte past 2**31 slots) in an ``array`` behind a ``memoryview``,
@@ -117,13 +113,12 @@ class HashList(EdgeHash):
 
     ``_heads`` (one cell per vertex) and ``_next`` (one per slot) are
     4-byte cells in memoryviews; ``_data`` and ``_weights`` are lists (see
-    the module docstring for why). A store bulk-loaded past the rounds rule
-    also holds the inherited int64 view of its slots, 8 B per slot, until
-    its next rebuild or ``grow``; batch enumeration reads it while current.
+    the module docstring for why). A bulk-loaded store may also hold the
+    inherited int64 view of its slots, 8 B per slot, which batch
+    enumeration reads while it is current (see :mod:`~graphstores.edgehash`).
 
     Single-writer: mutation needs exclusive access; once mutation stops,
-    any number of threads may read concurrently. No internal locking: the
-    view is one tuple, read once per batch, so no reader mixes two views.
+    any number of threads may read concurrently, with no internal locking.
     """
 
     __slots__ = ("_heads", "_next", "_weights")
@@ -214,12 +209,12 @@ class HashList(EdgeHash):
         """``neighbors_many(vs)`` as a uint64 array of targets and an intp array of ends.
 
         ``_walk`` finds the slots of every requested chain at once. Their
-        codes come from the int64 view of the slots while it is current
-        (see ``EdgeHash.contains_many``), and otherwise from one gather over
-        ``_data``; a batch never copies the slots. Numpy masks the targets
-        out, and the counters are recorded once. Numpy takes the batch only
-        whole and in range (``_id_array``); any other batch, a bad vertex
-        included, goes through the scalar calls.
+        codes come from the int64 view of the slots while it is current,
+        and otherwise from one gather over ``_data`` (the read rule of
+        :mod:`~graphstores.edgehash`). Numpy masks the targets out, and the
+        counters are recorded once. Numpy takes the batch only whole and in
+        range (``_id_array``); any other batch, a bad vertex included, goes
+        through the scalar calls.
         """
         ids = _id_array(vs, self._n)
         if ids is None:

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphstores import (
@@ -149,35 +149,49 @@ def read_path():
         yield paths
 
 
-def expected_path(store, k: int) -> str:
-    return "rounds" if k * 8 >= store.capacity and store.vertex_count <= 1 << 31 else "loop"
+def expected_path(store) -> str:
+    """The path a valid batch takes: the rounds iff the store holds a current view."""
+    view = store._view
+    current = view is not None and view[:2] == (store.capacity, store.edge_count)
+    return "rounds" if current else "loop"
 
 
 @pytest.mark.parametrize("hash_mode", MODES)
 @pytest.mark.parametrize("cls,weighted", STORES)
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), n=st.integers(1, 40), edges=st.integers(0, 80),
-       side=st.sampled_from(["below", "at", "above"]), form=st.sampled_from(FORMS))
-def test_read_paths_match_scalar(cls, weighted, hash_mode, data, n, edges, side, form):
-    """Batches of cap/8 - 1 and cap/8 valid pairs, on each side of the rounds rule, and
-    of 4 * cap, well above it: the same answers and counters as the scalar loop, and
-    the reads change no slot, chain, weight or other counter."""
-    cfg = StoreConfig(vertex_count=n, expected_edges=1 + edges // 3, hash_mode=hash_mode,
+@given(data=st.data(), n=st.integers(1, 40), edges=st.integers(2, 80),
+       built=st.sampled_from(["bulk", "scalar", "seat"]),
+       side=st.sampled_from(["one", "below", "above"]), form=st.sampled_from(FORMS))
+def test_read_paths_match_scalar(cls, weighted, hash_mode, data, n, edges, built, side, form):
+    """A store bulk-loaded into a presized table holds a current view, and batches of
+    1, cap/8 - 1 and 4 * cap valid pairs all take the rounds over it; a store built by
+    scalar adds, or given one new scalar seat after the load, holds none, and they take
+    the loop. Either way: the same answers and counters as the scalar loop, and the
+    reads change no slot, chain, weight or other counter."""
+    cfg = StoreConfig(vertex_count=n, expected_edges=edges, hash_mode=hash_mode,
                       weighted=weighted)
     bulk, scalar = cls(cfg), cls(cfg)
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     stored = data.draw(st.lists(pair, min_size=edges, max_size=edges))
     xs, ys = [x for x, _ in stored], [y for _, y in stored]
-    assert bulk.add_edges(xs, ys) == scalar_adds(scalar, xs, ys)
+    want = scalar_adds(scalar, xs, ys)
+    assert (scalar_adds(bulk, xs, ys) if built == "scalar" else bulk.add_edges(xs, ys)) == want
+    if built == "seat":
+        seen = set(stored)
+        fresh = [(x, y) for x in range(n) for y in range(n) if (x, y) not in seen]
+        assume(fresh)
+        assert bulk.add_edge(*fresh[0]) is scalar.add_edge(*fresh[0]) is True
+    assert expected_path(bulk) == ("rounds" if built == "bulk" else "loop")
     cap = bulk.capacity
-    size = {"below": cap // 8 - 1, "at": cap // 8, "above": 4 * cap}[side]
-    asked = data.draw(st.lists(st.one_of(st.sampled_from(stored or [(0, 0)]), pair),
+    size = {"one": 1, "below": cap // 8 - 1, "above": 4 * cap}[side]
+    asked = data.draw(st.lists(st.one_of(st.sampled_from(stored), pair),
                                min_size=size, max_size=size))
     qx, qy = [x for x, _ in asked], [y for _, y in asked]
     before = snapshot(bulk)
     with read_path() as paths:
         got = bulk.contains_many(shaped(qx, form), shaped(qy, form))
-    assert paths == (["rounds"] if expected_path(bulk, size) == "rounds" else [])
+    assert paths == (["rounds"] if built == "bulk" else [])
+    assert (bulk._view is None) == (built != "bulk")  # a stale view is freed by the read
     assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)]
     after = snapshot(bulk)
     assert after == snapshot(scalar)
@@ -189,9 +203,9 @@ def test_read_paths_match_scalar(cls, weighted, hash_mode, data, n, edges, side,
 @pytest.mark.parametrize("hash_mode", MODES)
 @pytest.mark.parametrize("n,path", [(1 << 31, "rounds"), ((1 << 31) + 1, "loop")])
 def test_read_path_by_vertex_count(n, path, hash_mode, form):
-    """At n = 2**31 every code fits int64, up to 2**63 - 1, so the rounds run; at
-    2**31 + 1 a code may reach 2**63, so the loop runs. Only EdgeHash: a HashList or
-    MultiList would hold n heads here."""
+    """At n = 2**31 every code fits int64, up to 2**63 - 1, so the load makes a view
+    and the rounds run; at 2**31 + 1 a code may reach 2**63, so no view is made and
+    the loop runs. Only EdgeHash: a HashList or MultiList would hold n heads here."""
     top = n - 1
     ids = [top, top - 1, top - 2, (1 << 31) - 1, 1 << 30, 0]
     xs = [top, top, top - 1, 0, 1 << 30, top - 2]
@@ -203,7 +217,7 @@ def test_read_path_by_vertex_count(n, path, hash_mode, form):
     assert max(bulk._data) == (top << 32) | top
     with read_path() as paths:
         got = bulk.contains_many(shaped(qx, form), shaped(qy, form))
-    assert expected_path(bulk, len(qx)) == path
+    assert expected_path(bulk) == path
     assert paths == ([path] if path == "rounds" else [])
     assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)]
     assert any(got) and not all(got)
@@ -215,9 +229,9 @@ def test_read_path_by_vertex_count(n, path, hash_mode, form):
 @pytest.mark.parametrize("j", [2, 5, 9])
 def test_bad_id_on_the_rounds_path(cls, weighted, hash_mode, j):
     """A bad id at index j of a 10-pair batch on a 16-slot table, which the rounds
-    would take whole (10 * 8 >= 16): the j valid pairs before it now take the scalar
-    calls, are counted as a scalar loop stopped at j counts them, and then the same
-    VertexRangeError is raised."""
+    would take whole (the load left a current view): the j valid pairs before it take
+    the scalar calls, are counted as a scalar loop stopped at j counts them, and then
+    the same VertexRangeError is raised."""
     cfg = StoreConfig(vertex_count=8, expected_edges=4, hash_mode=hash_mode, weighted=weighted)
     bulk, scalar = cls(cfg), cls(cfg)
     xs, ys = [0, 5, 7, 3, 1, 2], [0, 5, 7, 1, 3, 2]
@@ -247,8 +261,8 @@ EDGE_CASES = [
 @pytest.mark.parametrize("cls,weighted", STORES)
 @pytest.mark.parametrize("qx,qy,path", EDGE_CASES)
 def test_read_path_edge_cases(cls, weighted, hash_mode, qx, qy, path):
-    """An empty batch takes the loop (0 < 16 / 8); two pairs are enough for rounds on
-    16 slots; float ids go to the scalar calls, which raise what they always raise."""
+    """An empty batch and float ids go to the scalar calls, which answer or raise what
+    they always do; two pairs take the rounds over the view the load left."""
     cfg = StoreConfig(vertex_count=4, expected_edges=2, hash_mode=hash_mode, weighted=weighted)
     bulk, scalar = cls(cfg), cls(cfg)
     bulk.add_edges([1, 3], [2, 3])
@@ -260,6 +274,33 @@ def test_read_path_edge_cases(cls, weighted, hash_mode, qx, qy, path):
     assert paths == path
     assert got == want
     assert snapshot(bulk) == snapshot(scalar)
+
+
+@pytest.mark.parametrize("cls,weighted", STORES)
+@pytest.mark.parametrize("size", [1, 16])
+def test_deep_cluster_through_the_rounds(cls, weighted, size):
+    """In paper_compat mode every edge (x, 333333) homes to slot 0, so a load of 240 of
+    them fills one cluster 240 slots deep. Batches of 1 and 16 pairs take the rounds over
+    the view the load left, down to the cluster's end, and give the answers and counters
+    of the scalar calls."""
+    n = 1 << 19
+    xs = list(range(240))
+    ys = [333333] * 240
+    cfg = StoreConfig(vertex_count=n, expected_edges=240, hash_mode="paper_compat",
+                      weighted=weighted)
+    bulk, scalar = cls(cfg), cls(cfg)
+    assert bulk.add_edges(np.array(xs), ys) == scalar_adds(scalar, xs, ys)
+    assert bulk._data[:240] == [(x << 32) | 333333 for x in xs]  # one cluster from slot 0
+    asked = [(239, 333333), (240, 333333), (100, 333333), (0, 333333), (5, 6),
+             (n - 1, 333333), (150, 333333), (333333, 333333)]
+    for batch in [[q] for q in asked] if size == 1 else [asked * 2, asked[::-1] * 2]:
+        qx, qy = [x for x, _ in batch], [y for _, y in batch]
+        with read_path() as paths:
+            got = bulk.contains_many(np.array(qx, np.uint64), qy)
+        assert paths == ["rounds"]
+        assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)]
+        assert snapshot(bulk) == snapshot(scalar)
+    assert bulk.counters.contains.peak == 241  # a miss walks the whole cluster
 
 
 def test_mid_batch_rebuilds_in_one_call():

@@ -584,6 +584,41 @@ class TestQueryAnswers:
         assert joined == [(np.uint64, np.intp, [2, 1, 4], [2, 3, 3])]
 
 
+class TestQueryLoadView:
+    """The answer phase's read paths rest on the load: it leaves a hash store's int64
+    view of its slots current (see ``edgehash``), so the C queries take the numpy
+    rounds and HashList's N answers read the view."""
+
+    @pytest.mark.parametrize("hash_mode", HASH_MODES)
+    @pytest.mark.parametrize("undirected", [False, True])
+    @pytest.mark.parametrize("structure", ["hashlist", "edgehash"])
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 300),
+           lines=st.lists(st.tuples(st.integers(0, 299), st.integers(0, 299)),
+                          min_size=2, max_size=300))
+    def test_load_leaves_a_current_view(self, structure, undirected, hash_mode, n, lines):
+        """Every file of at least two edge lines."""
+        text = f"{n} {len(lines)}\n" + "".join(f"{x % n} {y % n}\n" for x, y in lines)
+        graph = parse_edge_list(text)
+        store = _build_query_store(structure, graph, hash_mode, undirected)
+        _load_query_store(store, graph, undirected)
+        table = store._current_view()
+        assert table is not None
+        assert np.array_equal(table, np.fromiter(store._data, np.int64, store.capacity))
+
+    @pytest.mark.parametrize("hash_mode", HASH_MODES)
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_no_view_past_2_31_vertices(self, undirected, hash_mode):
+        """A code may not fit int64 there, so the load starts none. Only edgehash: a
+        hashlist would hold n heads here."""
+        big = 1 << 31
+        graph = parse_edge_list(f"{big + 1} 3\n0 1\n{big} 5\n7 {big}\n")
+        store = _build_query_store("edgehash", graph, hash_mode, undirected)
+        _load_query_store(store, graph, undirected)
+        assert store.edge_count == (6 if undirected else 3)
+        assert store._view is None
+
+
 class TestBench:
     def test_csv_schema(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -3,11 +3,12 @@
 An ``EdgeHash`` (and so a ``HashList``) keeps at most one view, the tuple
 ``(capacity, edge_count, table)``. It is current while the store's capacity
 and edge count are those it was made at; nothing is ever removed, so then it
-holds the slots as they are. A bulk add into an empty table large enough for
-the rounds rule starts it, and each pass of the add scatters its seats into
-it while it is current. The rounds path of ``contains_many`` reads it, copying
-the slots once if it is stale; ``HashList``'s batch enumeration reads it only
-while it is current. Every install of a table (rebuild, ``grow``) drops it.
+holds the slots as they are. A bulk add into an empty table, with at least
+capacity / 8 pairs, starts it, and each pass of the add scatters its seats
+into it while it is current. The read batches (``contains_many``'s rounds,
+``HashList``'s enumeration) read it exactly while it is current, and nothing
+copies the slots. A stale view is freed by the next read batch or bulk add,
+and every install of a table (rebuild, ``grow``) drops it.
 
 Every test runs twin stores: one fed through the bulk calls, one through the
 scalar calls. After every step the twins must agree on answers, slots,
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstores import NONE, EdgeHash, HashList, StoreConfig, hashlist
+from graphstores import NONE, EdgeHash, HashList, StoreConfig, edgehash, hashlist
 from graphstores.core import EdgeStore
 
 STORES = [
@@ -58,18 +59,21 @@ def state(store) -> dict:
 
 
 def check_view(store) -> bool:
-    """Whether the store has a current view; a current one must equal the slots."""
-    table = store._current_view()
-    if table is None:
+    """Whether the store has a current view, read off ``_view`` so that a stale one is
+    left in place; a current one must equal the slots."""
+    view = store._view
+    if view is None or view[:2] != (store.capacity, store.edge_count):
         return False
+    table = view[2]
     assert table.dtype == np.int64
     assert np.array_equal(table, np.fromiter(store._data, np.int64, store.capacity))
     return True
 
 
 def check_reads(bulk, scalar, n: int, draw) -> None:
-    """One batch on each read path of ``contains_many`` and, on a HashList, one
-    ``neighbors_many`` of every vertex: the answers and counters of the scalar calls."""
+    """Two ``contains_many`` batches, of cap/8 - 1 and cap/8 pairs, on the path the view
+    picks, and, on a HashList, one ``neighbors_many`` of every vertex: the answers and
+    counters of the scalar calls."""
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     cap = bulk.capacity
     for size in (max(cap // 8 - 1, 1), max(cap // 8, 2)):
@@ -101,8 +105,8 @@ step = st.one_of(
 def test_interleaved_history(cls, weighted, cells, hash_mode, data, n, presized, steps):
     """Large and small ``add_edges`` on presized and unsized stores (the unsized ones
     rebuild mid-batch), scalar adds of new and old pairs, and ``grow``, in any order.
-    A bulk add into an empty table that the rounds rule covers, with no rebuild, leaves
-    a current view; ``grow`` leaves none."""
+    A bulk add of at least capacity / 8 pairs into an empty table, with no rebuild,
+    leaves a current view; ``grow`` leaves none."""
     cfg = StoreConfig(vertex_count=n, expected_edges=64 if presized else 1,
                       hash_mode=hash_mode, weighted=weighted)
     with chain_cells(cells):
@@ -154,8 +158,9 @@ def distinct(count: int, n: int, seed: int):
 @pytest.mark.parametrize("cls,weighted,cells", STORES)
 def test_view_lifecycle(cls, weighted, cells, hash_mode):
     """The load of ``graphstores query`` leaves a current view, which read batches share
-    until the next seat; a stale view is copied once by the next rounds batch, never
-    by an enumeration; a duplicate or a weight keeps it current; ``grow`` drops it."""
+    and a later bulk add scatters into; a duplicate or a weight keeps it current. A new
+    scalar seat makes it stale, the next read batch takes its Python path and frees it,
+    and ``grow`` drops any view."""
     n = 256
     xs, ys = distinct(600, n, 7)
     cfg = StoreConfig(vertex_count=n, expected_edges=512, hash_mode=hash_mode, weighted=weighted)
@@ -166,7 +171,7 @@ def test_view_lifecycle(cls, weighted, cells, hash_mode):
     assert bulk.capacity == 1024 and bulk.rebuilds == 0
     table = bulk._current_view()
     assert table is not None and check_view(bulk)
-    qx, qy = xs[256:], ys[256:]  # half hits, half misses, 344 >= 1024 / 8
+    qx, qy = xs[256:], ys[256:]  # half hits, half misses
     want = [scalar.contains(x, y) for x, y in zip(qx, qy)]
     assert bulk.contains_many(qx, qy) == want
     assert bulk._current_view() is table
@@ -178,32 +183,67 @@ def test_view_lifecycle(cls, weighted, cells, hash_mode):
         assert bulk._current_view() is table
     assert bulk.add_edge(xs[0], ys[0]) is scalar.add_edge(xs[0], ys[0]) is False
     assert bulk._current_view() is table
-    assert bulk.add_edge(xs[-1], ys[-1]) is scalar.add_edge(xs[-1], ys[-1]) is True
-    assert bulk._current_view() is None
-    if cls is HashList:  # a stale view: the enumeration gathers and copies nothing
-        assert bulk.neighbors_many(range(n)) == EdgeStore.neighbors_many(scalar, range(n))
-        assert bulk._current_view() is None
-    want = [scalar.contains(x, y) for x, y in zip(qx, qy)]
-    assert bulk.contains_many(qx, qy) == want
-    copied = bulk._current_view()
-    assert copied is not None and copied is not table and check_view(bulk)
-    assert bulk.contains_many(qx, qy) == [scalar.contains(x, y) for x, y in zip(qx, qy)]
-    assert bulk._current_view() is copied
     # A later bulk add, of any size, scatters its seats into a current view.
     assert bulk.add_edges(xs[512:599], ys[512:599]) == [scalar.add_edge(x, y)
                                                         for x, y in zip(xs[512:599], ys[512:599])]
-    assert bulk._current_view() is copied and check_view(bulk)
+    assert bulk._current_view() is table and check_view(bulk)
+    assert bulk.add_edge(xs[-1], ys[-1]) is scalar.add_edge(xs[-1], ys[-1]) is True
+    assert not check_view(bulk) and bulk._view[2] is table  # stale, still held
+    with mock.patch.object(edgehash, "_probe_rounds", side_effect=AssertionError("rounds")):
+        assert bulk.contains_many(qx, qy) == [scalar.contains(x, y) for x, y in zip(qx, qy)]
+    assert bulk._view is None
+    if cls is HashList:
+        assert bulk.neighbors_many(range(n)) == EdgeStore.neighbors_many(scalar, range(n))
     bulk.grow()
     scalar.grow()
     assert bulk._view is None
     assert state(bulk) == state(scalar)
 
 
+FREEING = [
+    pytest.param(EdgeHash, "contains_many", id="edgehash-contains_many"),
+    pytest.param(EdgeHash, "add_edges", id="edgehash-add_edges"),
+    pytest.param(HashList, "contains_many", id="hashlist-contains_many"),
+    pytest.param(HashList, "neighbors_many", id="hashlist-neighbors_many"),
+    pytest.param(HashList, "add_edges", id="hashlist-add_edges"),
+]
+
+
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,call", FREEING)
+def test_stale_view_is_freed_by_the_next_batch(cls, call, hash_mode):
+    """A stale view never becomes current again, so the next read batch or bulk add
+    frees it; the scalar calls leave it held, as their bodies never touch it."""
+    n = 256
+    xs, ys = distinct(600, n, 5)
+    cfg = StoreConfig(vertex_count=n, expected_edges=512, hash_mode=hash_mode)
+    bulk, scalar = cls(cfg), cls(cfg)
+    assert bulk.add_edges(xs[:512], ys[:512]) == [scalar.add_edge(x, y)
+                                                    for x, y in zip(xs[:512], ys[:512])]
+    table = bulk._current_view()
+    assert bulk.add_edge(xs[-1], ys[-1]) is scalar.add_edge(xs[-1], ys[-1]) is True
+    assert bulk.contains(xs[0], ys[0]) is scalar.contains(xs[0], ys[0]) is True
+    if cls is HashList:
+        assert bulk.neighbors(xs[0]) == scalar.neighbors(xs[0])
+    assert bulk._view[2] is table
+    if call == "contains_many":
+        got = bulk.contains_many(xs[256:], ys[256:])
+        assert got == [scalar.contains(x, y) for x, y in zip(xs[256:], ys[256:])]
+    elif call == "neighbors_many":
+        assert bulk.neighbors_many(range(n)) == EdgeStore.neighbors_many(scalar, range(n))
+    else:
+        got = bulk.add_edges(xs[512:599], ys[512:599])
+        assert got == [scalar.add_edge(x, y) for x, y in zip(xs[512:599], ys[512:599])]
+    assert bulk._view is None
+    assert bulk.rebuilds == 0
+    assert state(bulk) == state(scalar)
+
+
 @pytest.mark.parametrize("cls", [EdgeHash, HashList])
 @pytest.mark.parametrize("size", [10, 1000])
 def test_small_batches_start_no_view(cls, size):
-    """A batch below the rounds rule (capacity / 8 pairs) into an empty presized table
-    starts no view, so it pays nothing for one."""
+    """A batch of fewer than capacity / 8 pairs into an empty presized table starts no
+    view, so it pays nothing for one."""
     n = 1 << 10
     store = cls(StoreConfig(vertex_count=n, expected_edges=1 << 16))
     assert size * 8 < store.capacity
@@ -233,26 +273,40 @@ def test_large_vertex_counts_build_no_view(n, hash_mode):
     assert state(bulk) == state(scalar)
 
 
-def test_concurrent_readers_race_to_copy():
+def test_concurrent_readers_on_a_stale_view():
     """Once mutation stops, readers may run at once: more reader threads than cores,
-    switching often, each finding a stale view and copying it, all get the scalar
-    answers and leave one current view."""
+    switching often, each finding the view stale. All get the scalar answers, the view
+    ends up freed, and no reader copies the slots."""
     n = 512
     xs, ys = distinct(3000, n, 11)
     store = HashList(StoreConfig(vertex_count=n, expected_edges=2048))
     store.add_edges(xs[:2048], ys[:2048])
     store.add_edge(xs[-1], ys[-1])  # the view is stale now
+    assert store._view is not None and not check_view(store)
     qx, qy = xs[1024:], ys[1024:]
     want_hits = [store.contains(x, y) for x, y in zip(qx, qy)]
     want_runs = EdgeStore.neighbors_many(store, range(n))
-    wrong = []
+    copies, wrong = [], []
+
+    class Watched(list):
+        """A slot list that logs each pass over it: a copy of the slots makes one,
+        while the read paths only index it."""
+
+        def __iter__(self):
+            copies.append(threading.get_ident())
+            return super().__iter__()
+
+    store._data = Watched(store._data)
 
     def read():
-        for _ in range(5):
-            if store.contains_many(qx, qy) != want_hits:
-                wrong.append("contains_many")
-            if store.neighbors_many(range(n)) != want_runs:
-                wrong.append("neighbors_many")
+        try:
+            for _ in range(5):
+                if store.contains_many(qx, qy) != want_hits:
+                    wrong.append("contains_many")
+                if store.neighbors_many(range(n)) != want_runs:
+                    wrong.append("neighbors_many")
+        except Exception as exc:  # a reader that dies must fail the test too
+            wrong.append(repr(exc))
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -266,4 +320,7 @@ def test_concurrent_readers_race_to_copy():
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert check_view(store)
+    assert store._view is None
+    assert copies == []
+    np.fromiter(store._data, np.int64, store.capacity)  # the watch does see a copy
+    assert len(copies) == 1
