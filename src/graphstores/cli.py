@@ -131,16 +131,17 @@ def _answer_queries(store, queries: QueryFile) -> list[str]:
 
     The store no longer changes, so a hash store whose load left its int64
     view of the slots current probes the C queries in numpy rounds over it
-    (the read rule of ``edgehash``); either read path gives the answers and
-    counters of asking one at a time. The distinct N vertices, in the order
-    of their first N query, are enumerated with one ``_neighbor_runs``
-    call, ``neighbors_many`` as numpy arrays (on a HashList, all chains at
-    once in numpy rounds, their targets read off the same view).
-    ``formats.join_runs`` takes the arrays as they are, writes the digits
-    of every target into one buffer in numpy, decodes it once, and gives
-    each vertex's line as one slice of it; every later query of a vertex
-    reuses that line, one shared str. The first bad N vertex still raises
-    first.
+    while more than ``edgehash._ROUND_MIN`` are live, and its Python loop
+    finishes the rest (the read rule of ``edgehash``); the answers and
+    counters are those of asking one at a time. The distinct N vertices, in
+    the order of their first N query, are enumerated with one
+    ``_neighbor_runs`` call, ``neighbors_many`` as numpy arrays (on a
+    HashList, all chains at once in numpy rounds, their targets read off the
+    same view). ``formats.join_runs`` takes the arrays as they are, writes
+    the digits of every target into one buffer in numpy, decodes it once,
+    and gives each vertex's line as one slice of it; every later query of a
+    vertex reuses that line, one shared str. The first bad N vertex still
+    raises first.
     """
     hits = iter(store.contains_many(queries.cxs, queries.cys))
     # EdgeHash._neighbor_runs raises UnsupportedOperationError on any vertex

@@ -44,38 +44,41 @@ and seats: the order in which codes are seated fixes the layout. It
 tests a slot for empty by identity, ``held is NONE``: every empty slot
 holds the one NONE object that ``[NONE] * cap`` put there, every other
 slot a code, and codes are never negative, so no code is that object.
-The read loop of ``contains_many`` and the rebuild probe the same way.
+The Python tail of ``contains_many`` and the rebuild probe the same way.
 After each pass, numpy derives the rest from the slots the loop reached:
 the answers, the probe counts, the edge count and, on a HashList, the
 chains. So answers, slot layout, chain order, rebuilds and counters all
 come out as the scalar calls give them.
 
-``contains_many`` has a second read path, over an int64 view of the
-slots (below): it probes every query at once over the view, one slot
-per numpy round, until each reads its code or NONE. Reads move nothing,
-so each query takes the same probes in rounds as alone. Adds stay in the
-loop: a round that seated codes together would change the layout.
-Counters are recorded once per batch on either read path, and once per
-pass of an add batch. Numpy takes a batch only whole and in range: one
-with an id numpy cannot hold exactly (a float, an id beyond 64 bits) or
-an id outside [0, n) goes through the scalar calls instead, which apply
-and count the pairs before the first bad one and then raise its error.
+``contains_many`` has one probe, :func:`_probe_rounds`. While the int64
+view of the slots (below) is current and more than ``_ROUND_MIN``
+queries are live, it probes them all at once, one slot per numpy round;
+a Python loop over the slot list finishes the rest from where the rounds
+left them, as ``HashList._walk`` finishes its chains. Reads move
+nothing, so each query takes the same probes in rounds as alone. Adds
+stay in the loop: a round that seated codes together would change the
+layout. Counters are recorded once per read batch, and once per pass of
+an add batch. Numpy takes a batch only whole and in range: one with an
+id numpy cannot hold exactly (a float, an id beyond 64 bits) or an id
+outside [0, n) goes through the scalar calls instead, which apply and
+count the pairs before the first bad one and then raise its error.
 
-The store keeps at most one such view, in ``_view``, as one tuple
-``(capacity, edge_count, table)``. It is current while the store has that
-capacity and edge count: nothing is ever removed, so then it holds the
-slots as they are. Only a bulk add makes one: into an empty table, on a
-store of at most 2**31 vertices (so int64 holds every code and NONE),
-with a batch of at least capacity / 8 pairs, it starts the view as all
-NONE, and ``_book`` scatters each pass's seats into a current view. So
-the load of ``graphstores query`` leaves one. The read rule: a read batch
-(``contains_many``, HashList's enumeration) reads the view exactly while
-it is current, at any batch size, and otherwise its Python path; nothing
-copies the slots. A scalar seat makes the view stale, and a stale view
-never becomes current again, since counts only grow and every install of
-a table drops it; so the next read batch or bulk add frees it, as
-``_install`` does on every rebuild and ``grow``. While held it costs 8 B
-per slot, about 32 B per edge at the load of 1/4 that ``graphstores
+The store keeps at most one such view, in ``_view``, as one pair
+``(edge_count, table)``. It is current while the store has that edge
+count: only ``_install`` changes the capacity, and it drops the view, and
+nothing is ever removed, so then it holds the slots as they are. Only a
+bulk add makes one: into an empty table, on a store of at most 2**31
+vertices (so int64 holds every code and NONE), with a batch of at least
+capacity / 8 pairs, it starts the view as all NONE, and ``_book``
+scatters each pass's seats into a current view. So the load of
+``graphstores query`` leaves one. The read rule: the read batches (the
+rounds of ``contains_many``, HashList's enumeration) read the view only
+while it is current, and otherwise the slot list; nothing copies the
+slots. A scalar seat makes the view stale, and a
+stale view never becomes current again, since counts only grow and every
+install of a table drops it; so the next read batch or bulk add frees it,
+as ``_install`` does on every rebuild and ``grow``. While held it costs
+8 B per slot, about 32 B per edge at the load of 1/4 that ``graphstores
 query`` sizes for; the scalar bodies never touch it. Readers need no lock
 once mutation stops: each reads ``_view`` once, so it never pairs a table
 with another table's key, and a reader can only store None there.
@@ -130,28 +133,63 @@ def _bulk_codes(xs, ys, n: int, key):
     return codes, key(codes)
 
 
-def _probe_rounds(table, codes, slots, mask: int) -> tuple:
-    """Probe every query at once, one slot per round, over an int64 ``table``.
+#: A batch read runs numpy rounds while more than this many of its walks are
+#: live, and finishes the rest in Python: a round costs about as much as this
+#: many scalar steps. Both batch reads break even near it: ``HashList._walk``'s
+#: chain rounds on 2,000-step chains, and :func:`_probe_rounds`'s probe rounds
+#: on a 2,000-slot cluster (about 70 queries). 16, 32 and 128 gained nothing
+#: measurable on a star hub's walk or on ``graphstores query``'s C batches.
+_ROUND_MIN = 64
 
-    ``codes`` and ``slots`` are int64 arrays: the sought codes and their
-    home slots. Each round reads the slot of every live query; a query
-    stops when it reads its code or NONE (a table always keeps an empty
-    slot), and every other one moves one slot on, so each takes exactly
-    the probes it takes alone. Returns ``(found, total, peak)``: a bool
-    array aligned with ``codes``, the sum of the probes and the longest.
+
+def _probe_rounds(table, data: list, codes, slots, mask: int) -> tuple:
+    """Probe every query of a batch: numpy rounds over ``table``, then a Python tail.
+
+    ``codes`` is a uint64 array of the sought codes, ``slots`` an int64
+    array of their home slots, and ``table`` the current int64 view of the
+    slot list ``data``, or None. While a table is given and more than
+    ``_ROUND_MIN`` queries are live, each round reads the slot of every
+    live one; a query stops when it reads its code or NONE (a table always
+    keeps an empty slot), and every other one moves one slot on. The Python
+    loop then finishes each query still live over ``data``, from the slot
+    the rounds left it at, adding only its own probes; it compares the
+    uint64 codes, since past 2**31 vertices (where there is no view) a code
+    may not fit int64. So each query takes exactly the probes it takes
+    alone. Returns ``(answers, total, peak)``: a list of bools aligned with
+    ``codes`` (the loop's own list when no round ran), the sum of the
+    probes and the longest.
     """
-    found = np.zeros(len(codes), dtype=bool)
-    live = np.arange(len(codes))
-    total = rounds = 0
-    while len(live):
-        total += len(live)
-        rounds += 1
-        held = table[slots]
-        hit = held == codes
-        found[live[hit]] = True
-        going = ~hit & (held != NONE)
-        live, codes, slots = live[going], codes[going], (slots[going] + 1) & mask
-    return found, total, rounds
+    total = rounds = peak = 0
+    if table is not None and len(codes) > _ROUND_MIN:
+        found = np.zeros(len(codes), dtype=bool)
+        live = np.arange(len(codes))
+        want = codes.view(np.int64)
+        while len(live) > _ROUND_MIN:
+            total += len(live)
+            rounds += 1
+            held = table[slots]
+            hit = held == want
+            found[live[hit]] = True
+            going = ~hit & (held != NONE)
+            live, want, slots = live[going], want[going], (slots[going] + 1) & mask
+        codes = codes[live]
+    out = []
+    append = out.append
+    for slot, code in zip(slots.tolist(), codes.tolist()):
+        held = data[slot]
+        probes = 1
+        while held is not NONE and held != code:
+            slot = (slot + 1) & mask
+            held = data[slot]
+            probes += 1
+        total += probes
+        if probes > peak:
+            peak = probes
+        append(held is not NONE)
+    if not rounds:
+        return out, total, peak
+    found[live] = out
+    return found.tolist(), total, rounds + peak
 
 
 #: Fewest pairs in a pass of ``add_edges``, so that a batch of duplicates into
@@ -204,8 +242,8 @@ class EdgeHash(EdgeStore):
         """The view's int64 table if it is current, else None; a stale view is
         dropped (see the module docstring)."""
         view = self._view
-        if view is not None and view[0] == self._cap and view[1] == self._count:
-            return view[2]
+        if view is not None and view[0] == self._count:
+            return view[1]
         self._view = None
         return None
 
@@ -292,7 +330,7 @@ class EdgeHash(EdgeStore):
         codes, keys = front
         if not self._count and len(codes) * 8 >= self._cap and self._n <= 1 << 31:
             # The view the read batches use (module docstring); ``_book`` fills it.
-            self._view = (self._cap, 0, np.full(self._cap, NONE, np.int64))
+            self._view = (0, np.full(self._cap, NONE, np.int64))
         code_iter = iter(codes.tolist())
         out = []
         start = 0
@@ -348,7 +386,7 @@ class EdgeHash(EdgeStore):
         new_codes, new_slots = codes[seated], slots[seated]
         if table is not None:
             table[new_slots] = new_codes.view(np.int64)
-            self._view = (self._cap, self._count, table)
+            self._view = (self._count, table)
         self._link(new_codes, new_slots)
         return seated.tolist()
 
@@ -356,40 +394,20 @@ class EdgeHash(EdgeStore):
         """A pass's chains; an edge hash keeps none."""
 
     def contains_many(self, xs, ys) -> list[bool]:
-        """``contains`` per pair; both read paths give the same answers and counters.
+        """``contains`` per pair, with the answers and counters of the scalar calls.
 
         A batch that ``_bulk_codes`` refuses, any bad id included, runs the
-        scalar calls. The others are probed in numpy rounds over the int64
-        view of the slots while it is current, and otherwise by the Python
-        loop (the read rule of the module docstring).
+        scalar calls. Every other batch is one :func:`_probe_rounds` call,
+        given the view while it is current (the read rule of the module
+        docstring), and one ``record_batch``.
         """
         front = _bulk_codes(xs, ys, self._n, self._key)
         if front is None:
             return super().contains_many(xs, ys)
         codes, keys = front
         mask = self._mask
-        homes = keys & np.uint64(mask)
-        table = self._current_view()
-        if table is not None:
-            slots = homes.view(np.int64)
-            found, total, peak = _probe_rounds(table, codes.view(np.int64), slots, mask)
-            out = found.tolist()
-        else:
-            data = self._data
-            total = peak = 0
-            out = []
-            append = out.append
-            for slot, code in zip(homes.tolist(), codes.tolist()):
-                held = data[slot]
-                probes = 1
-                while held is not NONE and held != code:
-                    slot = (slot + 1) & mask
-                    held = data[slot]
-                    probes += 1
-                total += probes
-                if probes > peak:
-                    peak = probes
-                append(held is not NONE)
+        homes = (keys & np.uint64(mask)).view(np.int64)
+        out, total, peak = _probe_rounds(self._current_view(), self._data, codes, homes, mask)
         self.counters.contains.record_batch(len(out), total, peak)
         return out
 

@@ -11,11 +11,12 @@ class adds only the chain arrays, one walk of many chains (``_walk``), one
 threading of many new slots (``_thread``), enumeration, the rebuild's
 order and weights, and the weight lookups.
 
-``_walk`` takes one numpy step on every live chain per round, until few
-are live, and a scalar walk finishes those. ``_thread`` groups new slots
-by source in arrival order, by one sort unless the sources come grouped,
-and puts each group at the front of its chain, as ``add_edge`` would one
-slot at a time. The edge hash's bulk add threads each pass with
+``_walk`` takes one numpy step on every live chain per round, until at
+most ``edgehash._ROUND_MIN`` are live, and a scalar walk finishes those,
+as the edge hash's ``contains_many`` probe does. ``_thread`` groups new
+slots by source in arrival order, by one sort unless the sources come
+grouped, and puts each group at the front of its chain, as ``add_edge``
+would one slot at a time. The edge hash's bulk add threads each pass with
 it (``_link``), and ``neighbors_many`` walks with ``_walk``. Its targets
 come from the edge hash's int64 view of the slots while that is current,
 and otherwise from one gather over ``_data`` (the read rule of
@@ -53,12 +54,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import NONE, U32_MASK, ConfigError, compat_hash, mixer_hash, pack_edge
-from .edgehash import EdgeHash, _id_array
-
-#: ``_walk`` walks its chains in numpy rounds while more than this
-#: many are live, and the rest in Python: a round costs about as much as this
-#: many scalar steps (the measured break-even of 2,000-step chains).
-_ROUND_MIN_CHAINS = 64
+from .edgehash import _ROUND_MIN, EdgeHash, _id_array
 
 
 def _chain_cells(length: int, cap: int) -> memoryview:
@@ -161,8 +157,10 @@ class HashList(EdgeHash):
         in the order of ``vs``, and ``counts`` each chain's length. Every
         chain is walked at once: each numpy round over views of ``_heads``
         and ``_next`` takes one step on every chain still live, until at
-        most ``_ROUND_MIN_CHAINS`` are, and the scalar walk finishes those
-        (a star hub alone would otherwise take one round per edge).
+        most ``_ROUND_MIN`` are, and the scalar walk finishes those (a star
+        hub alone would otherwise take one round per edge). The threshold,
+        shared with ``_probe_rounds``, is near the break-even of chain
+        rounds on 2,000-step chains.
         """
         nxt = _cells(self._next)
         req = np.arange(len(vs))
@@ -171,7 +169,7 @@ class HashList(EdgeHash):
         while True:
             live = cur != NONE
             req, cur = req[live], cur[live]
-            if len(cur) <= _ROUND_MIN_CHAINS:
+            if len(cur) <= _ROUND_MIN:
                 break
             owners.append(req)
             steps.append(cur)

@@ -136,24 +136,24 @@ def snapshot(store) -> dict:
 
 @contextmanager
 def read_path():
-    """Yields a list that gains one "rounds" for each batch ``contains_many`` probes in
-    rounds; a batch probed by the Python loop adds nothing."""
+    """Yields a list that gains, for each batch ``contains_many`` hands to
+    ``_probe_rounds``, "view" if the call got the int64 view of the slots to run
+    its rounds over, else "no-view"; a batch the scalar calls take adds nothing."""
     paths = []
     rounds = edgehash._probe_rounds
 
-    def spy(*args):
-        paths.append("rounds")
-        return rounds(*args)
+    def spy(table, *args):
+        paths.append("no-view" if table is None else "view")
+        return rounds(table, *args)
 
     with mock.patch.object(edgehash, "_probe_rounds", spy):
         yield paths
 
 
 def expected_path(store) -> str:
-    """The path a valid batch takes: the rounds iff the store holds a current view."""
+    """What a valid batch hands ``_probe_rounds``: the view iff it is current."""
     view = store._view
-    current = view is not None and view[:2] == (store.capacity, store.edge_count)
-    return "rounds" if current else "loop"
+    return "view" if view is not None and view[0] == store.edge_count else "no-view"
 
 
 @pytest.mark.parametrize("hash_mode", MODES)
@@ -164,10 +164,11 @@ def expected_path(store) -> str:
        side=st.sampled_from(["one", "below", "above"]), form=st.sampled_from(FORMS))
 def test_read_paths_match_scalar(cls, weighted, hash_mode, data, n, edges, built, side, form):
     """A store bulk-loaded into a presized table holds a current view, and batches of
-    1, cap/8 - 1 and 4 * cap valid pairs all take the rounds over it; a store built by
-    scalar adds, or given one new scalar seat after the load, holds none, and they take
-    the loop. Either way: the same answers and counters as the scalar loop, and the
-    reads change no slot, chain, weight or other counter."""
+    1, cap/8 - 1 and 4 * cap valid pairs all hand it to ``_probe_rounds``; a store built
+    by scalar adds, or given one new scalar seat after the load, holds none, and its
+    batches are probed by the Python tail alone. Either way: the same answers and
+    counters as the scalar loop, and the reads change no slot, chain, weight or other
+    counter."""
     cfg = StoreConfig(vertex_count=n, expected_edges=edges, hash_mode=hash_mode,
                       weighted=weighted)
     bulk, scalar = cls(cfg), cls(cfg)
@@ -181,7 +182,7 @@ def test_read_paths_match_scalar(cls, weighted, hash_mode, data, n, edges, built
         fresh = [(x, y) for x in range(n) for y in range(n) if (x, y) not in seen]
         assume(fresh)
         assert bulk.add_edge(*fresh[0]) is scalar.add_edge(*fresh[0]) is True
-    assert expected_path(bulk) == ("rounds" if built == "bulk" else "loop")
+    assert expected_path(bulk) == ("view" if built == "bulk" else "no-view")
     cap = bulk.capacity
     size = {"one": 1, "below": cap // 8 - 1, "above": 4 * cap}[side]
     asked = data.draw(st.lists(st.one_of(st.sampled_from(stored), pair),
@@ -190,7 +191,7 @@ def test_read_paths_match_scalar(cls, weighted, hash_mode, data, n, edges, built
     before = snapshot(bulk)
     with read_path() as paths:
         got = bulk.contains_many(shaped(qx, form), shaped(qy, form))
-    assert paths == (["rounds"] if built == "bulk" else [])
+    assert paths == (["view"] if built == "bulk" else ["no-view"])
     assert (bulk._view is None) == (built != "bulk")  # a stale view is freed by the read
     assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)]
     after = snapshot(bulk)
@@ -201,11 +202,15 @@ def test_read_paths_match_scalar(cls, weighted, hash_mode, data, n, edges, built
 
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("hash_mode", MODES)
-@pytest.mark.parametrize("n,path", [(1 << 31, "rounds"), ((1 << 31) + 1, "loop")])
-def test_read_path_by_vertex_count(n, path, hash_mode, form):
+@pytest.mark.parametrize("n,path", [(1 << 31, "view"), ((1 << 31) + 1, "no-view")])
+def test_read_path_by_vertex_count(n, path, hash_mode, form, monkeypatch):
     """At n = 2**31 every code fits int64, up to 2**63 - 1, so the load makes a view
-    and the rounds run; at 2**31 + 1 a code may reach 2**63, so no view is made and
-    the loop runs. Only EdgeHash: a HashList or MultiList would hold n heads here."""
+    and, with the tail cut to nothing, every probe runs in rounds over it; at 2**31 + 1
+    a code may reach 2**63, so no view is made and the Python tail probes alone. Its
+    codes must be the uint64 ones: their int64 view would turn a code of 2**63 or more
+    negative, and it would match no slot. Only EdgeHash: a HashList or MultiList would
+    hold n heads here."""
+    monkeypatch.setattr(edgehash, "_ROUND_MIN", 0)
     top = n - 1
     ids = [top, top - 1, top - 2, (1 << 31) - 1, 1 << 30, 0]
     xs = [top, top, top - 1, 0, 1 << 30, top - 2]
@@ -218,7 +223,7 @@ def test_read_path_by_vertex_count(n, path, hash_mode, form):
     with read_path() as paths:
         got = bulk.contains_many(shaped(qx, form), shaped(qy, form))
     assert expected_path(bulk) == path
-    assert paths == ([path] if path == "rounds" else [])
+    assert paths == [path]
     assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)]
     assert any(got) and not all(got)
     assert snapshot(bulk) == snapshot(scalar)
@@ -228,10 +233,10 @@ def test_read_path_by_vertex_count(n, path, hash_mode, form):
 @pytest.mark.parametrize("cls,weighted", STORES)
 @pytest.mark.parametrize("j", [2, 5, 9])
 def test_bad_id_on_the_rounds_path(cls, weighted, hash_mode, j):
-    """A bad id at index j of a 10-pair batch on a 16-slot table, which the rounds
-    would take whole (the load left a current view): the j valid pairs before it take
-    the scalar calls, are counted as a scalar loop stopped at j counts them, and then
-    the same VertexRangeError is raised."""
+    """A bad id at index j of a 10-pair batch on a 16-slot table, which
+    ``_probe_rounds`` would take whole (the load left a current view): the j valid pairs
+    before it take the scalar calls, are counted as a scalar loop stopped at j counts
+    them, and then the same VertexRangeError is raised."""
     cfg = StoreConfig(vertex_count=8, expected_edges=4, hash_mode=hash_mode, weighted=weighted)
     bulk, scalar = cls(cfg), cls(cfg)
     xs, ys = [0, 5, 7, 3, 1, 2], [0, 5, 7, 1, 3, 2]
@@ -251,7 +256,7 @@ def test_bad_id_on_the_rounds_path(cls, weighted, hash_mode, j):
 
 EDGE_CASES = [
     pytest.param([], [], [], id="empty"),
-    pytest.param([1, 2], [2, 1], ["rounds"], id="two-pairs-16-slots"),
+    pytest.param([1, 2], [2, 1], ["view"], id="two-pairs-16-slots"),
     pytest.param(np.array([1.0, 2.0, 3.0, 0.0]), np.array([2.0, 1.0, 3.0, 0.0]), [],
                  id="float-ids"),
 ]
@@ -262,7 +267,7 @@ EDGE_CASES = [
 @pytest.mark.parametrize("qx,qy,path", EDGE_CASES)
 def test_read_path_edge_cases(cls, weighted, hash_mode, qx, qy, path):
     """An empty batch and float ids go to the scalar calls, which answer or raise what
-    they always do; two pairs take the rounds over the view the load left."""
+    they always do; two pairs take ``_probe_rounds`` with the view the load left."""
     cfg = StoreConfig(vertex_count=4, expected_edges=2, hash_mode=hash_mode, weighted=weighted)
     bulk, scalar = cls(cfg), cls(cfg)
     bulk.add_edges([1, 3], [2, 3])
@@ -276,31 +281,129 @@ def test_read_path_edge_cases(cls, weighted, hash_mode, qx, qy, path):
     assert snapshot(bulk) == snapshot(scalar)
 
 
-@pytest.mark.parametrize("cls,weighted", STORES)
-@pytest.mark.parametrize("size", [1, 16])
-def test_deep_cluster_through_the_rounds(cls, weighted, size):
-    """In paper_compat mode every edge (x, 333333) homes to slot 0, so a load of 240 of
-    them fills one cluster 240 slots deep. Batches of 1 and 16 pairs take the rounds over
-    the view the load left, down to the cluster's end, and give the answers and counters
-    of the scalar calls."""
-    n = 1 << 19
-    xs = list(range(240))
-    ys = [333333] * 240
-    cfg = StoreConfig(vertex_count=n, expected_edges=240, hash_mode="paper_compat",
+class Reads:
+    """Counts the slots ``contains_many`` reads from here on: off the int64 view in a
+    round, and off ``_data`` in the Python tail. Every probe reads one slot, so the two
+    sum to the probes the contains channel records."""
+
+    def __init__(self, store):
+        self.view = self.slots = 0
+        reads = self
+
+        class View(np.ndarray):
+            def __getitem__(self, index):
+                if isinstance(index, np.ndarray):  # a round's gather, one slot per query
+                    reads.view += len(index)
+                return super().__getitem__(index)
+
+        class Slots(list):
+            def __getitem__(self, index):
+                reads.slots += 1
+                return super().__getitem__(index)
+
+        store._data = Slots(store._data)
+        if store._view is not None:
+            store._view = (store._view[0], store._view[1].view(View))
+
+
+def deep_cluster(cls, weighted):
+    """Twin stores, bulk-loaded and scalar-loaded, whose 240 edges (x, 333333) fill one
+    cluster from slot 0: in paper_compat mode every such edge homes to slot 0."""
+    xs, ys = list(range(240)), [333333] * 240
+    cfg = StoreConfig(vertex_count=1 << 19, expected_edges=240, hash_mode="paper_compat",
                       weighted=weighted)
     bulk, scalar = cls(cfg), cls(cfg)
     assert bulk.add_edges(np.array(xs), ys) == scalar_adds(scalar, xs, ys)
     assert bulk._data[:240] == [(x << 32) | 333333 for x in xs]  # one cluster from slot 0
+    return bulk, scalar
+
+
+@pytest.mark.parametrize("cls,weighted", STORES)
+@pytest.mark.parametrize("size", [1, 16])
+def test_deep_cluster_through_the_rounds(cls, weighted, size):
+    """Batches of 1 and 16 pairs into the cluster get the view the load left, but are
+    no more than ``_ROUND_MIN`` queries, so the Python tail probes them alone, down to
+    the cluster's end, and no round reads a slot of the view. They give the answers and
+    counters of the scalar calls."""
+    bulk, scalar = deep_cluster(cls, weighted)
+    n = bulk.vertex_count
     asked = [(239, 333333), (240, 333333), (100, 333333), (0, 333333), (5, 6),
              (n - 1, 333333), (150, 333333), (333333, 333333)]
     for batch in [[q] for q in asked] if size == 1 else [asked * 2, asked[::-1] * 2]:
         qx, qy = [x for x, _ in batch], [y for _, y in batch]
+        total = bulk.counters.contains.total
+        reads = Reads(bulk)
         with read_path() as paths:
             got = bulk.contains_many(np.array(qx, np.uint64), qy)
-        assert paths == ["rounds"]
+        assert paths == ["view"]
+        assert (reads.view, reads.slots) == (0, bulk.counters.contains.total - total)
         assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)]
         assert snapshot(bulk) == snapshot(scalar)
     assert bulk.counters.contains.peak == 241  # a miss walks the whole cluster
+
+
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_cluster_crosses_the_round_threshold(cls, weighted):
+    """150 queries into the cluster, shuffled: 130 hits, query (k, 333333) ending at
+    probe k + 1, and 20 misses that walk all 240 slots and the empty one after. After
+    round r, 150 - r are live, so the rounds stop at ``_ROUND_MIN`` live queries, each
+    in mid-probe, and the tail finishes them from the slot the rounds left each at. The
+    rounds read exactly their own probes off the view, the tail the rest off ``_data``,
+    and answers and counters are those of the scalar calls."""
+    bulk, scalar = deep_cluster(cls, weighted)
+    batch = [(k, 333333) for k in range(130)] + [(240 + k, 333333) for k in range(20)]
+    np.random.default_rng(3).shuffle(batch)
+    qx, qy = [x for x, _ in batch], [y for _, y in batch]
+    rounds = len(batch) - edgehash._ROUND_MIN
+    assert 0 < rounds < 130  # hits as well as misses are live at the seam
+    reads = Reads(bulk)
+    got = bulk.contains_many(np.array(qx), np.array(qy))
+    assert reads.view == sum(len(batch) - r for r in range(rounds))
+    assert reads.view + reads.slots == bulk.counters.contains.total
+    assert got == [scalar.contains(x, y) for x, y in zip(qx, qy)]
+    assert snapshot(bulk) == snapshot(scalar)
+    assert bulk.counters.contains.peak == 241
+
+
+PROBE_HALVES = {"rounds": 0, "tail": 1 << 31}
+
+
+@pytest.mark.parametrize("view", [True, False], ids=["view", "no-view"])
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+@pytest.mark.parametrize("half", PROBE_HALVES)
+def test_probe_through_each_half(half, cls, weighted, hash_mode, view, monkeypatch):
+    """``edgehash._ROUND_MIN`` at 0 runs a batch's probe in rounds alone, down to the
+    last query, when the view is current; above the batch, in the Python tail alone.
+    Without a view no round runs. (``hashlist`` binds the name by import, so patching
+    ``edgehash`` leaves ``_walk`` as it is.) Each way: the answers, counters and slots of
+    the scalar calls; the rounds read their slots off the view, the tail off ``_data``;
+    and a batch that runs no round makes no bool array, but answers with the tail's list
+    as it is."""
+    monkeypatch.setattr(edgehash, "_ROUND_MIN", PROBE_HALVES[half])
+    n = 64
+    rng = np.random.default_rng(11)
+    xs, ys = rng.integers(0, n, 300).tolist(), rng.integers(0, n, 300).tolist()
+    cfg = StoreConfig(vertex_count=n, expected_edges=300, hash_mode=hash_mode,
+                      weighted=weighted)
+    bulk, scalar = cls(cfg), cls(cfg)
+    assert bulk.add_edges(xs, ys) == scalar_adds(scalar, xs, ys)
+    if not view:  # one new scalar seat makes the view stale
+        seen = set(zip(xs, ys))
+        fresh = next((x, y) for x in range(n) for y in range(n) if (x, y) not in seen)
+        assert bulk.add_edge(*fresh) is scalar.add_edge(*fresh) is True
+    qx, qy = rng.integers(0, n, 200), rng.integers(0, n, 200)
+    reads = Reads(bulk)
+    with read_path() as paths, mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
+        got = bulk.contains_many(qx, qy)
+    rounds = view and half == "rounds"
+    total = bulk.counters.contains.total
+    assert (reads.view, reads.slots) == ((total, 0) if rounds else (0, total))
+    assert zeros.call_count == int(rounds)
+    assert paths == ["view" if view else "no-view"]
+    assert got == [scalar.contains(x, y) for x, y in zip(qx.tolist(), qy.tolist())]
+    assert any(got) and not all(got)
+    assert snapshot(bulk) == snapshot(scalar)
 
 
 def test_mid_batch_rebuilds_in_one_call():

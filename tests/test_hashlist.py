@@ -331,7 +331,7 @@ def test_rebuild_through_each_half_of_the_walk(half, mode, cells):
     weights = [None if k % 3 == 0 else float(k) for k in range(len(edges))]
     seat_order = sorted(range(len(edges)), key=lambda k: edges[k][0])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hashlist, "_ROUND_MIN_CHAINS", WALK_HALVES[half])
+        patch.setattr(hashlist, "_ROUND_MIN", WALK_HALVES[half])
         if cells == "8-byte":
             patch.setattr(hashlist, "_chain_cells",
                           lambda length, cap: memoryview(array("q", [NONE]) * length))

@@ -9,7 +9,7 @@ the vertices before a bad one are counted. Covered: all four stores, both
 hash modes, weighted HashLists, stores grown through rebuilds, repeated
 vertices, lists and numpy integer arrays, a star hub that outlives every
 other chain, and ids numpy cannot hold. HashList walks its chains in numpy
-rounds while more than ``_ROUND_MIN_CHAINS`` are live; the tests run with
+rounds while more than ``_ROUND_MIN`` are live; the tests run with
 the real cut-off and with rounds forced down to the last chain.
 """
 
@@ -105,7 +105,7 @@ def cutoff(which: str):
     """The real scalar cut-off, or numpy rounds until no chain is live."""
     with pytest.MonkeyPatch.context() as patch:
         if which == "rounds-only":
-            patch.setattr(hashlist, "_ROUND_MIN_CHAINS", 0)
+            patch.setattr(hashlist, "_ROUND_MIN", 0)
         yield
 
 

@@ -84,7 +84,7 @@ def test_rebuilds_match_the_reference(mode, weighted, cells, shape, n, seed, rou
 
     with pytest.MonkeyPatch.context() as patch:
         if rounds:  # the walk runs in numpy rounds down to the last chain
-            patch.setattr(hashlist, "_ROUND_MIN_CHAINS", 0)
+            patch.setattr(hashlist, "_ROUND_MIN", 0)
         if cells == "8-byte":
             wide = lambda length, cap: memoryview(array("q", [NONE]) * length)  # noqa: E731
             patch.setattr(hashlist, "_chain_cells", wide)

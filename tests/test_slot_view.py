@@ -1,9 +1,10 @@
 """The int64 view of the slots that the hash stores keep for their read batches.
 
-An ``EdgeHash`` (and so a ``HashList``) keeps at most one view, the tuple
-``(capacity, edge_count, table)``. It is current while the store's capacity
-and edge count are those it was made at; nothing is ever removed, so then it
-holds the slots as they are. A bulk add into an empty table, with at least
+An ``EdgeHash`` (and so a ``HashList``) keeps at most one view, the pair
+``(edge_count, table)``. It is current while the store's edge count is the
+one it was keyed at: every install of a table, the only change of capacity,
+drops it, and nothing is ever removed, so then it holds the slots as they
+are. A bulk add into an empty table, with at least
 capacity / 8 pairs, starts it, and each pass of the add scatters its seats
 into it while it is current. The read batches (``contains_many``'s rounds,
 ``HashList``'s enumeration) read it exactly while it is current, and nothing
@@ -62,9 +63,9 @@ def check_view(store) -> bool:
     """Whether the store has a current view, read off ``_view`` so that a stale one is
     left in place; a current one must equal the slots."""
     view = store._view
-    if view is None or view[:2] != (store.capacity, store.edge_count):
+    if view is None or view[0] != store.edge_count:
         return False
-    table = view[2]
+    table = view[1]
     assert table.dtype == np.int64
     assert np.array_equal(table, np.fromiter(store._data, np.int64, store.capacity))
     return True
@@ -126,7 +127,7 @@ def test_interleaved_history(cls, weighted, cells, hash_mode, data, n, presized,
                 if starts and pairs and bulk.rebuilds == rebuilds:
                     assert bulk._current_view() is not None
                 elif not starts:  # no view is started: the add keeps its table or drops it
-                    assert bulk._view is None or bulk._view[2] is before[2]
+                    assert bulk._view is None or bulk._view[1] is before[1]
                 added += pairs
             elif op == "add":
                 x, y = args[0] % n, args[1] % n
@@ -159,8 +160,9 @@ def distinct(count: int, n: int, seed: int):
 def test_view_lifecycle(cls, weighted, cells, hash_mode):
     """The load of ``graphstores query`` leaves a current view, which read batches share
     and a later bulk add scatters into; a duplicate or a weight keeps it current. A new
-    scalar seat makes it stale, the next read batch takes its Python path and frees it,
-    and ``grow`` drops any view."""
+    scalar seat makes it stale, the next read batch runs no round over it (its probe
+    gets no view and the Python tail does it all) and frees it, and ``grow`` drops any
+    view."""
     n = 256
     xs, ys = distinct(600, n, 7)
     cfg = StoreConfig(vertex_count=n, expected_edges=512, hash_mode=hash_mode, weighted=weighted)
@@ -188,9 +190,17 @@ def test_view_lifecycle(cls, weighted, cells, hash_mode):
                                                         for x, y in zip(xs[512:599], ys[512:599])]
     assert bulk._current_view() is table and check_view(bulk)
     assert bulk.add_edge(xs[-1], ys[-1]) is scalar.add_edge(xs[-1], ys[-1]) is True
-    assert not check_view(bulk) and bulk._view[2] is table  # stale, still held
-    with mock.patch.object(edgehash, "_probe_rounds", side_effect=AssertionError("rounds")):
+    assert not check_view(bulk) and bulk._view[1] is table  # stale, still held
+    tables = []
+    probe = edgehash._probe_rounds
+
+    def spy(table, *args):
+        tables.append(table)
+        return probe(table, *args)
+
+    with mock.patch.object(edgehash, "_probe_rounds", spy):
         assert bulk.contains_many(qx, qy) == [scalar.contains(x, y) for x, y in zip(qx, qy)]
+    assert tables == [None]  # no round reads a stale view
     assert bulk._view is None
     if cls is HashList:
         assert bulk.neighbors_many(range(n)) == EdgeStore.neighbors_many(scalar, range(n))
@@ -225,7 +235,7 @@ def test_stale_view_is_freed_by_the_next_batch(cls, call, hash_mode):
     assert bulk.contains(xs[0], ys[0]) is scalar.contains(xs[0], ys[0]) is True
     if cls is HashList:
         assert bulk.neighbors(xs[0]) == scalar.neighbors(xs[0])
-    assert bulk._view[2] is table
+    assert bulk._view[1] is table
     if call == "contains_many":
         got = bulk.contains_many(xs[256:], ys[256:])
         assert got == [scalar.contains(x, y) for x, y in zip(xs[256:], ys[256:])]
