@@ -23,11 +23,30 @@ earliest disagreeing op, or the earliest exception, decides, and any
 disagreement aborts with a bisection-minimized failing stream. A store's
 wall time per class sums its runs of same-class calls, with the clock read
 only where the class changes, not around every call.
+
+A stream of at least ``_SPLIT_FROM`` ops over three or more structures
+runs split over two processes where the host allows it (``_can_split``):
+a forked child runs the stores between the first and the last, and pipes
+each chunk's answers and times back, while the parent runs the first and
+the last and compares every answer as the serial run does. The outcome is
+always the serial one: any disagreement, exception or broken pipe sends
+the parent back to the serial run on fresh stores, which alone raises or
+minimizes. The caller pays for a split later: the parent's heap is shared
+copy-on-write with the child, so the first write to each of its pages
+after the fork faults (in a 211 MB frozen heap, a pass over 600,000 of its
+tuples took 9.5-11 ms after a serial run and 22-28 ms after a split, on a
+2-vCPU VM). On Python 3.12 and later ``os.fork`` warns when the process has other OS
+threads, and numpy's BLAS thread counts as one.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from time import perf_counter_ns
@@ -56,6 +75,11 @@ _MISS_TRIES = 256
 #: Ops each store runs before the answers are compared; answers are held for
 #: one chunk at a time, so memory stays bounded whatever the stream length.
 _CHUNK = 4096
+
+#: Streams of at least this many ops may run split over two processes. Set
+#: from paired runs on a perfbench-sized heap (see CHANGES.md): below it the
+#: fork and the copy-on-write faults cost more than the second CPU saves.
+_SPLIT_FROM = 16384
 
 #: LCG states drawn per numpy block by ``generate_ops``.
 _LCG_BLOCK = 4096
@@ -283,6 +307,11 @@ def _build_stores(spec: WorkloadSpec, structures: Sequence[str], hash_mode: str,
     return [(name, _new_store(name, spec.n, adds, hash_mode)) for name in structures]
 
 
+def _counted(stores):
+    """What the report reads of each store: (name, counters, slots_allocated)."""
+    return [(name, store.counters, store.slots_allocated) for name, store in stores]
+
+
 def _run_chunk(chunk, add, has, nbrs):
     """One store over one chunk of ops.
 
@@ -326,6 +355,22 @@ def _run_chunk(chunk, add, has, nbrs):
     return pairs, lists, spent[:3], error
 
 
+def _bind(stores):
+    """Each store's name and its add / contains / neighbors calls; no neighbors for the bare edge hash."""
+    return [
+        (name, store.add_edge, store.contains, store.neighbors if store.enumerates else None)
+        for name, store in stores
+    ]
+
+
+def _agree(runs) -> bool:
+    """Whether every (name, pair answers, lists or None) run answered as the first did."""
+    listed = [lists for _, _, lists in runs if lists is not None]
+    return all(pairs == runs[0][1] for _, pairs, _ in runs) and all(
+        lists == listed[0] for lists in listed
+    )
+
+
 def _execute(ops, stores, wall=None):
     """Run the stream through every store, ``_CHUNK`` ops at a time per store.
 
@@ -340,10 +385,7 @@ def _execute(ops, stores, wall=None):
     per-(structure, class) nanoseconds spent in the stores' runs of
     same-class calls (see ``_run_chunk``).
     """
-    bound = [
-        (name, store.add_edge, store.contains, store.neighbors if store.enumerates else None)
-        for name, store in stores
-    ]
+    bound = _bind(stores)
     for start in range(0, len(ops), _CHUNK):
         chunk = ops[start:start + _CHUNK]
         stop, error = len(chunk), None
@@ -356,12 +398,8 @@ def _execute(ops, stores, wall=None):
             if exc is not None and len(pairs) + len(lists) < stop:
                 stop, error = len(pairs) + len(lists), exc
             runs.append((name, pairs, None if nbrs is None else lists))
-        if error is None:
-            listed = [lists for _, _, lists in runs if lists is not None]
-            if all(pairs == runs[0][1] for _, pairs, _ in runs) and all(
-                lists == listed[0] for lists in listed
-            ):
-                continue
+        if error is None and _agree(runs):
+            continue
         p = q = 0
         for i in range(stop):
             op = chunk[i]
@@ -379,6 +417,113 @@ def _execute(ops, stores, wall=None):
         if error is not None:
             raise error
     return None
+
+
+def _can_split(structures) -> bool:
+    """Whether a split run may fork here: three or more structures, ``os.fork`` and
+    ``os.sched_getaffinity`` present, two usable CPUs, and no other Python thread."""
+    return (
+        len(structures) >= 3
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _answered(chunk, add, has, nbrs):
+    """``_run_chunk``'s answers, lists (None for a store that does not enumerate)
+    and ns per class, or None if the store raised."""
+    pairs, lists, spent, exc = _run_chunk(chunk, add, has, nbrs)
+    return None if exc is not None else (pairs, None if nbrs is None else lists, spent)
+
+
+def _serve(ops, spec, names, hash_mode, adds, out) -> None:
+    """The child's half of a split run, over the stores ``names``.
+
+    Per chunk it pickles each store's ``_answered`` to ``out``, then the
+    stores' ``_counted``. A store that raises, here or while built, ends the
+    stream early: the short stream is the parent's error flag.
+    """
+    stores = _build_stores(spec, names, hash_mode, adds)
+    bound = _bind(stores)
+    for start in range(0, len(ops), _CHUNK):
+        chunk = ops[start:start + _CHUNK]
+        runs = [_answered(chunk, add, has, nbrs) for _, add, has, nbrs in bound]
+        if None in runs:
+            return
+        pickle.dump(runs, out)
+        out.flush()
+    pickle.dump(_counted(stores), out)
+
+
+def _lead(ops, spec, structures, hash_mode, adds, inp):
+    """The parent's half of a split run: the first and the last store, compared
+    chunk by chunk with the child's answers read from ``inp``.
+
+    Returns (``_counted`` of every store in structure order, wall) on full
+    agreement; None on any disagreement, exception or short read.
+    """
+    try:
+        stores = _build_stores(spec, (structures[0], structures[-1]), hash_mode, adds)
+    except Exception:
+        return None
+    (_, *calls_a), (_, *calls_z) = _bind(stores)
+    wall = {(name, cls): 0 for name in structures for cls in OP_CLASSES}
+    try:
+        for start in range(0, len(ops), _CHUNK):
+            chunk = ops[start:start + _CHUNK]
+            mine = [_answered(chunk, *calls) for calls in (calls_a, calls_z)]
+            if None in mine:
+                return None
+            runs = [mine[0], *pickle.load(inp), mine[1]]
+            if not _agree([(name, pairs, lists) for name, (pairs, lists, _) in zip(structures, runs)]):
+                return None
+            for name, (_, _, spent) in zip(structures, runs):
+                for cls, ns in zip(OP_CLASSES, spent):
+                    wall[name, cls] += ns
+        middle = pickle.load(inp)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    first, last = _counted(stores)
+    return [first, *middle, last], wall
+
+
+def _split_execute(ops, spec, structures, hash_mode, adds):
+    """``_lead`` in this process beside ``_serve`` in a forked child; None if the fork fails.
+
+    The child freezes its inherited heap out of its collections, never
+    flushes the caller's stdio buffers, and leaves by ``os._exit`` once it
+    has sent its counters. The parent reaps it whatever the outcome, and
+    kills it first unless the run agreed to the end.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            gc.freeze()
+            with open(w, "wb") as out:
+                _serve(ops, spec, structures[1:-1], hash_mode, adds, out)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    result = None
+    try:
+        with open(r, "rb") as inp:
+            result = _lead(ops, spec, structures, hash_mode, adds, inp)
+        return result
+    finally:
+        if result is None:  # the child may still run: it sent no counters, or they went unread
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _minimize(ops: list[tuple], fails: Callable[[list[tuple]], bool]) -> list[tuple]:
@@ -411,6 +556,14 @@ def run_workload(
 
     Raises :class:`DifferentialMismatch` if any two structures ever
     disagree; the exception carries a minimized failing stream.
+
+    A stream of at least ``_SPLIT_FROM`` ops over three or more structures
+    runs split where ``_can_split`` allows: a forked child runs every store
+    but the first and the last, and this process runs those two and
+    compares each chunk's answers. On any disagreement, exception or
+    failed fork the run starts again serially on fresh stores, so the
+    report, the exception raised and the minimized stream are those of the
+    serial run; only ``wall_ns`` can differ.
     """
     structures = tuple(structures)
     for name in structures:
@@ -421,26 +574,32 @@ def run_workload(
 
     ops = generate_ops(spec)
     adds = sum(1 for op in ops if op[0] == "add")
-    stores = _build_stores(spec, structures, hash_mode, adds)
-    wall = {(name, cls): 0 for name, _ in stores for cls in OP_CLASSES}
+    split = None
+    if len(ops) >= _SPLIT_FROM and _can_split(structures):
+        split = _split_execute(ops, spec, structures, hash_mode, adds)
+    if split is not None:
+        counted, wall = split
+    else:
+        stores = _build_stores(spec, structures, hash_mode, adds)
+        wall = {(name, cls): 0 for name, _ in stores for cls in OP_CLASSES}
+        mismatch = _execute(ops, stores, wall)
+        if mismatch is not None:
+            index = mismatch[0]
 
-    mismatch = _execute(ops, stores, wall)
-    if mismatch is not None:
-        index = mismatch[0]
+            def fails(candidate: list[tuple]) -> bool:
+                fresh = _build_stores(spec, structures, hash_mode, adds)
+                return _execute(candidate, fresh) is not None
 
-        def fails(candidate: list[tuple]) -> bool:
+            minimized = _minimize(ops[: index + 1], fails)
             fresh = _build_stores(spec, structures, hash_mode, adds)
-            return _execute(candidate, fresh) is not None
-
-        minimized = _minimize(ops[: index + 1], fails)
-        fresh = _build_stores(spec, structures, hash_mode, adds)
-        final = _execute(minimized, fresh)
-        raise DifferentialMismatch(minimized, final[0], final[1], final[2])
+            final = _execute(minimized, fresh)
+            raise DifferentialMismatch(minimized, final[0], final[1], final[2])
+        counted = _counted(stores)
 
     report = BenchReport()
-    for name, store in stores:
+    for name, counters, slots in counted:
         for cls in OP_CLASSES:
-            channel = store.counters.channel(cls)
+            channel = counters.channel(cls)
             report.rows.append(
                 BenchRow(
                     structure=name,
@@ -449,7 +608,7 @@ def run_workload(
                     mean_counter=channel.mean,
                     max_counter=channel.peak,
                     wall_ns=wall[name, cls],
-                    slots_allocated=store.slots_allocated,
+                    slots_allocated=slots,
                 )
             )
     return report

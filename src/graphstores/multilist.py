@@ -14,9 +14,10 @@ A list of ``_ONE_SCAN_FROM`` or more targets is scanned once: the target
 goes on at the oldest end as a sentinel, one ``index`` finds it, at the
 list's old length if it is new, and the sentinel is popped before the
 capacity check can raise. The sentinel lives only inside an add, which is
-already a mutation under the single-writer contract. ``contains`` keeps
-``in`` and then ``index`` on a hit: a read may not mutate, and an
-``index`` that catches ValueError costs about 1 µs on every miss.
+already a mutation under the single-writer contract. ``contains`` may not
+mutate, so it takes no sentinel: a short list keeps ``in`` and then
+``index`` on a hit, and a list of ``_ONE_INDEX_FROM`` or more targets one
+``index`` whose ValueError marks a miss, at about 1 µs more per miss.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ from .core import CapacityError, EdgeStore, _checked_size
 #: duplicates, the sentinel's append and pop cost what a duplicate's second
 #: scan saves at about 48 targets; at 16 targets it needs about 60%.
 _ONE_SCAN_FROM = 48
+
+#: ``contains`` on a list at least this long scans it once, with one ``index``.
+#: Break-even (measured at degree 128, see CHANGES.md): that form cut a hit
+#: from 2,341 to 1,271 ns and raised a miss from 2,255 to 3,309 ns, so it
+#: gains at two misses per hit from about 256 targets.
+_ONE_INDEX_FROM = 256
 
 
 class MultiList(EdgeStore):
@@ -87,8 +94,15 @@ class MultiList(EdgeStore):
             raise self._pair_error(x, y)
         y = index(y)
         targets = self._lists[x]
-        found = y in targets
-        steps = targets.index(y) + 1 if found else len(targets)
+        k = len(targets)
+        if k < _ONE_INDEX_FROM:
+            found = y in targets
+            steps = targets.index(y) + 1 if found else k
+        else:
+            try:
+                steps, found = targets.index(y) + 1, True
+            except ValueError:
+                steps, found = k, False
         channel = self.counters.contains
         channel.ops += 1
         channel.total += steps

@@ -128,6 +128,35 @@ def test_equal_counts_report_medians(tmp_path, capsys):
     assert "counter columns equal in every round" in out
 
 
+@pytest.mark.parametrize("flags,structures", [
+    ([], "hashlist,multilist,edgehash,oracle"),
+    (["--structures", "hashlist,multilist,edgehash"], "hashlist,multilist,edgehash"),
+])
+def test_structures_reach_both_sides(tmp_path, monkeypatch, capsys, flags, structures):
+    """``--structures`` picks the stores of each side's run_workload, all four without
+    it; the tiny tree reports one row per structure it is given."""
+    parent = make_tree(tmp_path / "p", 10, 1)
+    change = make_tree(tmp_path / "c", 10, 2)
+    seen = []
+    runner = ab.workload_runner
+
+    def spy(*args):
+        run = runner(*args)
+
+        def observed(side):
+            elapsed, columns = run(side)
+            seen.append(",".join(row[0] for row in columns))
+            return elapsed, columns
+        return observed
+
+    monkeypatch.setattr(ab, "workload_runner", spy)
+    code = ab.main([str(parent), str(change), "--gen", "star", "--n", "8", "--m", "100",
+                    "--runs", "1", *flags])
+    assert code == 0
+    assert f"seed=1, {structures}, 1 rounds" in capsys.readouterr().out
+    assert seen == [structures] * 4
+
+
 def test_differing_counts_exit_1(tmp_path, capsys):
     parent = make_tree(tmp_path / "p", 10, 1)
     change = make_tree(tmp_path / "c", 11, 1)

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,15 +90,19 @@ def faulty_class(cls, fault: str, k: int):
 
 
 @st.composite
-def differential_cases(draw):
+def differential_cases(draw, split: bool = False):
+    """A spec, structures, hash mode, faults and chunk size. With ``split``: three or
+    more structures, and streams of at most 300 ops in small chunks, so that a
+    mismatch's stream minimizes quickly."""
     generator = draw(st.sampled_from(GENERATORS))
     n = draw(st.integers(4, 40))
-    m = draw(st.one_of(st.integers(0, 300), st.integers(CHUNK + 1, CHUNK + 300)))
+    long = st.nothing() if split else st.integers(CHUNK + 1, CHUNK + 300)
+    m = draw(st.one_of(st.integers(0, 300), long))
     weights = [draw(st.integers(0, 6)) for _ in range(4)]
     weights[0] += not any(weights)
     mix = tuple(w / sum(weights) for w in weights)
     spec = WorkloadSpec(generator, n=n, m=m, mix=mix, seed=draw(st.integers(0, 2**64 - 1)))
-    structures = tuple(draw(st.permutations(STRUCTURE_NAMES))[: draw(st.integers(1, 4))])
+    structures = tuple(draw(st.permutations(STRUCTURE_NAMES))[: draw(st.integers(3 if split else 1, 4))])
     faults = draw(
         st.dictionaries(
             st.sampled_from(structures),
@@ -100,7 +111,7 @@ def differential_cases(draw):
             max_size=2,
         )
     )
-    chunk = draw(st.sampled_from([1, 2, 7, 64, CHUNK]))
+    chunk = draw(st.sampled_from([1, 2, 7, 64] if split else [1, 2, 7, 64, CHUNK]))
     return spec, structures, draw(st.sampled_from(HASH_MODES)), faults, chunk
 
 
@@ -568,3 +579,223 @@ class TestMismatchShrinking:
         ops = [("add", i, 0) for i in range(23)]
         long = str(DifferentialMismatch(ops, 22, ops[22], [("hashlist", True), ("oracle", False)]))
         assert long.endswith(", ('add', 19, 0), ... (3 more)]") and "('add', 20, 0)" not in long
+
+
+#: Whether this host and test process can fork a split run at all.
+CAN_SPLIT = bench_module._can_split(STRUCTURE_NAMES)
+needs_split = pytest.mark.skipif(not CAN_SPLIT, reason="no split run here: one CPU or no fork")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def workload_outcome(spec, structures, hash_mode="mixer"):
+    """run_workload's outcome as comparable data: the report's rows but ``wall_ns``,
+    the mismatch's stream and answers, or the exception's class and message."""
+    try:
+        report = run_workload(spec, structures, hash_mode)
+    except DifferentialMismatch as exc:
+        return ("mismatch", exc.ops, exc.index, exc.op, exc.answers), None
+    except Exception as exc:
+        return ("raised", type(exc), str(exc)), None
+    rows = [(r.structure, r.operation, r.count_ops, r.mean_counter, r.max_counter, r.slots_allocated)
+            for r in report.rows]
+    return ("agree", rows), report
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def spy_split(mp) -> list:
+    """Record, per split run, whether it ran to the end (True) or fell back (False)."""
+    seen = []
+    split = bench_module._split_execute
+
+    def spy(*args):
+        result = split(*args)
+        seen.append(result is not None)
+        return result
+
+    mp.setattr(bench_module, "_split_execute", spy)
+    return seen
+
+
+def refuse_fork(mp) -> list:
+    """Make ``os.fork`` fail with OSError and record each attempt."""
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise OSError("fork refused")
+
+    mp.setattr(os, "fork", fork)
+    return calls
+
+
+@needs_split
+class TestSplitRun:
+    """A stream run split over two processes gives the serial outcome exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(differential_cases(split=True))
+    def test_split_gives_the_serial_outcome(self, case):
+        spec, structures, hash_mode, faults, chunk = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench_module, "_CHUNK", chunk)
+            for name, (fault, k) in faults.items():
+                attr = STORE_CLASSES[name]
+                mp.setattr(bench_module, attr, faulty_class(getattr(bench_module, attr), fault, k))
+            mp.setattr(bench_module, "_SPLIT_FROM", 2**63)
+            want, _ = workload_outcome(spec, structures, hash_mode)
+            mp.setattr(bench_module, "_SPLIT_FROM", 0)
+            seen = spy_split(mp)
+            got, report = workload_outcome(spec, structures, hash_mode)
+        assert_no_child()
+        assert got == want
+        # the split runs to the end exactly when the stores agree, and falls back otherwise
+        assert seen == [want[0] == "agree"]
+        if report is not None:
+            for row in report.rows:
+                assert (row.wall_ns > 0) == (row.count_ops > 0), row
+
+    SPEC = WorkloadSpec("uniform", n=30, m=3 * CHUNK, seed=26)
+    ALL = ("hashlist", "multilist", "edgehash", "oracle")
+
+    def serial(self, structures=ALL):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench_module, "_SPLIT_FROM", 2**63)
+            return workload_outcome(self.SPEC, structures)[0]
+
+    @pytest.mark.parametrize("fault,store,k", [
+        (None, None, 0),
+        ("lie", "hashlist", 3),  # a mismatch in a store of the parent
+        ("lie", "multilist", 3),  # a mismatch in a store of the child
+        ("raise_add", "multilist", 5000),  # a store raising in the child, past the first chunk
+        ("raise_add", "hashlist", 5000),  # a store raising in the parent
+    ])
+    def test_each_outcome_leaves_no_child(self, monkeypatch, fault, store, k):
+        if fault is not None:
+            attr = STORE_CLASSES[store]
+            monkeypatch.setattr(bench_module, attr, faulty_class(getattr(bench_module, attr), fault, k))
+        want = self.serial()
+        assert want[0] == ("agree" if fault is None else "raised" if fault == "raise_add" else "mismatch")
+        monkeypatch.setattr(bench_module, "_SPLIT_FROM", 0)
+        seen = spy_split(monkeypatch)
+        assert workload_outcome(self.SPEC, self.ALL)[0] == want
+        assert seen == [fault is None]
+        assert_no_child()
+
+    def test_a_fallback_kills_a_running_child(self, monkeypatch):
+        """A parent whose own store raises falls back at once, without waiting for
+        the child: a child stalled in its first add is reaped killed, and the serial
+        run raises the store's exception."""
+        parent = os.getpid()
+
+        class Stalled(MultiList):
+            def add_edge(self, x, y):
+                if os.getpid() != parent and not self.edge_count:
+                    time.sleep(60)  # once: a child left running would go on, and die of EPIPE
+                return MultiList.add_edge(self, x, y)
+
+        statuses = []
+        waitpid = os.waitpid
+
+        def spy(pid, options):
+            reaped = waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        monkeypatch.setattr(bench_module, "MultiList", Stalled)
+        monkeypatch.setattr(bench_module, "HashList", faulty_class(HashList, "raise_add", 5))
+        monkeypatch.setattr(os, "waitpid", spy)
+        monkeypatch.setattr(bench_module, "_SPLIT_FROM", 0)
+        with pytest.raises(CapacityError, match="HashList failure at add call 5"):
+            run_workload(self.SPEC, self.ALL)
+        assert len(statuses) == 1
+        assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        assert_no_child()
+
+    def test_exception_in_the_parent_mid_run_leaves_no_child(self, monkeypatch):
+        agree = bench_module._agree
+        calls = []
+
+        def interrupted(runs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return agree(runs)
+
+        monkeypatch.setattr(bench_module, "_agree", interrupted)
+        monkeypatch.setattr(bench_module, "_SPLIT_FROM", 0)
+        with pytest.raises(KeyboardInterrupt):
+            run_workload(self.SPEC, self.ALL)
+        assert len(calls) == 2
+        assert_no_child()
+
+    def test_two_structures_and_short_streams_stay_serial(self, monkeypatch):
+        calls = refuse_fork(monkeypatch)
+        monkeypatch.setattr(bench_module, "_SPLIT_FROM", self.SPEC.m + 1)
+        assert workload_outcome(self.SPEC, self.ALL)[0] == self.serial()
+        monkeypatch.setattr(bench_module, "_SPLIT_FROM", 0)
+        assert workload_outcome(self.SPEC, self.ALL[:2])[0] == self.serial(self.ALL[:2])
+        assert calls == []
+
+    def test_another_thread_keeps_the_run_serial(self, monkeypatch):
+        calls = refuse_fork(monkeypatch)
+        monkeypatch.setattr(bench_module, "_SPLIT_FROM", 0)
+        done = threading.Event()
+        worker = threading.Thread(target=done.wait)
+        worker.start()
+        try:
+            got = workload_outcome(self.SPEC, self.ALL)[0]
+        finally:
+            done.set()
+            worker.join()
+        assert calls == [] and got == self.serial()
+
+    def test_one_usable_cpu_keeps_the_run_serial(self, monkeypatch):
+        calls = refuse_fork(monkeypatch)
+        monkeypatch.setattr(bench_module, "_SPLIT_FROM", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert workload_outcome(self.SPEC, self.ALL)[0] == self.serial()
+        assert calls == []
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_missing_os_calls_keep_the_run_serial(self, monkeypatch, missing):
+        calls = refuse_fork(monkeypatch)
+        monkeypatch.delattr(os, missing)
+        monkeypatch.setattr(bench_module, "_SPLIT_FROM", 0)
+        assert workload_outcome(self.SPEC, self.ALL)[0] == self.serial()
+        assert calls == []
+
+    def test_failed_fork_falls_back_to_serial(self, monkeypatch):
+        calls = refuse_fork(monkeypatch)
+        monkeypatch.setattr(bench_module, "_SPLIT_FROM", 0)
+        seen = spy_split(monkeypatch)
+        assert workload_outcome(self.SPEC, self.ALL)[0] == self.serial()
+        assert calls == [1] and seen == [False]
+        assert_no_child()
+
+    def test_selftest_prints_buffered_output_once(self):
+        """The child never flushes the caller's stdio buffers: a print still in the
+        buffer of a piped stdout when ``graphstores selftest`` forks appears once."""
+        script = (
+            "import os, sys\n"
+            "forks = []\n"
+            "fork = os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "print('printed before the selftest')\n"
+            "from graphstores.cli import main\n"
+            "code = main(['selftest'])\n"
+            "print('forks', len(forks), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # keep stdout buffered
+        env["PYTHONPATH"] = str(ROOT / "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("printed before the selftest") == 1
+        assert done.stdout.count("selftest: PASS") == 1
+        assert done.stderr.strip() == "forks 1"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from graphstores import CapacityError, ConfigError, MultiList, OracleGraph, VertexRangeError
 from graphstores.counters import OP_CLASSES
-from graphstores.multilist import _ONE_SCAN_FROM
+from graphstores.multilist import _ONE_INDEX_FROM, _ONE_SCAN_FROM
 
 from _reference import EdgeSetOracle, multilist_add_edge
 
@@ -223,6 +223,26 @@ class TestInstrumentation:
         assert g.counters.contains.total == 1
         g.contains(0, 1)  # oldest: full scan
         assert g.counters.contains.total == 1 + 3
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 100])
+    def test_contains_counts_around_the_one_index_cutoff(self, offset):
+        """A list of k targets, below, at and past ``_ONE_INDEX_FROM``: a hit at
+        position i newest first counts i + 1, a miss counts k, and neither changes
+        the list."""
+        k = _ONE_INDEX_FROM + offset
+        g = MultiList(k + 2, k)
+        for y in range(k):
+            g.add_edge(0, y)
+        before = list(g._lists[0])
+        for i, y in enumerate(before):
+            g.counters.reset()
+            assert g.contains(0, y) is True
+            assert astuple(g.counters.contains) == (1, i + 1, i + 1)
+        for y in (k, k + 1):
+            g.counters.reset()
+            assert g.contains(0, y) is False
+            assert astuple(g.counters.contains) == (1, k, k)
+        assert g._lists[0] == before
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1),

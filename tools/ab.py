@@ -4,6 +4,8 @@ Run from the repository root, with two ``src`` directories, the parent
 commit's and the change's::
 
     python3 tools/ab.py ../parent/src src --gen star --n 1024 --m 8192 --seed 97 --runs 21
+    python3 tools/ab.py ../parent/src src --gen uniform --n 1000 --m 100000 \
+        --structures hashlist,multilist,edgehash
     python3 tools/ab.py ../parent/src src query --workload cli-query --seed 5 --runs 21
     python3 tools/ab.py ../parent/src src query --workload cli-query --structure multilist
 
@@ -19,7 +21,8 @@ change ran faster in. It exits 1 if the two sides ever disagree.
 Two calls can be timed:
 
 - ``workload`` (the default): ``run_workload`` of one ``WorkloadSpec``
-  (``--gen --n --m --seed``) over all four structures (``STRUCTURES``).
+  (``--gen --n --m --seed``) over ``--structures``, a comma-separated
+  list that defaults to all four structures (``STRUCTURES``).
   Every round checks that the two reports' counter columns (every column
   but ``wall_ns``) are equal.
 - ``query``: ``cli.main(["query", ...])`` on one perfbench workload's
@@ -93,13 +96,15 @@ def counter_columns(report) -> list[tuple]:
              r.slots_allocated) for r in report.rows]
 
 
-def workload_runner(packages: dict[str, ModuleType], spec_args: dict):
-    """``run(side)`` -> (ns, counter columns) of one ``run_workload`` on that side."""
+def workload_runner(packages: dict[str, ModuleType], spec_args: dict,
+                    structures: tuple[str, ...] = STRUCTURES):
+    """``run(side)`` -> (ns, counter columns) of one ``run_workload`` over ``structures``
+    on that side."""
     def run(side: str):
         pkg = packages[side]
         spec = pkg.WorkloadSpec(**spec_args)
         t0 = perf_counter_ns()
-        report = pkg.run_workload(spec, STRUCTURES)
+        report = pkg.run_workload(spec, structures)
         return perf_counter_ns() - t0, counter_columns(report)
     return run
 
@@ -166,6 +171,8 @@ def main(argv=None) -> int:
     parser.add_argument("--gen", help="workload: generator, uniform, star or grid")
     parser.add_argument("--n", type=int, help="workload: vertex count")
     parser.add_argument("--m", type=int, help="workload: operation count")
+    parser.add_argument("--structures", default=",".join(STRUCTURES),
+                        help="workload: comma-separated structures (default: all four)")
     parser.add_argument("--workload", help="query: a perfbench workload, such as cli-query")
     parser.add_argument("--structure", choices=("hashlist", "multilist", "oracle"),
                         default="hashlist", help="query: the store to build (default: hashlist)")
@@ -183,12 +190,13 @@ def main(argv=None) -> int:
 
     if args.call == "workload":
         spec_args = {"generator": args.gen, "n": args.n, "m": args.m, "seed": args.seed}
-        out = alternate(workload_runner(packages, spec_args), args.runs)
+        structures = tuple(args.structures.split(","))
+        out = alternate(workload_runner(packages, spec_args, structures), args.runs)
         if out["mismatch"] is not None:
             print(f"ab: counter columns differ in round {out['mismatch']}", file=sys.stderr)
             return 1
         print_times(out, f"run_workload {args.gen} n={args.n} m={args.m} seed={args.seed}, "
-                         f"{','.join(STRUCTURES)}", args.runs)
+                         f"{','.join(structures)}", args.runs)
         print("counter columns equal in every round")
         return 0
 
