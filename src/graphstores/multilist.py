@@ -2,27 +2,38 @@
 
 ``_lists[x]`` holds x's targets in reverse order of arrival, so
 enumeration yields them newest first. Every vertex without an edge shares
-the immutable ``()``, and its first edge gives it a list of its own.
-Membership, the duplicate check and enumeration run as list operations in
-C. The counters still count the entries a chain walk would visit: the
-list is newest first, so ``list.index`` compares exactly those. A target
-is taken through ``operator.index`` before the scan, so a float one
-raises TypeError, as on the other stores.
+the immutable ``()``, and its first edge gives it a list of its own. The
+counters count the entries a chain walk would visit: a hit at position i
+newest first counts i + 1, a miss the whole list and a new edge the list
++ 1. A target is taken through ``operator.index`` before the search, so a
+float one raises TypeError, as on the other stores.
 
-An add checks a short list with ``in`` and, for a duplicate, ``index``.
-A list of ``_ONE_SCAN_FROM`` or more targets is scanned once: the target
+A list shorter than ``_ONE_INDEX_FROM`` is searched as a list, in C. An
+add checks a short list with ``in`` and, for a duplicate, ``index``. A
+list of ``_ONE_SCAN_FROM`` or more targets is scanned once: the target
 goes on at the oldest end as a sentinel, one ``index`` finds it, at the
 list's old length if it is new, and the sentinel is popped before the
 capacity check can raise. The sentinel lives only inside an add, which is
 already a mutation under the single-writer contract. ``contains`` may not
-mutate, so it takes no sentinel: a short list keeps ``in`` and then
-``index`` on a hit, and a list of ``_ONE_INDEX_FROM`` or more targets one
-``index`` whose ValueError marks a miss, at about 1 µs more per miss.
+mutate, so it takes no sentinel: ``in``, and then ``index`` on a hit.
+
+A list of ``_ONE_INDEX_FROM`` or more targets (a hub) also has a packed
+twin, ``_twins[x]``: an ``array("I")`` of the same targets, oldest first,
+at 4 B per target. The add that brings the list to the cutoff builds it,
+and each later new edge appends to it when the capacity check will pass.
+On a hub, ``add_edge`` and ``contains`` find the target with one numpy
+pass over the twin (``_twin_index``); a hit at twin index i is at position
+k - 1 - i newest first, so it counts k - i. ``neighbors`` still copies the
+list. The twins are a dict keyed by vertex, so a store whose lists all
+stay short holds only one empty dict more.
 """
 
 from __future__ import annotations
 
+from array import array
 from operator import index
+
+import numpy as np
 
 from .core import CapacityError, EdgeStore, _checked_size
 
@@ -32,11 +43,20 @@ from .core import CapacityError, EdgeStore, _checked_size
 #: scan saves at about 48 targets; at 16 targets it needs about 60%.
 _ONE_SCAN_FROM = 48
 
-#: ``contains`` on a list at least this long scans it once, with one ``index``.
-#: Break-even (measured at degree 128, see CHANGES.md): that form cut a hit
-#: from 2,341 to 1,271 ns and raised a miss from 2,255 to 3,309 ns, so it
-#: gains at two misses per hit from about 256 targets.
+#: ``add_edge`` and ``contains`` on a list at least this long search its twin.
+#: Break-even (measured, see CHANGES.md): the numpy pass costs 1.7-2.0 µs at
+#: 128 to 1,024 targets. At 128 a list search (``in``, then ``index`` on a
+#: hit) takes 1.5-1.6 µs and the add's sentinel scan 0.8 µs for a duplicate and
+#: 1.5 µs for a new target; at 256 the pass is 1.6-1.8x faster than the list
+#: search and than the sentinel on a new target, at 512 about 3x and at
+#: 1,024 about 6x.
 _ONE_INDEX_FROM = 256
+
+
+def _twin_index(twin: array, y: int) -> int:
+    """Index of ``y`` in a packed twin (oldest first), or -1: one numpy pass."""
+    i = int((np.frombuffer(twin, np.uintc) == y).argmax())
+    return i if twin[i] == y else -1
 
 
 class MultiList(EdgeStore):
@@ -50,12 +70,13 @@ class MultiList(EdgeStore):
     any number of threads may read concurrently.
     """
 
-    __slots__ = ("_m", "_lists")
+    __slots__ = ("_m", "_lists", "_twins")
 
     def __init__(self, vertex_count: int, edge_capacity: int) -> None:
         super().__init__(vertex_count)
         self._m = _checked_size("edge_capacity", edge_capacity, 0)
         self._lists = [()] * self._n
+        self._twins: dict[int, array] = {}
 
     def add_edge(self, x: int, y: int) -> bool:
         n = self._n
@@ -68,11 +89,21 @@ class MultiList(EdgeStore):
         if k < _ONE_SCAN_FROM:
             new = y not in targets
             steps = k + 1 if new else targets.index(y) + 1
-        else:  # y appended at the oldest end ends the one scan, at k if y is new
+        elif k < _ONE_INDEX_FROM:  # y at the oldest end ends the one scan, at k if y is new
             targets.append(y)
             steps = targets.index(y) + 1
             targets.pop()
             new = steps > k
+            if new and k == _ONE_INDEX_FROM - 1 and self._count < self._m:  # y makes a hub
+                twin = self._twins[index(x)] = array("I", reversed(targets))
+                twin.append(y)
+        else:  # a hub: one numpy pass over its twin
+            twin = self._twins[x]
+            i = _twin_index(twin, y)
+            new = i < 0
+            steps = k + 1 if new else k - i
+            if new and self._count < self._m:  # the twin takes y if the check below passes
+                twin.append(y)
         if new:
             if self._count >= self._m:
                 raise CapacityError(f"all {self._m} cells are in use")
@@ -99,10 +130,9 @@ class MultiList(EdgeStore):
             found = y in targets
             steps = targets.index(y) + 1 if found else k
         else:
-            try:
-                steps, found = targets.index(y) + 1, True
-            except ValueError:
-                steps, found = k, False
+            i = _twin_index(self._twins[x], y)
+            found = i >= 0
+            steps = k - i if found else k
         channel = self.counters.contains
         channel.ops += 1
         channel.total += steps

@@ -2,13 +2,20 @@ from __future__ import annotations
 
 from dataclasses import astuple
 
+import gc
+import random
+import sys
+import tracemalloc
+from array import array
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphstores import CapacityError, ConfigError, MultiList, OracleGraph, VertexRangeError
 from graphstores.counters import OP_CLASSES
-from graphstores.multilist import _ONE_INDEX_FROM, _ONE_SCAN_FROM
+from graphstores.multilist import _ONE_INDEX_FROM, _ONE_SCAN_FROM, _twin_index
 
 from _reference import EdgeSetOracle, multilist_add_edge
 
@@ -226,23 +233,29 @@ class TestInstrumentation:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, 100])
     def test_contains_counts_around_the_one_index_cutoff(self, offset):
-        """A list of k targets, below, at and past ``_ONE_INDEX_FROM``: a hit at
-        position i newest first counts i + 1, a miss counts k, and neither changes
-        the list."""
+        """A list of k targets, below, at and past ``_ONE_INDEX_FROM``: a hit, or a
+        duplicate add, at position i newest first counts i + 1 and changes
+        nothing; a miss counts k, and a new edge k + 1."""
         k = _ONE_INDEX_FROM + offset
-        g = MultiList(k + 2, k)
+        g = MultiList(k + 2, k + 1)
         for y in range(k):
             g.add_edge(0, y)
         before = list(g._lists[0])
         for i, y in enumerate(before):
             g.counters.reset()
             assert g.contains(0, y) is True
-            assert astuple(g.counters.contains) == (1, i + 1, i + 1)
+            assert g.add_edge(0, y) is False
+            assert astuple(g.counters.contains) == astuple(g.counters.add) == (1, i + 1, i + 1)
         for y in (k, k + 1):
             g.counters.reset()
             assert g.contains(0, y) is False
             assert astuple(g.counters.contains) == (1, k, k)
         assert g._lists[0] == before
+        g.counters.reset()
+        assert g.add_edge(0, k) is True
+        assert astuple(g.counters.add) == (1, k + 1, k + 1)
+        assert g._lists[0] == [k] + before
+        assert_twins(g)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1),
@@ -285,6 +298,14 @@ class TestInstrumentation:
                     count, total, peak = count + 1, total + cost, max(peak, cost)
                 assert astuple(g.counters.channel(c)) == (count, total, peak), (op, x, y)
         assert g.counters.add.peak >= hub_degree
+
+
+def assert_twins(g: MultiList):
+    """A twin exists for exactly the lists of ``_ONE_INDEX_FROM`` or more targets,
+    keyed by a plain int, and holds that list's targets oldest first."""
+    assert all(type(x) is int for x in g._twins)
+    assert {x: twin.tolist() for x, twin in g._twins.items()} == {
+        x: targets[::-1] for x, targets in enumerate(g._lists) if len(targets) >= _ONE_INDEX_FROM}
 
 
 class Reference(MultiList):
@@ -351,3 +372,149 @@ class TestAddAgainstReference:
         assert add_both(lib, ref, 0, k + 1) == "refused"
         assert len(lib._lists[0]) == lib.edge_count == k + 1
         assert lib.counters.add.peak == k + 1
+
+
+class TestHubTwins:
+    """A list of ``_ONE_INDEX_FROM`` or more targets keeps a packed twin that
+    ``add_edge`` and ``contains`` search with one numpy pass; answers, lists and
+    counters stay those of the list forms."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_hub_streams_across_the_cutoff(self, data):
+        """Vertex 0 starts 250 targets long and grows past the cutoff; vertex 1 is a
+        hub of 1,024. Every add must match the add kept in ``_reference``, and every
+        op the newest-first model: a hit at arrival a of d targets costs d - a, a
+        miss d and a new edge d + 1. After every op the twins match the lists."""
+        n, start = 1536, {0: 250, 1: 1024}
+        extra = data.draw(st.integers(0, 60), label="room")
+        capacity = sum(start.values()) + extra
+        lib, ref = MultiList(n, capacity), Reference(n, capacity)
+        arrivals = {x: {} for x in start}  # per vertex: target -> arrival number
+        for x, k in start.items():
+            for y in random.Random(x).sample(range(n), k):
+                arrivals[x][y] = len(arrivals[x])
+                assert add_both(lib, ref, x, y) is True
+        assert_twins(lib)
+        steps = data.draw(st.lists(
+            st.tuples(st.sampled_from(["add", "add", "add", "contains"]),
+                      st.sampled_from([0, 0, 0, 1]), st.integers(0, n - 1), st.booleans()),
+            max_size=120), label="steps")
+        for op, x, y, repeat in steps:
+            seen = arrivals[x]
+            if repeat:
+                y = list(seen)[y % len(seen)]  # a hit at any depth
+            degree, hit = len(seen), y in seen
+            cost = degree - seen[y] if hit else degree + (op == "add")
+            before = astuple(lib.counters.channel(op))
+            if op == "add":
+                got = add_both(lib, ref, x, y)
+                if got == "refused":
+                    assert lib.edge_count == capacity and astuple(lib.counters.add) == before
+                    assert_twins(lib)
+                    continue
+                if got:
+                    seen[y] = degree
+                assert got is (not hit)
+            else:
+                got = lib.contains(x, y)
+                assert got is hit
+            count, total, peak = before
+            assert astuple(lib.counters.channel(op)) == (count + 1, total + cost, max(peak, cost))
+            assert_twins(lib)
+        assert len(lib._lists[1]) >= 1024 and 1 in lib._twins
+
+    @pytest.mark.parametrize("k", [_ONE_INDEX_FROM - 1, _ONE_INDEX_FROM + 44])
+    def test_refused_add_changes_nothing(self, k):
+        """A full store refuses a new edge on a list one short of the cutoff and on a
+        hub alike: the list, the twins, the edge count and the counters stay."""
+        g = MultiList(k + 2, k)
+        for y in range(k):
+            g.add_edge(0, y)
+        lists, twins = list(g._lists[0]), {x: t.tolist() for x, t in g._twins.items()}
+        counters = {c: astuple(g.counters.channel(c)) for c in OP_CLASSES}
+        with pytest.raises(CapacityError):
+            g.add_edge(0, k)
+        assert g._lists[0] == lists and {x: t.tolist() for x, t in g._twins.items()} == twins
+        assert g.edge_count == k
+        assert {c: astuple(g.counters.channel(c)) for c in OP_CLASSES} == counters
+        assert g.add_edge(0, 0) is False  # a duplicate is still answered
+        assert_twins(g)
+
+    def test_numpy_ids_on_a_hub(self):
+        """numpy ids make a hub whose twin is keyed by a plain int, and its answers
+        and counts are plain Python values."""
+        k = _ONE_INDEX_FROM + 3
+        g = MultiList(k + 2, k)
+        for y in np.arange(k, dtype=np.int64):
+            assert g.add_edge(np.int64(1), y) is True
+        assert_twins(g)
+        assert g.contains(np.uint32(1), np.uint64(0)) is True
+        assert g.contains(np.int32(1), np.int16(k)) is False
+        assert g.add_edge(np.int64(1), np.int64(k - 1)) is False
+        for c in ("add", "contains"):
+            assert all(type(v) is int for v in astuple(g.counters.channel(c)))
+
+    def test_twin_index_at_the_32_bit_edge(self):
+        """The numpy pass on a twin built directly, with ids 0, 2^31 and 2^32 - 1:
+        a store that large would need 32 GiB of list heads alone."""
+        ids = [7, 0, 2**31, 2**32 - 1, 5]
+        twin = array("I", ids)
+        for i, y in enumerate(ids):
+            got = _twin_index(twin, y)
+            assert got == i and type(got) is int
+        for y in (1, 2**31 - 1, 2**31 + 1, 2**32 - 2):
+            assert _twin_index(twin, y) == -1
+
+    def test_numpy_view_matches_the_twin_item(self):
+        assert np.dtype(np.uintc).itemsize == array("I").itemsize == 4
+
+    @staticmethod
+    def _traced(build):
+        """(object, bytes traced while building it and still held). A full collection
+        first empties the free lists, so every list and dict made is allocated."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            obj = build()
+            return obj, tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _list_bytes(g: MultiList) -> int:
+        """What ``_lists`` takes: the outer list and each vertex's own list, as
+        allocated (``sys.getsizeof`` counts the spare room of a list)."""
+        return sys.getsizeof(g._lists) + sum(sys.getsizeof(t) for t in g._lists if t)
+
+    def _beyond_lists(self, n, pairs):
+        """Traced bytes a MultiList holding ``pairs`` takes beyond its lists and an
+        edgeless store's fixed overhead (the object, its counters, an empty twin
+        dict): its twins and the counter values past the small-int cache."""
+        def build():
+            g = MultiList(n, len(pairs))
+            for x, y in pairs:
+                g.add_edge(x, y)
+            return g
+        g, traced = self._traced(build)
+        empty, empty_traced = self._traced(lambda: MultiList(1, 0))
+        return g, (traced - self._list_bytes(g)) - (empty_traced - self._list_bytes(empty))
+
+    def test_short_lists_hold_their_lists_and_one_empty_dict(self):
+        """A store whose lists stay below the cutoff, one list 255 long, holds its
+        lists, the edgeless overhead with one empty twin dict, and a few counter ints."""
+        n = 600
+        rng = random.Random(3)
+        pairs = sorted({(x, rng.randrange(n)) for x in range(1, n) for _ in range(6)})
+        pairs += [(0, y) for y in range(_ONE_INDEX_FROM - 1)]
+        g, extra = self._beyond_lists(n, pairs)
+        assert max(map(len, g._lists)) == _ONE_INDEX_FROM - 1
+        assert g._twins == {} and sys.getsizeof(g._twins) == sys.getsizeof({})
+        assert 0 <= extra <= 8 * sys.getsizeof(2**40)
+
+    def test_a_hub_twin_costs_four_bytes_a_target(self):
+        n = k = 1024
+        g, extra = self._beyond_lists(n + 1, [(0, y) for y in range(1, k + 1)])
+        assert list(g._twins) == [0]
+        assert 3 <= extra / k <= 5
