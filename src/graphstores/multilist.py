@@ -17,23 +17,22 @@ capacity check can raise. The sentinel lives only inside an add, which is
 already a mutation under the single-writer contract. ``contains`` may not
 mutate, so it takes no sentinel: ``in``, and then ``index`` on a hit.
 
-A list of ``_ONE_INDEX_FROM`` or more targets (a hub) also has a packed
-twin, ``_twins[x]``: an ``array("I")`` of the same targets, oldest first,
-at 4 B per target. The add that brings the list to the cutoff builds it,
-and each later new edge appends to it when the capacity check will pass.
-On a hub, ``add_edge`` and ``contains`` find the target with one numpy
-pass over the twin (``_twin_index``); a hit at twin index i is at position
-k - 1 - i newest first, so it counts k - i. ``neighbors`` still copies the
-list. The twins are a dict keyed by vertex, so a store whose lists all
-stay short holds only one empty dict more.
+A list that reaches ``_ONE_INDEX_FROM`` targets (a hub) becomes a
+``_Hub``: the same newest-first list, which also keeps its targets sorted
+with their arrival numbers beside them. Its ``in`` and ``index`` bisect
+the sorted targets, and a hit with arrival a of k targets is at position
+k - 1 - a newest first. The new edge that makes a list a hub turns it
+into one only when the capacity check will pass, and each new edge on a
+hub is filed in the index as it goes on at the front. So ``contains`` is
+one body for every list, and a store whose lists all stay short holds
+plain lists only.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from operator import index
-
-import numpy as np
 
 from .core import CapacityError, EdgeStore, _checked_size
 
@@ -43,20 +42,52 @@ from .core import CapacityError, EdgeStore, _checked_size
 #: scan saves at about 48 targets; at 16 targets it needs about 60%.
 _ONE_SCAN_FROM = 48
 
-#: ``add_edge`` and ``contains`` on a list at least this long search its twin.
-#: Break-even (measured, see CHANGES.md): the numpy pass costs 1.7-2.0 µs at
-#: 128 to 1,024 targets. At 128 a list search (``in``, then ``index`` on a
-#: hit) takes 1.5-1.6 µs and the add's sentinel scan 0.8 µs for a duplicate and
-#: 1.5 µs for a new target; at 256 the pass is 1.6-1.8x faster than the list
-#: search and than the sentinel on a new target, at 512 about 3x and at
-#: 1,024 about 6x.
+#: A list that reaches this many targets becomes a ``_Hub``, searched by bisection.
+#: Speed alone would put it near 48 (measured, see CHANGES.md; per call through
+#: ``add_edge`` and ``contains``): at 64 targets a hub takes 0.47-0.76x the list
+#: paths' time for a contains hit or miss, a duplicate and a new edge, at 256
+#: 0.18-0.37x. Memory sets it: an index costs about 13 B a target beside the
+#: list's 9, and skewed-growing's scaled memory build has 32 lists of 96-171
+#: targets holding half its edges. A cutoff of 144 raises that build's
+#: ``multilist.bytes_per_edge`` 1.9% and one of 128 17%, past its 5% bound. No
+#: benchmark stream has a list of 180-255 targets, so a cutoff there would
+#: spend memory on no measured time; 256 stays.
 _ONE_INDEX_FROM = 256
 
 
-def _twin_index(twin: array, y: int) -> int:
-    """Index of ``y`` in a packed twin (oldest first), or -1: one numpy pass."""
-    i = int((np.frombuffer(twin, np.uintc) == y).argmax())
-    return i if twin[i] == y else -1
+class _Hub(list):
+    """A hub's targets, newest first. Its index: ``_sorted``, the same ints ascending,
+    and ``_arrivals[i]``, the arrival number (0 for the oldest) of ``_sorted[i]``."""
+
+    __slots__ = ("_sorted", "_arrivals")
+
+    def __init__(self, targets: list[int]) -> None:
+        super().__init__(targets)
+        last = len(targets) - 1
+        order = sorted(range(last + 1), key=targets.__getitem__)
+        self._sorted = [targets[p] for p in order]
+        self._arrivals = array("I", [last - p for p in order])
+
+    def __contains__(self, y: int) -> bool:
+        keys = self._sorted
+        i = bisect_left(keys, y)
+        return i < len(keys) and keys[i] == y
+
+    def index(self, y: int) -> int:
+        """Newest-first position of ``y``; ValueError if absent, as ``list.index``."""
+        keys = self._sorted
+        i = bisect_left(keys, y)
+        if i < len(keys) and keys[i] == y:
+            return len(keys) - 1 - self._arrivals[i]
+        raise ValueError(f"{y!r} is not in list")
+
+    def insert(self, _front: int, y: int) -> None:
+        """Put the new target ``y`` at the front, newest first, and file it in the index."""
+        keys = self._sorted
+        i = bisect_left(keys, y)
+        self._arrivals.insert(i, len(keys))
+        keys.insert(i, y)
+        list.insert(self, 0, y)
 
 
 class MultiList(EdgeStore):
@@ -70,13 +101,12 @@ class MultiList(EdgeStore):
     any number of threads may read concurrently.
     """
 
-    __slots__ = ("_m", "_lists", "_twins")
+    __slots__ = ("_m", "_lists")
 
     def __init__(self, vertex_count: int, edge_capacity: int) -> None:
         super().__init__(vertex_count)
         self._m = _checked_size("edge_capacity", edge_capacity, 0)
         self._lists = [()] * self._n
-        self._twins: dict[int, array] = {}
 
     def add_edge(self, x: int, y: int) -> bool:
         n = self._n
@@ -95,15 +125,12 @@ class MultiList(EdgeStore):
             targets.pop()
             new = steps > k
             if new and k == _ONE_INDEX_FROM - 1 and self._count < self._m:  # y makes a hub
-                twin = self._twins[index(x)] = array("I", reversed(targets))
-                twin.append(y)
-        else:  # a hub: one numpy pass over its twin
-            twin = self._twins[x]
-            i = _twin_index(twin, y)
-            new = i < 0
-            steps = k + 1 if new else k - i
-            if new and self._count < self._m:  # the twin takes y if the check below passes
-                twin.append(y)
+                targets = lists[x] = _Hub(targets)
+        else:  # a hub: one bisection of its index
+            keys = targets._sorted
+            i = bisect_left(keys, y)
+            new = i == k or keys[i] != y
+            steps = k + 1 if new else k - targets._arrivals[i]
         if new:
             if self._count >= self._m:
                 raise CapacityError(f"all {self._m} cells are in use")
@@ -125,14 +152,8 @@ class MultiList(EdgeStore):
             raise self._pair_error(x, y)
         y = index(y)
         targets = self._lists[x]
-        k = len(targets)
-        if k < _ONE_INDEX_FROM:
-            found = y in targets
-            steps = targets.index(y) + 1 if found else k
-        else:
-            i = _twin_index(self._twins[x], y)
-            found = i >= 0
-            steps = k - i if found else k
+        found = y in targets
+        steps = targets.index(y) + 1 if found else len(targets)
         channel = self.counters.contains
         channel.ops += 1
         channel.total += steps

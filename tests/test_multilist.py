@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from graphstores import CapacityError, ConfigError, MultiList, OracleGraph, VertexRangeError
 from graphstores.counters import OP_CLASSES
-from graphstores.multilist import _ONE_INDEX_FROM, _ONE_SCAN_FROM, _twin_index
+from graphstores.multilist import _ONE_INDEX_FROM, _ONE_SCAN_FROM, _Hub
 
 from _reference import EdgeSetOracle, multilist_add_edge
 
@@ -255,7 +255,7 @@ class TestInstrumentation:
         assert g.add_edge(0, k) is True
         assert astuple(g.counters.add) == (1, k + 1, k + 1)
         assert g._lists[0] == [k] + before
-        assert_twins(g)
+        assert_hubs(g)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1),
@@ -300,12 +300,22 @@ class TestInstrumentation:
         assert g.counters.add.peak >= hub_degree
 
 
-def assert_twins(g: MultiList):
-    """A twin exists for exactly the lists of ``_ONE_INDEX_FROM`` or more targets,
-    keyed by a plain int, and holds that list's targets oldest first."""
-    assert all(type(x) is int for x in g._twins)
-    assert {x: twin.tolist() for x, twin in g._twins.items()} == {
-        x: targets[::-1] for x, targets in enumerate(g._lists) if len(targets) >= _ONE_INDEX_FROM}
+def hub_index(targets: _Hub) -> list[tuple[int, int]]:
+    """A hub's index as (target, arrival) pairs, in the order it keeps them."""
+    return list(zip(targets._sorted, targets._arrivals))
+
+
+def assert_hubs(g: MultiList):
+    """A vertex's list is a ``_Hub`` exactly when it holds ``_ONE_INDEX_FROM`` or
+    more targets, and a hub's index is the sorted (target, arrival) pairs of its
+    list, sharing the list's int objects, with arrivals in an ``array("I")``."""
+    for targets in g._lists:
+        assert (type(targets) is _Hub) == (len(targets) >= _ONE_INDEX_FROM)
+        if type(targets) is _Hub:
+            k = len(targets)
+            assert hub_index(targets) == sorted((y, k - 1 - p) for p, y in enumerate(targets))
+            assert {id(y) for y in targets._sorted} == {id(y) for y in targets}
+            assert targets._arrivals.typecode == "I"
 
 
 class Reference(MultiList):
@@ -374,10 +384,10 @@ class TestAddAgainstReference:
         assert lib.counters.add.peak == k + 1
 
 
-class TestHubTwins:
-    """A list of ``_ONE_INDEX_FROM`` or more targets keeps a packed twin that
-    ``add_edge`` and ``contains`` search with one numpy pass; answers, lists and
-    counters stay those of the list forms."""
+class TestHubIndex:
+    """A list of ``_ONE_INDEX_FROM`` or more targets is a ``_Hub``, whose sorted
+    index ``add_edge`` and ``contains`` bisect; answers, lists and counters stay
+    those of the list forms."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -385,7 +395,7 @@ class TestHubTwins:
         """Vertex 0 starts 250 targets long and grows past the cutoff; vertex 1 is a
         hub of 1,024. Every add must match the add kept in ``_reference``, and every
         op the newest-first model: a hit at arrival a of d targets costs d - a, a
-        miss d and a new edge d + 1. After every op the twins match the lists."""
+        miss d and a new edge d + 1. After every op the hubs match their lists."""
         n, start = 1536, {0: 250, 1: 1024}
         extra = data.draw(st.integers(0, 60), label="room")
         capacity = sum(start.values()) + extra
@@ -395,7 +405,7 @@ class TestHubTwins:
             for y in random.Random(x).sample(range(n), k):
                 arrivals[x][y] = len(arrivals[x])
                 assert add_both(lib, ref, x, y) is True
-        assert_twins(lib)
+        assert_hubs(lib)
         steps = data.draw(st.lists(
             st.tuples(st.sampled_from(["add", "add", "add", "contains"]),
                       st.sampled_from([0, 0, 0, 1]), st.integers(0, n - 1), st.booleans()),
@@ -411,7 +421,7 @@ class TestHubTwins:
                 got = add_both(lib, ref, x, y)
                 if got == "refused":
                     assert lib.edge_count == capacity and astuple(lib.counters.add) == before
-                    assert_twins(lib)
+                    assert_hubs(lib)
                     continue
                 if got:
                     seen[y] = degree
@@ -421,53 +431,66 @@ class TestHubTwins:
                 assert got is hit
             count, total, peak = before
             assert astuple(lib.counters.channel(op)) == (count + 1, total + cost, max(peak, cost))
-            assert_twins(lib)
-        assert len(lib._lists[1]) >= 1024 and 1 in lib._twins
+            assert_hubs(lib)
+        assert len(lib._lists[1]) >= 1024 and type(lib._lists[1]) is _Hub
 
     @pytest.mark.parametrize("k", [_ONE_INDEX_FROM - 1, _ONE_INDEX_FROM + 44])
     def test_refused_add_changes_nothing(self, k):
         """A full store refuses a new edge on a list one short of the cutoff and on a
-        hub alike: the list, the twins, the edge count and the counters stay."""
+        hub alike: the list, its type, its index, the edge count and the counters stay."""
         g = MultiList(k + 2, k)
         for y in range(k):
             g.add_edge(0, y)
-        lists, twins = list(g._lists[0]), {x: t.tolist() for x, t in g._twins.items()}
+        state = lambda t: (list(t), type(t), hub_index(t) if type(t) is _Hub else None)
+        before = state(g._lists[0])
         counters = {c: astuple(g.counters.channel(c)) for c in OP_CLASSES}
         with pytest.raises(CapacityError):
             g.add_edge(0, k)
-        assert g._lists[0] == lists and {x: t.tolist() for x, t in g._twins.items()} == twins
+        assert state(g._lists[0]) == before
         assert g.edge_count == k
         assert {c: astuple(g.counters.channel(c)) for c in OP_CLASSES} == counters
         assert g.add_edge(0, 0) is False  # a duplicate is still answered
-        assert_twins(g)
+        assert_hubs(g)
 
     def test_numpy_ids_on_a_hub(self):
-        """numpy ids make a hub whose twin is keyed by a plain int, and its answers
-        and counts are plain Python values."""
+        """numpy ids make a hub whose list and index hold plain ints, and its
+        answers and counts are plain Python values."""
         k = _ONE_INDEX_FROM + 3
         g = MultiList(k + 2, k)
         for y in np.arange(k, dtype=np.int64):
             assert g.add_edge(np.int64(1), y) is True
-        assert_twins(g)
+        assert_hubs(g)
+        assert all(type(y) is int for y in g._lists[1]._sorted)
         assert g.contains(np.uint32(1), np.uint64(0)) is True
         assert g.contains(np.int32(1), np.int16(k)) is False
         assert g.add_edge(np.int64(1), np.int64(k - 1)) is False
         for c in ("add", "contains"):
             assert all(type(v) is int for v in astuple(g.counters.channel(c)))
 
-    def test_twin_index_at_the_32_bit_edge(self):
-        """The numpy pass on a twin built directly, with ids 0, 2^31 and 2^32 - 1:
-        a store that large would need 32 GiB of list heads alone."""
+    def test_hub_index_at_the_32_bit_edge(self):
+        """A hub built directly, with ids 0, 2^31 and 2^32 - 1 (a store that large
+        would need 32 GiB of list heads alone): ``in`` and ``index`` find every
+        target at its newest-first position, a miss is False and raises ValueError
+        as ``list.index`` does, and an insert at the front files a new id."""
         ids = [7, 0, 2**31, 2**32 - 1, 5]
-        twin = array("I", ids)
+        hub = _Hub(ids)
         for i, y in enumerate(ids):
-            got = _twin_index(twin, y)
+            assert (y in hub) is True
+            got = hub.index(y)
             assert got == i and type(got) is int
         for y in (1, 2**31 - 1, 2**31 + 1, 2**32 - 2):
-            assert _twin_index(twin, y) == -1
+            assert (y in hub) is False
+            with pytest.raises(ValueError, match="is not in list"):
+                hub.index(y)
+        hub.insert(0, 2**32 - 2)
+        assert hub == [2**32 - 2] + ids and hub.index(2**32 - 2) == 0 and hub.index(5) == 5
+        assert hub_index(hub) == sorted((y, 5 - p) for p, y in enumerate(hub))
 
-    def test_numpy_view_matches_the_twin_item(self):
-        assert np.dtype(np.uintc).itemsize == array("I").itemsize == 4
+    def test_arrivals_hold_any_32_bit_number(self):
+        """A hub's targets are distinct ids below n <= 2^32, so its arrival numbers
+        are below 2^32: four bytes each, and the largest is stored exactly."""
+        arrivals = array("I", [2**32 - 1])
+        assert arrivals.itemsize == 4 and arrivals[0] == 2**32 - 1
 
     @staticmethod
     def _traced(build):
@@ -490,8 +513,8 @@ class TestHubTwins:
 
     def _beyond_lists(self, n, pairs):
         """Traced bytes a MultiList holding ``pairs`` takes beyond its lists and an
-        edgeless store's fixed overhead (the object, its counters, an empty twin
-        dict): its twins and the counter values past the small-int cache."""
+        edgeless store's fixed overhead (the object and its counters): its hubs'
+        indexes and the counter values past the small-int cache."""
         def build():
             g = MultiList(n, len(pairs))
             for x, y in pairs:
@@ -501,20 +524,22 @@ class TestHubTwins:
         empty, empty_traced = self._traced(lambda: MultiList(1, 0))
         return g, (traced - self._list_bytes(g)) - (empty_traced - self._list_bytes(empty))
 
-    def test_short_lists_hold_their_lists_and_one_empty_dict(self):
-        """A store whose lists stay below the cutoff, one list 255 long, holds its
-        lists, the edgeless overhead with one empty twin dict, and a few counter ints."""
+    def test_short_lists_hold_only_their_lists(self):
+        """A store whose lists stay below the cutoff, one list 255 long, holds plain
+        lists, the edgeless overhead and a few counter ints."""
         n = 600
         rng = random.Random(3)
         pairs = sorted({(x, rng.randrange(n)) for x in range(1, n) for _ in range(6)})
         pairs += [(0, y) for y in range(_ONE_INDEX_FROM - 1)]
         g, extra = self._beyond_lists(n, pairs)
         assert max(map(len, g._lists)) == _ONE_INDEX_FROM - 1
-        assert g._twins == {} and sys.getsizeof(g._twins) == sys.getsizeof({})
+        assert all(type(t) is list for t in g._lists if t)
         assert 0 <= extra <= 8 * sys.getsizeof(2**40)
 
-    def test_a_hub_twin_costs_four_bytes_a_target(self):
+    def test_a_hub_index_costs_twelve_bytes_a_target(self):
+        """A 1,024-target hub's index: an 8 B pointer in the sorted list and a 4 B
+        arrival number per target, with the two containers' spare room."""
         n = k = 1024
         g, extra = self._beyond_lists(n + 1, [(0, y) for y in range(1, k + 1)])
-        assert list(g._twins) == [0]
-        assert 3 <= extra / k <= 5
+        assert [x for x, t in enumerate(g._lists) if type(t) is _Hub] == [0]
+        assert 11 <= extra / k <= 14
