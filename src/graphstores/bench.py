@@ -22,21 +22,23 @@ the stream length. The outcome is still that of op-by-op agreement: the
 earliest disagreeing op, or the earliest exception, decides, and any
 disagreement aborts with a bisection-minimized failing stream. A store's
 wall time per class sums its runs of same-class calls, with the clock read
-only where the class changes, not around every call.
+only where the class changes, not around every call. One loop serves every
+run: ``_runs`` yields each chunk's runs over a list of stores, and
+``_judge`` compares them, finds the op that decides, and sums the times.
 
 A stream of at least ``_SPLIT_FROM`` ops over three or more structures
 runs split over two processes where the host allows it (``_can_split``):
-a forked child runs the stores between the first and the last, and pipes
-each chunk's answers and times back, while the parent runs the first and
-the last and compares every answer as the serial run does. The outcome is
-always the serial one: any disagreement, exception or broken pipe sends
-the parent back to the serial run on fresh stores, which alone raises or
-minimizes. The caller pays for a split later: the parent's heap is shared
+a forked child runs the stores between the first and the last and pipes
+each chunk's runs back, and the parent hands ``_judge`` the runs of its
+first store, the child's and its last store's. The outcome is always the
+serial one: any disagreement, exception or broken pipe sends the parent
+back to the serial run on fresh stores, which alone raises or minimizes.
+The caller pays for a split later: the parent's heap is shared
 copy-on-write with the child, so the first write to each of its pages
 after the fork faults (in a 211 MB frozen heap, a pass over 600,000 of its
 tuples took 9.5-11 ms after a serial run and 22-28 ms after a split, on a
-2-vCPU VM). On Python 3.12 and later ``os.fork`` warns when the process has other OS
-threads, and numpy's BLAS thread counts as one.
+2-vCPU VM). On Python 3.12 and later ``os.fork`` warns when the process
+has other OS threads, and numpy's BLAS thread counts as one.
 """
 
 from __future__ import annotations
@@ -316,8 +318,9 @@ def _run_chunk(chunk, add, has, nbrs):
     """One store over one chunk of ops.
 
     Returns the answers to the pair ops, the answers to the ``nbrs`` ops
-    (None each when ``nbrs`` is None), the ns spent in the add / contains /
-    enumerate classes, and the exception that stopped the store, if any.
+    (None when ``nbrs`` is None), the ns spent in the add / contains /
+    enumerate classes, the count of ops run, and the exception that stopped
+    the store, if any.
     The clock is read only where the class of the store's calls changes, so
     each class's time is the sum over its maximal runs of same-class calls;
     an ``nbrs`` op the store does not run neither ends nor starts a run.
@@ -352,27 +355,32 @@ def _run_chunk(chunk, add, has, nbrs):
     except Exception as exc:
         error = exc
     spent[last] += perf_counter_ns() - t
-    return pairs, lists, spent[:3], error
+    return pairs, None if nbrs is None else lists, spent[:3], len(pairs) + len(lists), error
 
 
-def _bind(stores):
-    """Each store's name and its add / contains / neighbors calls; no neighbors for the bare edge hash."""
-    return [
+def _runs(ops, stores):
+    """Per ``_CHUNK`` ops, each store's run over them in store order: its name
+    and ``_run_chunk``'s results, with no neighbors call for a store that
+    does not enumerate (the bare edge hash)."""
+    bound = [
         (name, store.add_edge, store.contains, store.neighbors if store.enumerates else None)
         for name, store in stores
     ]
+    for start in range(0, len(ops), _CHUNK):
+        chunk = ops[start:start + _CHUNK]
+        yield [(name, *_run_chunk(chunk, add, has, nbrs)) for name, add, has, nbrs in bound]
 
 
 def _agree(runs) -> bool:
-    """Whether every (name, pair answers, lists or None) run answered as the first did."""
-    listed = [lists for _, _, lists in runs if lists is not None]
-    return all(pairs == runs[0][1] for _, pairs, _ in runs) and all(
+    """Whether every run (see ``_runs``) answered as the first did."""
+    listed = [lists for _, _, lists, *_ in runs if lists is not None]
+    return all(pairs == runs[0][1] for _, pairs, *_ in runs) and all(
         lists == listed[0] for lists in listed
     )
 
 
 def _execute(ops, stores, wall=None):
-    """Run the stream through every store, ``_CHUNK`` ops at a time per store.
+    """``_judge`` over ``_runs``: the stream through every store, ``_CHUNK`` ops at a time.
 
     Returns None on full agreement, else (index, op, answers) for the first
     op on which the stores disagree, with ``answers`` as (name, answer)
@@ -385,35 +393,31 @@ def _execute(ops, stores, wall=None):
     per-(structure, class) nanoseconds spent in the stores' runs of
     same-class calls (see ``_run_chunk``).
     """
-    bound = _bind(stores)
-    for start in range(0, len(ops), _CHUNK):
-        chunk = ops[start:start + _CHUNK]
-        stop, error = len(chunk), None
-        runs = []
-        for name, add, has, nbrs in bound:
-            pairs, lists, spent, exc = _run_chunk(chunk, add, has, nbrs)
+    return _judge(ops, _runs(ops, stores), wall)
+
+
+def _judge(ops, chunks, wall):
+    """``_execute``'s outcome from each chunk's runs (see ``_runs``), wherever they ran."""
+    for start, runs in zip(range(0, len(ops), _CHUNK), chunks):
+        stop, error = _CHUNK, None
+        for name, _, _, spent, done, exc in runs:
             if wall is not None:
                 for cls, ns in zip(OP_CLASSES, spent):
                     wall[name, cls] += ns
-            if exc is not None and len(pairs) + len(lists) < stop:
-                stop, error = len(pairs) + len(lists), exc
-            runs.append((name, pairs, None if nbrs is None else lists))
+            if exc is not None and done < stop:
+                stop, error = done, exc
         if error is None and _agree(runs):
             continue
         p = q = 0
-        for i in range(stop):
-            op = chunk[i]
+        for i, op in enumerate(ops[start:start + stop]):
             if op[0] == "nbrs":
-                answers = [(name, lists[q]) for name, _, lists in runs if lists is not None]
+                answers = [(name, lists[q]) for name, _, lists, *_ in runs if lists is not None]
                 q += 1
             else:
-                answers = [(name, pairs[p]) for name, pairs, _ in runs]
+                answers = [(name, pairs[p]) for name, pairs, *_ in runs]
                 p += 1
-            if len(answers) > 1:
-                base = answers[0][1]
-                for _, other in answers[1:]:
-                    if other != base:
-                        return start + i, op, answers
+            if any(other != answers[0][1] for _, other in answers[1:]):
+                return start + i, op, answers
         if error is not None:
             raise error
     return None
@@ -431,68 +435,29 @@ def _can_split(structures) -> bool:
     )
 
 
-def _answered(chunk, add, has, nbrs):
-    """``_run_chunk``'s answers, lists (None for a store that does not enumerate)
-    and ns per class, or None if the store raised."""
-    pairs, lists, spent, exc = _run_chunk(chunk, add, has, nbrs)
-    return None if exc is not None else (pairs, None if nbrs is None else lists, spent)
-
-
 def _serve(ops, spec, names, hash_mode, adds, out) -> None:
     """The child's half of a split run, over the stores ``names``.
 
-    Per chunk it pickles each store's ``_answered`` to ``out``, then the
-    stores' ``_counted``. A store that raises, here or while built, ends the
-    stream early: the short stream is the parent's error flag.
+    Per chunk it pickles the stores' runs (see ``_runs``) to ``out``, then
+    the stores' ``_counted``. A store that raises, here or while built,
+    ends the stream early: the short stream is the parent's error flag.
     """
     stores = _build_stores(spec, names, hash_mode, adds)
-    bound = _bind(stores)
-    for start in range(0, len(ops), _CHUNK):
-        chunk = ops[start:start + _CHUNK]
-        runs = [_answered(chunk, add, has, nbrs) for _, add, has, nbrs in bound]
-        if None in runs:
+    for runs in _runs(ops, stores):
+        if any(exc is not None for *_, exc in runs):
             return
         pickle.dump(runs, out)
         out.flush()
     pickle.dump(_counted(stores), out)
 
 
-def _lead(ops, spec, structures, hash_mode, adds, inp):
-    """The parent's half of a split run: the first and the last store, compared
-    chunk by chunk with the child's answers read from ``inp``.
-
-    Returns (``_counted`` of every store in structure order, wall) on full
-    agreement; None on any disagreement, exception or short read.
-    """
-    try:
-        stores = _build_stores(spec, (structures[0], structures[-1]), hash_mode, adds)
-    except Exception:
-        return None
-    (_, *calls_a), (_, *calls_z) = _bind(stores)
-    wall = {(name, cls): 0 for name in structures for cls in OP_CLASSES}
-    try:
-        for start in range(0, len(ops), _CHUNK):
-            chunk = ops[start:start + _CHUNK]
-            mine = [_answered(chunk, *calls) for calls in (calls_a, calls_z)]
-            if None in mine:
-                return None
-            runs = [mine[0], *pickle.load(inp), mine[1]]
-            if not _agree([(name, pairs, lists) for name, (pairs, lists, _) in zip(structures, runs)]):
-                return None
-            for name, (_, _, spent) in zip(structures, runs):
-                for cls, ns in zip(OP_CLASSES, spent):
-                    wall[name, cls] += ns
-        middle = pickle.load(inp)
-    except (EOFError, pickle.UnpicklingError):
-        return None
-    first, last = _counted(stores)
-    return [first, *middle, last], wall
-
-
 def _split_execute(ops, spec, structures, hash_mode, adds):
-    """``_lead`` in this process beside ``_serve`` in a forked child; None if the fork fails.
+    """``_judge`` over this process's first and last store around a child's ``_serve``.
 
-    The child freezes its inherited heap out of its collections, never
+    Nothing more is read from the child once a store here has raised.
+    Returns (``_counted`` of every store in structure order, wall) on full
+    agreement; None on a failed fork, any disagreement, exception or short
+    read. The child freezes its inherited heap out of its collections, never
     flushes the caller's stdio buffers, and leaves by ``os._exit`` once it
     has sent its counters. The parent reaps it whatever the outcome, and
     kills it first unless the run agreed to the end.
@@ -518,12 +483,24 @@ def _split_execute(ops, spec, structures, hash_mode, adds):
     result = None
     try:
         with open(r, "rb") as inp:
-            result = _lead(ops, spec, structures, hash_mode, adds, inp)
-        return result
+            stores = _build_stores(spec, (structures[0], structures[-1]), hash_mode, adds)
+
+            def chunks():
+                for first, last in _runs(ops, stores):
+                    middle = pickle.load(inp) if first[-1] is None and last[-1] is None else []
+                    yield [first, *middle, last]
+
+            wall = {(name, cls): 0 for name in structures for cls in OP_CLASSES}
+            if _judge(ops, chunks(), wall) is None:
+                first, last = _counted(stores)
+                result = [first, *pickle.load(inp), last], wall
+    except Exception:
+        pass  # the serial run decides, and alone raises or minimizes
     finally:
         if result is None:  # the child may still run: it sent no counters, or they went unread
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+    return result
 
 
 def _minimize(ops: list[tuple], fails: Callable[[list[tuple]], bool]) -> list[tuple]:
@@ -560,10 +537,10 @@ def run_workload(
     A stream of at least ``_SPLIT_FROM`` ops over three or more structures
     runs split where ``_can_split`` allows: a forked child runs every store
     but the first and the last, and this process runs those two and
-    compares each chunk's answers. On any disagreement, exception or
-    failed fork the run starts again serially on fresh stores, so the
-    report, the exception raised and the minimized stream are those of the
-    serial run; only ``wall_ns`` can differ.
+    compares each chunk's answers in the serial run's loop. On any
+    disagreement, exception or failed fork the run starts again serially on
+    fresh stores, so the report, the exception raised and the minimized
+    stream are those of the serial run; only ``wall_ns`` can differ.
     """
     structures = tuple(structures)
     for name in structures:

@@ -686,16 +686,18 @@ class TestSplitRun:
         assert seen == [fault is None]
         assert_no_child()
 
-    def test_a_fallback_kills_a_running_child(self, monkeypatch):
+    def test_a_fallback_kills_a_running_child(self, monkeypatch, tmp_path):
         """A parent whose own store raises falls back at once, without waiting for
-        the child: a child stalled in its first add is reaped killed, and the serial
-        run raises the store's exception."""
+        the child: a child stalled in its first add is reaped killed before it
+        wakes, and the serial run raises the store's exception."""
         parent = os.getpid()
+        woke = tmp_path / "woke"
 
         class Stalled(MultiList):
             def add_edge(self, x, y):
                 if os.getpid() != parent and not self.edge_count:
                     time.sleep(60)  # once: a child left running would go on, and die of EPIPE
+                    woke.touch()  # only a parent that waited for the child sees this
                 return MultiList.add_edge(self, x, y)
 
         statuses = []
@@ -712,8 +714,26 @@ class TestSplitRun:
         monkeypatch.setattr(bench_module, "_SPLIT_FROM", 0)
         with pytest.raises(CapacityError, match="HashList failure at add call 5"):
             run_workload(self.SPEC, self.ALL)
+        assert not woke.exists()
         assert len(statuses) == 1
         assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        assert_no_child()
+
+    @pytest.mark.parametrize("store", ["hashlist", "multilist"])  # built in the parent, in the child
+    def test_a_store_raising_while_built_gives_the_serial_outcome(self, monkeypatch, store):
+        attr = STORE_CLASSES[store]
+
+        class Unbuilt(getattr(bench_module, attr)):
+            def __init__(self, *args):
+                raise CapacityError(f"injected {attr} failure while built")
+
+        monkeypatch.setattr(bench_module, attr, Unbuilt)
+        want = self.serial()
+        assert want == ("raised", CapacityError, f"injected {attr} failure while built")
+        monkeypatch.setattr(bench_module, "_SPLIT_FROM", 0)
+        seen = spy_split(monkeypatch)
+        assert workload_outcome(self.SPEC, self.ALL)[0] == want
+        assert seen == [False]
         assert_no_child()
 
     def test_exception_in_the_parent_mid_run_leaves_no_child(self, monkeypatch):
