@@ -543,6 +543,8 @@ def run_workload(
     stream are those of the serial run; only ``wall_ns`` can differ.
     """
     structures = tuple(structures)
+    if not structures:
+        raise ConfigError("no structure selected")
     for name in structures:
         if name not in STRUCTURE_NAMES:
             raise ConfigError(f"unknown structure {name!r}; choose from {STRUCTURE_NAMES}")

@@ -212,7 +212,7 @@ def _parse_mix(text: str) -> tuple[float, float, float, float]:
 
 
 def cmd_bench(args) -> int:
-    # run_workload refuses unknown structures, and OracleGraph more than 4096 vertices (exit 1).
+    # run_workload refuses an empty or unknown selection and an oracle over 4096 vertices (exit 1).
     structures = tuple(s.strip() for s in args.structures.split(",") if s.strip())
     spec = WorkloadSpec(
         generator=args.gen, n=args.n, m=args.m, mix=_parse_mix(args.mix), seed=args.seed

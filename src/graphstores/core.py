@@ -21,7 +21,7 @@ from .counters import OpCounters
 U32_MASK = 0xFFFFFFFF
 U64_MASK = 0xFFFFFFFFFFFFFFFF
 
-#: Out-of-band sentinel for slot-index chains (slot 0 is a legal hash slot,
+#: Out-of-band end marker for slot-index chains (slot 0 is a legal hash slot,
 #: so "no slot" must live outside the index range).
 NONE = -1
 

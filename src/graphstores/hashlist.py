@@ -6,7 +6,7 @@ the edge hash, see :class:`~graphstores.edgehash.EdgeHash`, whose flat
 source vertex's chain (``next[slot] = heads[x]; heads[x] = slot``).
 Membership inherits the hash table's degree-independent cost; enumeration
 walks the chain and touches exactly deg(x) slots. Chains use the
-out-of-band NONE sentinel because slot 0 is a legitimate hash slot. This
+out-of-band NONE end marker because slot 0 is a legitimate hash slot. This
 class adds only the chain arrays, one walk of many chains (``_walk``), one
 threading of many new slots (``_thread``), enumeration, the rebuild's
 order and weights, and the weight lookups.

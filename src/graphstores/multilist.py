@@ -8,24 +8,18 @@ newest first counts i + 1, a miss the whole list and a new edge the list
 + 1. A target is taken through ``operator.index`` before the search, so a
 float one raises TypeError, as on the other stores.
 
-A list shorter than ``_ONE_INDEX_FROM`` is searched as a list, in C. An
-add checks a short list with ``in`` and, for a duplicate, ``index``. A
-list of ``_ONE_SCAN_FROM`` or more targets is scanned once: the target
-goes on at the oldest end as a sentinel, one ``index`` finds it, at the
-list's old length if it is new, and the sentinel is popped before the
-capacity check can raise. The sentinel lives only inside an add, which is
-already a mutation under the single-writer contract. ``contains`` may not
-mutate, so it takes no sentinel: ``in``, and then ``index`` on a hit.
-
-A list that reaches ``_ONE_INDEX_FROM`` targets (a hub) becomes a
-``_Hub``: the same newest-first list, which also keeps its targets sorted
-with their arrival numbers beside them. Its ``in`` and ``index`` bisect
-the sorted targets, and a hit with arrival a of k targets is at position
-k - 1 - a newest first. The new edge that makes a list a hub turns it
-into one only when the capacity check will pass, and each new edge on a
-hub is filed in the index as it goes on at the front. So ``contains`` is
-one body for every list, and a store whose lists all stay short holds
-plain lists only.
+A list is of one of two kinds, each with one search. A plain list,
+shorter than ``_ONE_INDEX_FROM``, is searched as a list, in C: ``in``
+decides the answer, and on a hit ``index`` finds the position, for an add
+and a read alike. A list that reaches ``_ONE_INDEX_FROM`` targets (a hub)
+becomes a ``_Hub``: the same newest-first list, which also keeps its
+targets sorted with their arrival numbers beside them. Its ``in`` and
+``index`` bisect the sorted targets, and a hit with arrival a of k targets
+is at position k - 1 - a newest first. The new edge that makes a list a
+hub turns it into one only when the capacity check will pass, and each
+new edge on a hub is filed in the index as it goes on at the front. So
+``contains`` is one body for every list, and a store whose lists all stay
+short holds plain lists only.
 """
 
 from __future__ import annotations
@@ -36,23 +30,19 @@ from operator import index
 
 from .core import CapacityError, EdgeStore, _checked_size
 
-#: An add to a list at least this long checks for a duplicate in one scan.
-#: Break-even (measured, see CHANGES.md): when a quarter of the adds are
-#: duplicates, the sentinel's append and pop cost what a duplicate's second
-#: scan saves at about 48 targets; at 16 targets it needs about 60%.
-_ONE_SCAN_FROM = 48
-
 #: A list that reaches this many targets becomes a ``_Hub``, searched by bisection.
-#: Speed alone would put it near 48 (measured, see CHANGES.md; per call through
-#: ``add_edge`` and ``contains``): at 64 targets a hub takes 0.47-0.76x the list
-#: paths' time for a contains hit or miss, a duplicate and a new edge, at 256
-#: 0.18-0.37x. Memory sets it: an index costs about 13 B a target beside the
-#: list's 9, and skewed-growing's scaled memory build has 32 lists of 96-171
-#: targets holding half its edges. A cutoff of 144 raises that build's
-#: ``multilist.bytes_per_edge`` 1.9% and one of 128 17%, past its 5% bound. No
-#: benchmark stream has a list of 180-255 targets, so a cutoff there would
-#: spend memory on no measured time; 256 stays.
+#: Speed alone would put it near 64 (measured, see CHANGES.md; per call through
+#: ``add_edge`` and ``contains``): against a plain list's ``in`` and ``index``, a
+#: hub takes 0.5-1.1x the time for a contains hit or miss, a duplicate and a new
+#: edge at 64 targets, 0.3-0.8x at 128 and 0.2-0.9x at 256. Memory sets it: an
+#: index costs about 13 B a target beside the list's 9, and skewed-growing's
+#: scaled memory build has 32 lists of 96-171 targets holding half its edges. A
+#: cutoff of 144 raises that build's ``multilist.bytes_per_edge`` 1.9% and one of
+#: 128 17%, past its 5% bound. No benchmark stream has a list of 180-255 targets,
+#: so a cutoff there would spend memory on no measured time; 256 stays.
 _ONE_INDEX_FROM = 256
+#: The longest plain list: a new edge that will be stored makes it a hub.
+_LONGEST_LIST = _ONE_INDEX_FROM - 1
 
 
 class _Hub(list):
@@ -116,21 +106,19 @@ class MultiList(EdgeStore):
         lists = self._lists
         targets = lists[x]
         k = len(targets)
-        if k < _ONE_SCAN_FROM:
+        if k < _LONGEST_LIST:
             new = y not in targets
             steps = k + 1 if new else targets.index(y) + 1
-        elif k < _ONE_INDEX_FROM:  # y at the oldest end ends the one scan, at k if y is new
-            targets.append(y)
-            steps = targets.index(y) + 1
-            targets.pop()
-            new = steps > k
-            if new and k == _ONE_INDEX_FROM - 1 and self._count < self._m:  # y makes a hub
-                targets = lists[x] = _Hub(targets)
-        else:  # a hub: one bisection of its index
+        elif k >= _ONE_INDEX_FROM:  # a hub: one bisection of its index
             keys = targets._sorted
             i = bisect_left(keys, y)
             new = i == k or keys[i] != y
             steps = k + 1 if new else k - targets._arrivals[i]
+        else:  # the longest plain list
+            new = y not in targets
+            steps = k + 1 if new else targets.index(y) + 1
+            if new and self._count < self._m:
+                targets = lists[x] = _Hub(targets)
         if new:
             if self._count >= self._m:
                 raise CapacityError(f"all {self._m} cells are in use")

@@ -7,8 +7,8 @@ from quotient arithmetic, power-of-two rounding by doubling, a parse
 kernel that works byte by byte where the library's works token by token,
 a HashList rebuild that groups its new chains by sorting the seated
 codes where the library's reads their sources off the chain walk, and a
-MultiList add that scans a list for a duplicate with ``in`` and then
-``index``, where the library's scans a long list once past a sentinel.
+MultiList add that scans every list for a duplicate with ``in`` and then
+``index``, where the library's bisects a hub's sorted index.
 """
 
 from __future__ import annotations
@@ -414,10 +414,10 @@ def _rebuild(self, new_cap: int) -> None:
     self.rebuilds += 1
 
 
-# MultiList's add as it was before long lists were scanned once past a
-# sentinel: ``in`` decides the answer and ``index`` counts a duplicate's
-# position. It is a MultiList method; an add must leave the same lists,
-# edge count and add-channel counters as this one, and raise where it raises.
+# MultiList's add with every list a plain list, hubs included: ``in``
+# decides the answer and ``index`` counts a duplicate's position. It is a
+# MultiList method; an add must leave the same lists, edge count and
+# add-channel counters as this one, and raise where it raises.
 def multilist_add_edge(self, x: int, y: int) -> bool:
     n = self._n
     if x < 0 or x >= n or y < 0 or y >= n:

@@ -131,6 +131,7 @@ def test_equal_counts_report_medians(tmp_path, capsys):
 @pytest.mark.parametrize("flags,structures", [
     ([], "hashlist,multilist,edgehash,oracle"),
     (["--structures", "hashlist,multilist,edgehash"], "hashlist,multilist,edgehash"),
+    (["--structures", " hashlist, multilist ,,"], "hashlist,multilist"),
 ])
 def test_structures_reach_both_sides(tmp_path, monkeypatch, capsys, flags, structures):
     """``--structures`` picks the stores of each side's run_workload, all four without
@@ -237,6 +238,12 @@ def test_query_failing_side_exits_1(tmp_path):
     (["query", "--workload", "nope"], "unknown workload 'nope'"),
     (["query", "--workload", "selftest", "--structure", "edgehash"], "invalid choice"),
     (["--gen", "star"], "workload needs --n, --m"),
+    (["--gen", "star", "--n", "8", "--m", "100", "--structures", ""], "got ''"),
+    (["--gen", "star", "--n", "8", "--m", "100", "--structures", " , "], "got ' , '"),
+    (["--gen", "star", "--n", "8", "--m", "100", "--structures", "hashlist,skiplist"],
+     "--structures must name distinct structures from hashlist, multilist, edgehash, oracle"),
+    (["--gen", "star", "--n", "8", "--m", "100", "--structures", "oracle, oracle"],
+     "got 'oracle, oracle'"),
 ])
 def test_missing_or_unknown_options_are_usage_errors(tmp_path, args, message, capsys):
     tree = make_tree(tmp_path / "t", 10, 1)

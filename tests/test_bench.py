@@ -397,6 +397,10 @@ class TestRunWorkload:
             run_workload(WorkloadSpec("uniform", n=10, m=10), ("btree",))
         with pytest.raises(ConfigError, match="^duplicate structure selection$"):
             run_workload(WorkloadSpec("uniform", n=10, m=10), ("hashlist", "edgehash", "hashlist"))
+        with pytest.raises(ConfigError, match="^no structure selected$"):
+            run_workload(WorkloadSpec("uniform", n=10, m=10), ())
+        with pytest.raises(ConfigError, match="^no structure selected$"):
+            scaling_sweep(WorkloadSpec("uniform", n=10, m=10), [1], ())
 
     def test_oracle_size_cap(self):
         with pytest.raises(ConfigError):

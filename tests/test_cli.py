@@ -715,6 +715,16 @@ class TestBench:
                              "--structures", "skiplist")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--sweep", "1,2"]])
+    @pytest.mark.parametrize("structures", [",", "", " , ,"])
+    def test_empty_structure_selection_exit_1(self, capsys, structures, flags):
+        """A selection that names no structure is refused, not answered with a
+        header-only CSV."""
+        code, out, err = run_cli(capsys, "bench", "--n", "10", "--m", "10",
+                                 "--structures", structures, *flags)
+        assert (code, out) == (1, "")
+        assert err == "configuration error: no structure selected\n"
+
 
 class TestSelftest:
     def test_passes(self, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from graphstores import CapacityError, ConfigError, MultiList, OracleGraph, VertexRangeError
 from graphstores.counters import OP_CLASSES
-from graphstores.multilist import _ONE_INDEX_FROM, _ONE_SCAN_FROM, _Hub
+from graphstores.multilist import _ONE_INDEX_FROM, _Hub
 
 from _reference import EdgeSetOracle, multilist_add_edge
 
@@ -343,17 +343,19 @@ def add_both(lib: MultiList, ref: MultiList, x: int, y: int):
 
 
 class TestAddAgainstReference:
-    """Lists at least ``_ONE_SCAN_FROM`` long check a duplicate in one scan past a
-    sentinel; every add must still match the two-scan add kept in ``_reference``."""
+    """Plain lists take ``in`` and then ``index``, hubs bisect their index, and the
+    list one short of ``_ONE_INDEX_FROM`` turns into a hub on a stored new edge;
+    every add must match the two-scan add kept in ``_reference``."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_hub_heavy_streams(self, data):
-        """Vertex 0 takes most adds, so its list crosses the cutoff; half the adds
-        repeat a target at a drawn depth. The stream ends by offering vertex 0 every
-        target, so the small capacity refuses adds there."""
-        n = 4 * _ONE_SCAN_FROM
-        capacity = data.draw(st.integers(_ONE_SCAN_FROM - 1, 3 * _ONE_SCAN_FROM), label="capacity")
+        """Vertex 0 takes most adds, so its list nears or crosses the cutoff; half the
+        adds repeat a target at a drawn depth. The stream ends by offering vertex 0
+        every target, so the capacity, below the vertex count, refuses adds there."""
+        n = _ONE_INDEX_FROM + 64
+        capacity = data.draw(st.integers(_ONE_INDEX_FROM // 2, _ONE_INDEX_FROM + 32),
+                             label="capacity")
         lib, ref = MultiList(n, capacity), Reference(n, capacity)
         steps = data.draw(st.lists(
             st.tuples(st.sampled_from([0, 0, 0, 0, 1, 2]), st.integers(0, n - 1), st.booleans()),
@@ -365,12 +367,14 @@ class TestAddAgainstReference:
             add_both(lib, ref, x, y)
         answers = [add_both(lib, ref, 0, y) for y in range(n)]
         assert "refused" in answers and lib.edge_count == capacity
+        assert_hubs(lib)
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("offset", [-2, -1, 0])
     def test_lists_at_the_cutoff(self, offset):
-        """A list one shorter than the cutoff, at it and one longer: a duplicate at
-        every depth, a new target, every depth again one longer, then a refused add."""
-        k = _ONE_SCAN_FROM + offset
+        """A list of 254, 255 or 256 targets, around the add that makes a hub: a
+        duplicate at every depth, a new target, every depth again one longer, then a
+        refused add that leaves the list and its kind as they were."""
+        k = _ONE_INDEX_FROM + offset
         lib, ref = MultiList(k + 2, k + 1), Reference(k + 2, k + 1)
         for y in range(k):
             assert add_both(lib, ref, 0, y) is True
@@ -382,6 +386,7 @@ class TestAddAgainstReference:
         assert add_both(lib, ref, 0, k + 1) == "refused"
         assert len(lib._lists[0]) == lib.edge_count == k + 1
         assert lib.counters.add.peak == k + 1
+        assert_hubs(lib)
 
 
 class TestHubIndex:

@@ -22,7 +22,8 @@ Two calls can be timed:
 
 - ``workload`` (the default): ``run_workload`` of one ``WorkloadSpec``
   (``--gen --n --m --seed``) over ``--structures``, a comma-separated
-  list that defaults to all four structures (``STRUCTURES``).
+  list of distinct names (blanks around them are dropped) that defaults
+  to all four structures (``STRUCTURES``).
   Every round checks that the two reports' counter columns (every column
   but ``wall_ns``) are equal.
 - ``query``: ``cli.main(["query", ...])`` on one perfbench workload's
@@ -185,12 +186,15 @@ def main(argv=None) -> int:
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
         parser.error(f"{args.call} needs {', '.join(missing)}")
+    structures = tuple(s.strip() for s in args.structures.split(",") if s.strip())
+    if not structures or len(set(structures)) < len(structures) or set(structures) - set(STRUCTURES):
+        parser.error(f"--structures must name distinct structures from {', '.join(STRUCTURES)}; "
+                     f"got {args.structures!r}")
     packages = {side: load_tree(src, f"ab_{side}")
                 for side, src in zip(SIDES, (args.parent_src, args.change_src))}
 
     if args.call == "workload":
         spec_args = {"generator": args.gen, "n": args.n, "m": args.m, "seed": args.seed}
-        structures = tuple(args.structures.split(","))
         out = alternate(workload_runner(packages, spec_args, structures), args.runs)
         if out["mismatch"] is not None:
             print(f"ab: counter columns differ in round {out['mismatch']}", file=sys.stderr)
