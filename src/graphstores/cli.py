@@ -168,20 +168,21 @@ def cmd_query(args) -> int:
     ``contains_many`` read without a copy; the stores that loop in Python
     turn them into Python ints first. Weight tokens are checked by the
     parser but not stored, since no answer reads them. The store is sized
-    from the edge lines parsed, not from the header's ``m``; a header ``n``
-    the oracle refuses is a configuration error. The adds run in file
-    order, since the order fixes a hash store's layout; the C queries go
-    to ``contains_many`` in one batch, since reads move nothing. The load
-    of a hash store of at most 2**31 vertices leaves an int64 view of its
-    slots (``edgehash`` says when; 8 B per slot, about 32 B per edge at
-    this sizing's load of 1/4, freed with the store), which the C queries'
-    rounds and HashList's N answers read. Each distinct N vertex is
-    enumerated once, however often it is asked, and the lines of all of
-    them come from one numpy pass over the digits of their targets, handed
-    over as arrays, one slice of the decoded text per vertex. The result
-    bytes are those of adding and asking one edge at a time. Because all C
-    queries are asked before any N query, a file with several bad queries
-    may report a different one of them first; the exit code is the same.
+    from the edge lines parsed, not from the header's ``m``, so a hash
+    store's whole load fits below its growth limit and numpy takes it; a
+    header ``n`` the oracle refuses is a configuration error. The adds run
+    in file order, since the order fixes a hash store's layout; the C
+    queries go to ``contains_many`` in one batch, since reads move nothing.
+    The load of a hash store of at most 2**31 vertices leaves an int64 view
+    of its slots (``edgehash`` says when; 8 B per slot, about 32 B per edge
+    at this sizing's load of 1/4, freed with the store), which the C
+    queries' rounds and HashList's N answers read. Each distinct N vertex is
+    enumerated once, however often it is asked, and the lines of all of them
+    come from one numpy pass over the digits of their targets, handed over
+    as arrays, one slice of the decoded text per vertex. The result bytes
+    are those of adding and asking one edge at a time. Because all C queries
+    are asked before any N query, a file with several bad queries may report
+    a different one of them first; the exit code is the same.
 
     One worker thread reads and parses the query file while this thread
     parses the edge file and builds and loads the store. Errors keep the

@@ -267,6 +267,9 @@ class EdgeStore(abc.ABC):
 
         ``xs`` and ``ys`` are sequences of equal length. An error at pair k
         leaves pairs 0..k-1 added and counted, as the loop of calls would.
+        This loop serves MultiList and the oracle, and the hash stores'
+        batches that numpy refuses or that do not fit in the room left
+        below the growth limit.
         """
         check_lengths(xs, ys)
         return [self.add_edge(x, y) for x, y in zip(_python_ids(xs), _python_ids(ys))]

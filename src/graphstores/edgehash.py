@@ -27,28 +27,27 @@ it is None on an EdgeHash. HashList extends ``_allocate`` and
 into the order ``_reseat`` seats its codes in. The seat is one loop: one
 array key call for every home, then each code is seated, and on a
 HashList its slot recorded. HashList then threads its chains in numpy,
-as after a pass of its bulk add, from the recorded slots and their
-sources, which the walk's chain lengths give already grouped.
+as after its bulk add, from the recorded slots and their sources, which
+the walk's chain lengths give already grouped.
 
 ``add_edges`` and ``contains_many`` take whole batches. One vectorized
 front end, :func:`_bulk_codes`, serves both methods and both classes: a
 numpy range check, the packed codes, and the hash mode's 64-bit key
-(:data:`~graphstores.core.HASH_KEYS`) without its capacity mask. The
-add batch then runs in passes. Each pass masks the keys of its pairs in
-numpy and makes them Python ints by ``tolist``, so the seat loop does no
-64-bit ``&`` per pair, and ends at the seat that reaches the growth
-limit, if it comes, so a rebuild falls only between two passes. A
-rebuild changes only the mask, because in both modes the key does not
-depend on capacity. The loop walks the pairs in order and only probes
-and seats: the order in which codes are seated fixes the layout. It
-tests a slot for empty by identity, ``held is NONE``: every empty slot
-holds the one NONE object that ``[NONE] * cap`` put there, every other
-slot a code, and codes are never negative, so no code is that object.
-The Python tail of ``contains_many`` and the rebuild probe the same way.
-After each pass, numpy derives the rest from the slots the loop reached:
-the answers, the probe counts, the edge count and, on a HashList, the
-chains. So answers, slot layout, chain order, rebuilds and counters all
-come out as the scalar calls give them.
+(:data:`~graphstores.core.HASH_KEYS`) without its capacity mask. An
+add batch goes to numpy only if it fits in the room left below the
+growth limit, so no rebuild falls inside it; a longer one runs the
+scalar calls. A fitting batch's keys are masked once in numpy and made
+Python ints by ``tolist``, so the seat loop does no 64-bit ``&`` per
+pair. The loop walks the pairs in order and only probes and seats: the
+order in which codes are seated fixes the layout. It tests a slot for
+empty by identity, ``held is NONE``: every empty slot holds the one NONE
+object that ``[NONE] * cap`` put there, every other slot a code, and
+codes are never negative, so no code is that object. The Python tail of
+``contains_many`` and the rebuild probe the same way. After the loop,
+numpy derives the rest from the slots it reached: the answers, the probe
+counts, the edge count and, on a HashList, the chains. So answers, slot
+layout, chain order, rebuilds and counters all come out as the scalar
+calls give them.
 
 ``contains_many`` has one probe, :func:`_probe_rounds`. While the int64
 view of the slots (below) is current and more than ``_ROUND_MIN``
@@ -57,27 +56,27 @@ a Python loop over the slot list finishes the rest from where the rounds
 left them, as ``HashList._walk`` finishes its chains. Reads move
 nothing, so each query takes the same probes in rounds as alone. Adds
 stay in the loop: a round that seated codes together would change the
-layout. Counters are recorded once per read batch, and once per pass of
-an add batch. Numpy takes a batch only whole and in range: one with an
-id numpy cannot hold exactly (a float, an id beyond 64 bits) or an id
-outside [0, n) goes through the scalar calls instead, which apply and
-count the pairs before the first bad one and then raise its error.
+layout. Counters are recorded once per batch that numpy takes. Numpy
+takes a batch only whole and in range: one with an id numpy cannot hold
+exactly (a float, an id beyond 64 bits) or an id outside [0, n) goes
+through the scalar calls instead, which apply and count the pairs before
+the first bad one and then raise its error.
 
 The store keeps at most one such view, in ``_view``, as one pair
 ``(edge_count, table)``. It is current while the store has that edge
 count: only ``_install`` changes the capacity, and it drops the view, and
 nothing is ever removed, so then it holds the slots as they are. Only a
-bulk add makes one: into an empty table, on a store of at most 2**31
-vertices (so int64 holds every code and NONE), with a batch of at least
-capacity / 8 pairs, it starts the view as all NONE, and ``_book``
-scatters each pass's seats into a current view. So the load of
-``graphstores query`` leaves one. The read rule: the read batches (the
-rounds of ``contains_many``, HashList's enumeration) read the view only
-while it is current, and otherwise the slot list; nothing copies the
-slots. A scalar seat makes the view stale, and a
-stale view never becomes current again, since counts only grow and every
-install of a table drops it; so the next read batch or bulk add frees it,
-as ``_install`` does on every rebuild and ``grow``. While held it costs
+bulk add that numpy takes makes one: into an empty table, on a store of
+at most 2**31 vertices (so int64 holds every code and NONE), with a
+batch of at least capacity / 8 pairs, it starts the view as all NONE,
+and ``_book`` scatters the seats of each such add into a current view.
+So the load of ``graphstores query`` leaves one. The read rule: the read
+batches (the rounds of ``contains_many``, HashList's enumeration) read
+the view only while it is current, and otherwise the slot list; nothing
+copies the slots. A scalar seat makes the view stale, and a stale view
+never becomes current again, since counts only grow and every install
+of a table drops it; so the next read batch or bulk add frees it, as
+``_install`` does on every rebuild and ``grow``. While held it costs
 8 B per slot, about 32 B per edge at the load of 1/4 that ``graphstores
 query`` sizes for; the scalar bodies never touch it. Readers need no lock
 once mutation stops: each reads ``_view`` once, so it never pairs a table
@@ -190,11 +189,6 @@ def _probe_rounds(table, data: list, codes, slots, mask: int) -> tuple:
         return out, total, peak
     found[live] = out
     return found.tolist(), total, rounds + peak
-
-
-#: Fewest pairs in a pass of ``add_edges``, so that a batch of duplicates into
-#: a table one seat short of its limit is not one pass per pair.
-_MIN_CHUNK = 4096
 
 
 class EdgeHash(EdgeStore):
@@ -312,61 +306,45 @@ class EdgeHash(EdgeStore):
     def add_edges(self, xs, ys) -> list[bool]:
         """``add_edge`` per pair; the answers and counters are those of the scalar calls.
 
-        A batch that ``_bulk_codes`` refuses, any bad id included, runs the
-        scalar calls. Any other batch runs in passes. A pass rebuilds first
-        if the table is at its growth limit, masks the homes of the next
-        ``max(room, _MIN_CHUNK)`` pairs in numpy, where ``room`` is the
-        seats left below the limit, and seats them in order until the table
-        reaches the limit or the pass runs out of pairs. So no rebuild falls
-        inside a pass, and a rebuild masks again at most the rest of one
-        pass, not the rest of the batch. The Python loop only probes and
-        seats, and records for each pair the slot it reached: the slot
-        itself where it seated, its complement where it found the code.
-        ``_book`` derives the rest of the pass in numpy.
+        Numpy takes a batch that fits in the room left below the growth
+        limit and that ``_bulk_codes`` takes whole; every other batch runs
+        the scalar calls. A fitting batch cannot reach a rebuild, so its
+        homes are masked once, and one Python loop probes and seats the
+        pairs in order. It records for each pair the slot it reached: the
+        slot itself where it seated, its complement where it found the
+        code. ``_book`` derives the rest in numpy.
         """
         front = _bulk_codes(xs, ys, self._n, self._key)
-        if front is None:
+        if front is None or len(front[0]) > self._growth_limit - self._count:
             return super().add_edges(xs, ys)
         codes, keys = front
         if not self._count and len(codes) * 8 >= self._cap and self._n <= 1 << 31:
             # The view the read batches use (module docstring); ``_book`` fills it.
             self._view = (0, np.full(self._cap, NONE, np.int64))
-        code_iter = iter(codes.tolist())
-        out = []
-        start = 0
-        while start < len(codes):
-            if self._count >= self._growth_limit:
-                self._rebuild(self._cap * 2)
-            data, mask = self._data, self._mask
-            room = self._growth_limit - self._count
-            homes = (keys[start : start + max(room, _MIN_CHUNK)] & np.uint64(mask)).tolist()
-            reached = []
-            append = reached.append
-            try:
-                for slot, code in zip(homes, code_iter):
+        data, mask = self._data, self._mask
+        homes = (keys & np.uint64(mask)).view(np.int64)
+        reached = []
+        append = reached.append
+        try:
+            for slot, code in zip(homes.tolist(), codes.tolist()):
+                held = data[slot]
+                while held is not NONE and held != code:
+                    slot = (slot + 1) & mask
                     held = data[slot]
-                    while held is not NONE and held != code:
-                        slot = (slot + 1) & mask
-                        held = data[slot]
-                    if held is NONE:
-                        data[slot] = code
-                        append(slot)
-                        room -= 1
-                        if not room:
-                            break
-                    else:
-                        append(~slot)
-            finally:
-                stop = start + len(reached)
-                out += self._book(codes[start:stop], keys[start:stop], reached)
-                start = stop
+                if held is NONE:
+                    data[slot] = code
+                    append(slot)
+                else:
+                    append(~slot)
+        finally:
+            out = self._book(codes[: len(reached)], homes[: len(reached)], reached)
         return out
 
-    def _book(self, codes, keys, reached: list) -> list[bool]:
-        """Everything a pass of the add loop leaves out; returns its answers.
+    def _book(self, codes, homes, reached: list) -> list[bool]:
+        """Everything the add loop leaves out; returns its answers.
 
         ``reached`` holds one entry per pair of ``codes`` (with their
-        ``keys``): the slot it seated at, or the complement of the slot
+        ``homes``): the slot it seated at, or the complement of the slot
         that held its code. A probe ends at its slot, and no table is ever
         full, so it took ``((slot - home) & mask) + 1`` probes. The counts
         go to the add channel in one ``record_batch``, the seats to the
@@ -378,8 +356,7 @@ class EdgeHash(EdgeStore):
         got = np.array(reached, dtype=np.int64)
         seated = got >= 0
         slots = np.where(seated, got, ~got)
-        mask = self._mask
-        probes = ((slots - (keys & np.uint64(mask)).astype(np.int64)) & mask) + 1
+        probes = ((slots - homes) & self._mask) + 1
         self.counters.add.record_batch(len(got), int(probes.sum()), int(probes.max()))
         table = self._current_view()
         self._count += int(np.count_nonzero(seated))
@@ -391,7 +368,7 @@ class EdgeHash(EdgeStore):
         return seated.tolist()
 
     def _link(self, codes, new_slots) -> None:
-        """A pass's chains; an edge hash keeps none."""
+        """A batch's chains; an edge hash keeps none."""
 
     def contains_many(self, xs, ys) -> list[bool]:
         """``contains`` per pair, with the answers and counters of the scalar calls.

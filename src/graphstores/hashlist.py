@@ -16,8 +16,8 @@ most ``edgehash._ROUND_MIN`` are live, and a scalar walk finishes those,
 as the edge hash's ``contains_many`` probe does. ``_thread`` groups new
 slots by source in arrival order, by one sort unless the sources come
 grouped, and puts each group at the front of its chain, as ``add_edge``
-would one slot at a time. The edge hash's bulk add threads each pass with
-it (``_link``), and ``neighbors_many`` walks with ``_walk``. Its targets
+would one slot at a time. The edge hash's bulk add threads its new slots
+with it (``_link``), and ``neighbors_many`` walks with ``_walk``. Its targets
 come from the edge hash's int64 view of the slots while that is current,
 and otherwise from one gather over ``_data`` (the read rule of
 :mod:`~graphstores.edgehash`). ``_neighbor_runs`` hands the targets
@@ -128,7 +128,7 @@ class HashList(EdgeHash):
         self._weights: list | None = [None] * cap if self.config.weighted else None
 
     def _link(self, codes, new_slots) -> None:
-        """Thread a pass's new slots onto the store's chains."""
+        """Thread a bulk add's new slots onto the store's chains."""
         src = (codes >> np.uint64(32)).view(np.int64)
         _thread(_cells(self._heads), _cells(self._next), src, new_slots)
 

@@ -1,5 +1,6 @@
-"""tools/ab.py loads two source trees side by side and alternates run_workload, or
-``graphstores query`` on one perfbench workload's files, between them."""
+"""tools/ab.py loads two source trees side by side and alternates run_workload,
+``graphstores query`` on one perfbench workload's files, or the load of its store
+from the edge file, between them."""
 
 from __future__ import annotations
 
@@ -17,14 +18,31 @@ _spec.loader.exec_module(ab)
 # A tiny graphstores: run_workload reports one row per structure, with a mean
 # counter that comes from a submodule and a wall time that differs per tree;
 # cli.main writes the query file's line count, TOTAL and the --structure it was
-# given, and exits CODE.
+# given, and exits CODE; its query store holds the edge file's line count of TOTALs
+# and the structure it was built as, and its load counts one add.
 TREE = {
     "__init__.py": "from .bench import WorkloadSpec, run_workload\n",
     "counts.py": "TOTAL = {total}\nWALL = {wall}\nCODE = {code}\n",
     "cli.py": """\
 from pathlib import Path
+from types import SimpleNamespace
 
 from .counts import CODE, TOTAL
+
+
+def parse_edge_list(text):
+    return len(text.splitlines())
+
+
+def _build_query_store(structure, lines, hash_mode, undirected):
+    channels = {name: SimpleNamespace(ops=0, total=0, peak=0)
+                for name in ("add", "contains", "enumerate")}
+    return SimpleNamespace(edge_count=lines, counters=SimpleNamespace(**channels),
+                           _data=[TOTAL] * lines, _lists=[[structure]])
+
+
+def _load_query_store(store, lines, undirected):
+    store.counters.add.ops += 1
 
 
 def main(argv):
@@ -233,10 +251,65 @@ def test_query_failing_side_exits_1(tmp_path):
         ab.main([str(parent), str(change), "query", "--workload", "selftest", "--runs", "1"])
 
 
+def test_load_equal_stores_report_medians(tmp_path, capsys):
+    """Load mode parses the selftest workload's edge file once and loads each tree's
+    query store from it; equal stores give the medians and the wins."""
+    parent = make_tree(tmp_path / "p", 10, 1)
+    change = make_tree(tmp_path / "c", 10, 2)
+    code = ab.main([str(parent), str(change), "load", "--workload", "selftest", "--runs", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "query store load, selftest seed=1, --structure hashlist" in out and "3 rounds" in out
+    assert "parent median" in out and "change median" in out and "/3" in out
+    assert "loaded stores equal in every round" in out
+
+
+@pytest.mark.parametrize("structure", ["hashlist", "edgehash", "multilist"])
+def test_load_structure_reaches_both_sides(tmp_path, monkeypatch, capsys, structure):
+    """``--structure`` goes to each side's ``_build_query_store``; without it, hashlist
+    does. Every run builds its own store and loads it once."""
+    parent = make_tree(tmp_path / "p", 10, 1)
+    change = make_tree(tmp_path / "c", 10, 2)
+    seen = []
+    runner = ab.load_runner
+
+    def spy(*args):
+        run = runner(*args)
+
+        def observed(side):
+            elapsed, state = run(side)
+            seen.append(state)
+            return elapsed, state
+        return observed
+
+    monkeypatch.setattr(ab, "load_runner", spy)
+    flags = [] if structure == "hashlist" else ["--structure", structure]
+    code = ab.main([str(parent), str(change), "load", "--workload", "selftest", "--runs", "1",
+                    *flags])
+    assert code == 0
+    assert f"--structure {structure}," in capsys.readouterr().out
+    assert len(seen) == 4
+    assert all(state[1][0] == (1, 0, 0) and state[4] == [[structure]] for state in seen)
+    assert all(state[2] == [10] * state[0] and state[0] > 0 for state in seen)
+
+
+def test_load_differing_stores_exit_1(tmp_path, capsys):
+    parent = make_tree(tmp_path / "p", 10, 1)
+    change = make_tree(tmp_path / "c", 11, 1)
+    code = ab.main([str(parent), str(change), "load", "--workload", "selftest", "--runs", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "loaded stores differ in round 0" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args,message", [
     (["query"], "query needs --workload"),
     (["query", "--workload", "nope"], "unknown workload 'nope'"),
     (["query", "--workload", "selftest", "--structure", "edgehash"], "invalid choice"),
+    (["load"], "load needs --workload"),
+    (["load", "--workload", "selftest", "--structure", "oracle"],
+     "invalid choice for load: 'oracle' (choose from hashlist, edgehash, multilist)"),
     (["--gen", "star"], "workload needs --n, --m"),
     (["--gen", "star", "--n", "8", "--m", "100", "--structures", ""], "got ''"),
     (["--gen", "star", "--n", "8", "--m", "100", "--structures", " , "], "got ' , '"),
@@ -268,3 +341,14 @@ def test_real_tree_query_structures_against_itself(structure, capsys):
                     "--runs", "1"])
     assert code == 0
     assert "result files equal in every round" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("structure", ["hashlist", "edgehash", "multilist"])
+def test_real_tree_load_against_itself(structure, capsys):
+    """The repository's own src, loaded twice, loads equal stores from the selftest
+    workload's edge file."""
+    src = str(ROOT / "src")
+    code = ab.main([src, src, "load", "--workload", "selftest", "--structure", structure,
+                    "--runs", "1"])
+    assert code == 0
+    assert "loaded stores equal in every round" in capsys.readouterr().out

@@ -105,10 +105,13 @@ batch = st.lists(
 @pytest.mark.parametrize("cls,weighted", STORES)
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 12), batches=st.lists(batch, max_size=6),
-       form=st.sampled_from(FORMS))
-def test_bulk_matches_scalar(cls, weighted, hash_mode, n, batches, form):
-    """Stores grow from expected_edges=1, so rebuilds fall inside batches."""
-    cfg = StoreConfig(vertex_count=n, expected_edges=1, hash_mode=hash_mode, weighted=weighted)
+       form=st.sampled_from(FORMS), expected=st.sampled_from([1, 16, 256]))
+def test_bulk_matches_scalar(cls, weighted, hash_mode, n, batches, form, expected):
+    """Stores grow from expected_edges=1, so rebuilds fall inside batches, which then
+    run the scalar calls; presized stores take whole batches, duplicates included, in
+    numpy."""
+    cfg = StoreConfig(vertex_count=n, expected_edges=expected, hash_mode=hash_mode,
+                      weighted=weighted)
     bulk, scalar = cls(cfg), cls(cfg)
     for ops in batches:
         is_add = bool(ops) and ops[0][0]
@@ -428,7 +431,7 @@ def test_mid_batch_rebuilds_in_one_call():
         assert state(bulk) == state(scalar)
 
 
-# --- passes: the add loop seats in passes that end at the growth limit ---
+# --- the growth limit: numpy takes a batch that fits below it, the scalar calls any other ---
 
 NAN = float("nan")
 # 16 slots at expected_edges=1: growth_limit(16) = 11 seats fit before a rebuild.
@@ -470,6 +473,56 @@ def distinct_pairs(count: int, n: int, seed: int) -> list:
 def triples(codes, n: int, weights=None) -> list:
     ws = weights if weights is not None else [None] * len(codes)
     return [(c // n, c % n, w) for c, w in zip(codes, ws)]
+
+
+# Each batch of the fit test, from the distinct pairs it may seat: its length over the room,
+# and how many of those pairs it seats.
+FITS = {
+    "room-one-duplicate": lambda fresh: fresh[:-1] + fresh[:1],
+    "room-all-new": lambda fresh: fresh,
+    "room+1-two-duplicates": lambda fresh: fresh[:-1] + fresh[:2],
+}
+
+
+@pytest.mark.parametrize("case", FITS)
+@pytest.mark.parametrize("before", [0, 10])
+@pytest.mark.parametrize("hash_mode", MODES)
+@pytest.mark.parametrize("cls,weighted", STORES)
+def test_numpy_takes_a_batch_that_fits_below_the_growth_limit(cls, weighted, hash_mode,
+                                                              before, case):
+    """``room`` is the seats left below the growth limit after ``before`` scalar adds.
+    A batch of ``room`` pairs goes to numpy: one ``_book`` call and no ``add_edge``
+    call, and on an empty table it starts the view; one that fills the table to the
+    limit rebuilds nothing. A batch of ``room + 1`` pairs runs ``add_edge`` for every
+    pair, though it seats what the first room batch seats and stays below the limit.
+    Either way the twins agree."""
+    n = 40
+    cfg = StoreConfig(vertex_count=n, expected_edges=64, hash_mode=hash_mode, weighted=weighted)
+    bulk, scalar = cls(cfg), cls(cfg)
+    room = cfg.growth_limit(bulk.capacity) - before
+    codes = distinct_pairs(before + room, n, 8)
+    for store in (bulk, scalar):
+        scalar_adds(store, [c // n for c in codes[:before]], [c % n for c in codes[:before]])
+    seq = FITS[case](codes[before:])
+    fits = len(seq) <= room
+    xs, ys = [c // n for c in seq], [c % n for c in seq]
+    ws = [k / 4 for k in range(len(seq))] if weighted else None
+    want = scalar_adds(scalar, xs, ys, ws)
+    with mock.patch.object(cls, "add_edge", autospec=True, side_effect=cls.add_edge) as add, \
+            mock.patch.object(cls, "_book", autospec=True, side_effect=cls._book) as book:
+        got = bulk.add_edges(np.array(xs), np.array(ys))
+    if weighted:
+        for x, y, w in zip(xs, ys, ws):
+            bulk.set_weight(x, y, w)
+    assert len(seq) == room + (not fits)
+    assert got == want
+    assert (book.call_count, add.call_count) == ((1, 0) if fits else (0, len(seq)))
+    assert (bulk._current_view() is not None) == (fits and not before)
+    if fits and not before:
+        assert np.array_equal(bulk._view[1], np.fromiter(bulk._data, np.int64, bulk.capacity))
+    assert bulk.rebuilds == 0 and bulk.edge_count == before + len(set(seq))
+    assert state(bulk) == state(scalar)
+    assert weights_seen(bulk) == weights_seen(scalar)
 
 
 @pytest.mark.parametrize("hash_mode", MODES)
@@ -539,12 +592,12 @@ def test_weights_with_none_gaps(cls, weighted, hash_mode):
 @pytest.mark.parametrize("hash_mode", MODES)
 @pytest.mark.parametrize("cls,weighted", STORES)
 def test_duplicates_into_a_store_one_seat_short_of_its_limit(cls, weighted, hash_mode):
-    """Every pass of a duplicate-only batch has room for one seat and seats nothing, so
-    the batch runs in passes of ``_MIN_CHUNK`` pairs. The second batch's one new code
-    fills the table mid-pass, and the duplicate after it rebuilds first."""
+    """A batch of more than 8,192 duplicates into a table with room for one seat seats
+    nothing. The second batch's one new code fills the table to its limit, and the
+    duplicate after it rebuilds first."""
     codes = distinct_pairs(LIMIT16 - 1, 20, 7)
     before = [divmod(c, 20) for c in codes]
-    dups = codes * ((2 * edgehash._MIN_CHUNK) // len(codes) + 1)
+    dups = codes * (8192 // len(codes) + 1)
     new = distinct_pairs(LIMIT16, 20, 7)[-1:]
     weights = [(None, 1.5, NAN)[k % 3] for k in range(len(dups))]
     bulk = assert_same_segments(cls, weighted, hash_mode, 20, before,
@@ -552,21 +605,17 @@ def test_duplicates_into_a_store_one_seat_short_of_its_limit(cls, weighted, hash
     assert (bulk.rebuilds, bulk.edge_count) == (1, LIMIT16)
 
 
-@pytest.mark.parametrize("floor", [1, 3, 256, edgehash._MIN_CHUNK])
 @pytest.mark.parametrize("hash_mode", MODES)
 @pytest.mark.parametrize("cls,weighted", STORES)
-def test_homes_masked_a_chunk_at_a_time(cls, weighted, hash_mode, floor):
+def test_homes_masked_a_chunk_at_a_time(cls, weighted, hash_mode):
     """Duplicates make the table reach its limit only after more pairs than it has
-    seats, so the batch runs in several passes between two rebuilds. With a floor of 1
-    each pass is as long as the seats left; with a floor above them, the seat that
-    reaches the limit can fall inside a pass, and the rest of that pass is masked again
-    after the rebuild. The last ten pairs are in the store before the batch."""
+    seats, several times within one batch. The last ten pairs are in the store before
+    the batch."""
     codes = distinct_pairs(200, 30, 6)
     before = [divmod(c, 30) for c in codes[190:]]
     seq = codes[:50] + codes[:20] + codes[50:120] + codes[10:60] + codes[120:] + codes[::7]
-    with mock.patch.object(edgehash, "_MIN_CHUNK", floor):
-        bulk = assert_same_segments(cls, weighted, hash_mode, 30, before,
-                                    [triples(seq, 30), triples(codes[::3], 30)])
+    bulk = assert_same_segments(cls, weighted, hash_mode, 30, before,
+                                [triples(seq, 30), triples(codes[::3], 30)])
     assert bulk.rebuilds >= 4
 
 

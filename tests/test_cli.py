@@ -20,6 +20,7 @@ from graphstores import (
     HASH_MODES,
     STRUCTURE_NAMES,
     DifferentialMismatch,
+    EdgeHash,
     HashList,
     MultiList,
     StoreConfig,
@@ -605,6 +606,28 @@ class TestQueryLoadView:
         table = store._current_view()
         assert table is not None
         assert np.array_equal(table, np.fromiter(store._data, np.int64, store.capacity))
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    @pytest.mark.parametrize("structure", ["hashlist", "edgehash"])
+    def test_query_loads_in_numpy(self, tmp_path, capsys, structure, undirected):
+        """``graphstores query`` sizes its store so that the whole load fits below the
+        growth limit: ``add_edges`` takes it in numpy, one ``_book`` call and no scalar
+        ``add_edge``, duplicate and reversed lines included. The answers are multilist's."""
+        rng = np.random.default_rng(40)
+        n = 50
+        pairs = rng.integers(0, n, (400, 2)).tolist()
+        pairs += pairs[:30] + [[y, x] for x, y in pairs[30:60]] + [[7, 7]]
+        g, q = tmp_path / "g.txt", tmp_path / "q.txt"
+        g.write_text(f"{n} {len(pairs)}\n" + "".join(f"{x} {y}\n" for x, y in pairs))
+        q.write_text("".join(f"C {x} {y}\n" for x, y in rng.integers(0, n, (200, 2)).tolist()))
+        flags = ["--undirected"] if undirected else []
+        cls = HashList if structure == "hashlist" else EdgeHash
+        with mock.patch.object(cls, "add_edge", side_effect=AssertionError("scalar add")), \
+                mock.patch.object(cls, "_book", autospec=True, side_effect=cls._book) as book:
+            got = run_cli(capsys, "query", str(g), str(q), "--structure", structure, *flags)
+        assert book.call_count == 1
+        assert got == run_cli(capsys, "query", str(g), str(q), "--structure", "multilist", *flags)
+        assert got[0] == 0 and "1" in got[1].split()
 
     @pytest.mark.parametrize("hash_mode", HASH_MODES)
     @pytest.mark.parametrize("undirected", [False, True])

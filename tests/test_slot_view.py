@@ -4,11 +4,11 @@ An ``EdgeHash`` (and so a ``HashList``) keeps at most one view, the pair
 ``(edge_count, table)``. It is current while the store's edge count is the
 one it was keyed at: every install of a table, the only change of capacity,
 drops it, and nothing is ever removed, so then it holds the slots as they
-are. A bulk add into an empty table, with at least
-capacity / 8 pairs, starts it, and each pass of the add scatters its seats
-into it while it is current. The read batches (``contains_many``'s rounds,
-``HashList``'s enumeration) read it exactly while it is current, and nothing
-copies the slots. A stale view is freed by the next read batch or bulk add,
+are. A bulk add into an empty table, of at least capacity / 8 pairs and
+at most its growth limit, starts it, and each bulk add that numpy takes
+scatters its seats into it while it is current. The read batches
+(``contains_many``'s rounds, ``HashList``'s enumeration) read it exactly
+while it is current, and nothing copies the slots. A stale view is freed by the next read batch or bulk add,
 and every install of a table (rebuild, ``grow``) drops it.
 
 Every test runs twin stores: one fed through the bulk calls, one through the
@@ -106,8 +106,8 @@ step = st.one_of(
 def test_interleaved_history(cls, weighted, cells, hash_mode, data, n, presized, steps):
     """Large and small ``add_edges`` on presized and unsized stores (the unsized ones
     rebuild mid-batch), scalar adds of new and old pairs, and ``grow``, in any order.
-    A bulk add of at least capacity / 8 pairs into an empty table, with no rebuild,
-    leaves a current view; ``grow`` leaves none."""
+    A bulk add into an empty table of at least capacity / 8 pairs and at most its
+    growth limit leaves a current view; ``grow`` leaves none."""
     cfg = StoreConfig(vertex_count=n, expected_edges=64 if presized else 1,
                       hash_mode=hash_mode, weighted=weighted)
     with chain_cells(cells):
@@ -117,7 +117,8 @@ def test_interleaved_history(cls, weighted, cells, hash_mode, data, n, presized,
             if op == "bulk":
                 pairs = [(x % n, y % n) for x, y in args[0]]
                 xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-                starts = not bulk.edge_count and len(pairs) * 8 >= bulk.capacity
+                starts = (not bulk.edge_count and len(pairs) * 8 >= bulk.capacity
+                          and len(pairs) <= bulk.config.growth_limit(bulk.capacity))
                 rebuilds, before = bulk.rebuilds, bulk._view
                 assert bulk.add_edges(np.array(xs, np.int64), ys) == [
                     scalar.add_edge(x, y) for x, y in pairs]

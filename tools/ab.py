@@ -8,6 +8,7 @@ commit's and the change's::
         --structures hashlist,multilist,edgehash
     python3 tools/ab.py ../parent/src src query --workload cli-query --seed 5 --runs 21
     python3 tools/ab.py ../parent/src src query --workload cli-query --structure multilist
+    python3 tools/ab.py ../parent/src src load --workload uniform-presized --structure edgehash
 
 Each tree's ``graphstores`` package is imported under a name of its own
 (``ab_parent`` and ``ab_change``), so the two sides are distinct classes
@@ -18,7 +19,7 @@ prints both medians of the wall time, the change's median over the
 parent's, the parent's interquartile range and the number of rounds the
 change ran faster in. It exits 1 if the two sides ever disagree.
 
-Two calls can be timed:
+Three calls can be timed:
 
 - ``workload`` (the default): ``run_workload`` of one ``WorkloadSpec``
   (``--gen --n --m --seed``) over ``--structures``, a comma-separated
@@ -32,6 +33,14 @@ Two calls can be timed:
   (which refuses more than 4096 vertices, so only the selftest workload).
   ``perfbench/bench_inputs.make_inputs`` writes the files once, and every
   round checks that both sides exit 0 and write the same result bytes.
+- ``load``: the store ``graphstores query --structure S`` builds and
+  loads from one perfbench workload's edge file (``--workload --seed``),
+  timed alone: ``cli._build_query_store`` + ``cli._load_query_store``,
+  directed, mixer mode. ``--structure`` is hashlist (the default),
+  edgehash or multilist. The change side's ``parse_edge_list`` parses the
+  file once, and both sides load that one ``GraphFile``. Every round
+  checks that the two stores hold equal slots (``_data``), chain cells
+  and per-vertex lists, as far as the store has them, and equal counters.
 
 It backs perfbench's pair rule and never replaces it. The two sides share
 one process: one allocator, whose free lists and arenas each side's runs
@@ -57,6 +66,10 @@ from types import ModuleType
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 STRUCTURES = ("hashlist", "multilist", "edgehash", "oracle")
+# The structures each call may take with --structure: query refuses edgehash, which
+# cannot answer N queries; load takes the stores whose slots or lists it compares.
+CALL_STRUCTURES = {"query": ("hashlist", "multilist", "oracle"),
+                   "load": ("hashlist", "edgehash", "multilist")}
 
 
 def load_tree(src: Path, name: str) -> ModuleType:
@@ -130,6 +143,35 @@ def query_runner(packages: dict[str, ModuleType], graph: Path, queries: Path, ou
     return run
 
 
+def store_state(store) -> tuple:
+    """What a load leaves that both sides must agree on: the edge count, each channel's
+    (ops, total, peak), and the slots, chain cells and per-vertex lists the store has."""
+    c = store.counters
+    channels = [(ch.ops, ch.total, ch.peak) for ch in (c.add, c.contains, c.enumerate)]
+    cells = [getattr(store, name, None) for name in ("_heads", "_next")]
+    lists = getattr(store, "_lists", None)
+    return (store.edge_count, channels, getattr(store, "_data", None),
+            [None if v is None else bytes(v) for v in cells],
+            None if lists is None else [list(targets) for targets in lists])
+
+
+def load_runner(packages: dict[str, ModuleType], text: str, structure: str):
+    """``run(side)`` -> (ns, ``store_state``) of building and loading, directed and in
+    mixer mode, the store ``graphstores query --structure structure`` loads from the edge
+    file ``text``, which the change side's parser parses once."""
+    clis = {side: importlib.import_module(f"{pkg.__name__}.cli") for side, pkg in packages.items()}
+    graph = clis["change"].parse_edge_list(text)
+
+    def run(side: str):
+        cli = clis[side]
+        t0 = perf_counter_ns()
+        store = cli._build_query_store(structure, graph, "mixer", False)
+        cli._load_query_store(store, graph, False)
+        elapsed = perf_counter_ns() - t0
+        return elapsed, store_state(store)
+    return run
+
+
 def alternate(run, runs: int) -> dict:
     """Time ``runs`` rounds of ``run(side)`` on each side, alternating which goes first.
 
@@ -167,16 +209,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path, help="src directory of the parent commit")
     parser.add_argument("change_src", type=Path, help="src directory of the change")
-    parser.add_argument("call", nargs="?", choices=("workload", "query"), default="workload",
+    parser.add_argument("call", nargs="?", choices=("workload", "query", "load"),
+                        default="workload",
                         help="the call to time (default: workload)")
     parser.add_argument("--gen", help="workload: generator, uniform, star or grid")
     parser.add_argument("--n", type=int, help="workload: vertex count")
     parser.add_argument("--m", type=int, help="workload: operation count")
     parser.add_argument("--structures", default=",".join(STRUCTURES),
                         help="workload: comma-separated structures (default: all four)")
-    parser.add_argument("--workload", help="query: a perfbench workload, such as cli-query")
-    parser.add_argument("--structure", choices=("hashlist", "multilist", "oracle"),
-                        default="hashlist", help="query: the store to build (default: hashlist)")
+    parser.add_argument("--workload",
+                        help="query, load: a perfbench workload, such as cli-query")
+    parser.add_argument("--structure", default="hashlist",
+                        help="query: hashlist, multilist or oracle; load: hashlist, edgehash "
+                             "or multilist (default: hashlist)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--runs", type=int, default=21, help="timed rounds per side")
     args = parser.parse_args(argv)
@@ -186,6 +231,10 @@ def main(argv=None) -> int:
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
         parser.error(f"{args.call} needs {', '.join(missing)}")
+    allowed = CALL_STRUCTURES.get(args.call)
+    if allowed and args.structure not in allowed:
+        parser.error(f"argument --structure: invalid choice for {args.call}: "
+                     f"{args.structure!r} (choose from {', '.join(allowed)})")
     structures = tuple(s.strip() for s in args.structures.split(",") if s.strip())
     if not structures or len(set(structures)) < len(structures) or set(structures) - set(STRUCTURES):
         parser.error(f"--structures must name distinct structures from {', '.join(STRUCTURES)}; "
@@ -209,6 +258,15 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"choose from {', '.join(bench_inputs.WORKLOADS)}")
     inp = bench_inputs.make_inputs(bench_inputs.WORKLOADS[args.workload], args.seed)
+    if args.call == "load":
+        out = alternate(load_runner(packages, inp.graph_text, args.structure), args.runs)
+        if out["mismatch"] is not None:
+            print(f"ab: loaded stores differ in round {out['mismatch']}", file=sys.stderr)
+            return 1
+        print_times(out, f"query store load, {args.workload} seed={args.seed}, "
+                         f"--structure {args.structure}, {len(inp.graph_text)} bytes", args.runs)
+        print("loaded stores equal in every round")
+        return 0
     with tempfile.TemporaryDirectory(prefix="ab-query-") as tmp:
         graph, queries = Path(tmp) / "graph.txt", Path(tmp) / "queries.txt"
         graph.write_text(inp.graph_text, encoding="utf-8")
